@@ -67,6 +67,7 @@ use grefar_core::{Always, GreFar, GreFarParams, LocalOnly, PriceGreedy, Schedule
 use grefar_obs::SpanClock;
 use grefar_sim::{
     Checkpoint, MpcScheduler, PaperScenario, RunPolicy, SimError, Simulation, SimulationInputs,
+    SteppedRun,
 };
 use grefar_trace::import::{load_price_trace, load_workload_trace};
 use grefar_trace::{PriceProcess, ReplayPrice, ReplayWorkload};
@@ -348,31 +349,25 @@ fn main() {
     }
 
     let report = match &opts.checkpoint {
-        None => {
-            if plane.is_active() {
-                sim.run_with_observer(&mut plane)
-            } else {
-                sim.run()
-            }
-        }
+        None => sim.run_with_observer(&mut plane),
         Some(ck_path) => {
             let mut policy = RunPolicy::new(ck_path.clone(), opts.checkpoint_every)
                 .with_kill_when(signal::triggered);
             if let Some(slot) = opts.kill_at {
                 policy = policy.with_kill_at(slot);
             }
-            let result = if opts.resume {
+            let run = if opts.resume {
                 match Checkpoint::load(ck_path) {
-                    Ok(ck) => sim.resume(ck, &mut plane, Some(&policy)),
+                    Ok(ck) => SteppedRun::resume(sim, ck),
                     Err(e) => {
                         eprintln!("error: {e}");
                         std::process::exit(1);
                     }
                 }
             } else {
-                sim.run_resumable(&mut plane, &policy)
+                Ok(SteppedRun::new(sim))
             };
-            match result {
+            match run.and_then(|run| run.complete(&mut plane, Some(&policy))) {
                 Ok(report) => report,
                 Err(SimError::Killed { slot, checkpoint }) => {
                     // Flush the (deliberately truncated) telemetry stream so

@@ -293,8 +293,9 @@ impl ExperimentOpts {
 /// documented at [`grefar_obs`].
 ///
 /// Implements [`Observer`], so it plugs directly into
-/// [`grefar_sim::Simulation::run_with_observer`] or
-/// [`grefar_sim::sweep::run_all_observed`]. Call [`Telemetry::finish`] after
+/// [`grefar_sim::SteppedRun`] (directly or through
+/// [`grefar_sim::Simulation::run_with_observer`]) and
+/// [`grefar_sim::sweep::run_all_observed_until`]. Call [`Telemetry::finish`] after
 /// the regular experiment output to flush the file and print the summary.
 pub struct Telemetry {
     memory: MemoryObserver,

@@ -5,7 +5,7 @@
 use grefar_core::{GreFar, GreFarParams, Scheduler};
 use grefar_metrics::{lint, MetricsConfig, MetricsFold, MetricsLayer};
 use grefar_obs::JsonlSink;
-use grefar_sim::{Checkpoint, PaperScenario, RunPolicy, SimError, Simulation};
+use grefar_sim::{Checkpoint, PaperScenario, RunPolicy, SimError, Simulation, SteppedRun};
 
 /// Builds the standard paper simulation at `seed` over `hours` slots.
 fn build_sim(seed: u64, hours: usize) -> Simulation {
@@ -93,12 +93,10 @@ fn kill_and_resume_rebuilds_identical_aggregates() {
     // clean prefix).
     let policy = RunPolicy::new(ck_path.clone(), 20).with_kill_at(40);
     let mut cut = capture_layer(false);
-    let err = build_sim(42, 80)
-        .run_resumable(&mut cut, &policy)
-        .expect_err("kill slot must fire");
-    match err {
-        SimError::Killed { slot, .. } => assert_eq!(slot, 40),
-        other => panic!("expected Killed, got {other:?}"),
+    match SteppedRun::new(build_sim(42, 80)).complete(&mut cut, Some(&policy)) {
+        Err(SimError::Killed { slot, .. }) => assert_eq!(slot, 40),
+        Err(other) => panic!("expected Killed, got {other:?}"),
+        Ok(_) => panic!("kill slot must fire"),
     }
     let (cut_sink, _) = cut.into_parts();
     let prefix = String::from_utf8(cut_sink.into_inner()).expect("utf8 jsonl");
@@ -109,8 +107,8 @@ fn kill_and_resume_rebuilds_identical_aggregates() {
     let prefolded = resumed.prefold_jsonl(&prefix).expect("prefix folds");
     assert!(prefolded > 0, "prefix stream was empty");
     let checkpoint = Checkpoint::load(&ck_path).expect("checkpoint readable");
-    build_sim(42, 80)
-        .resume(checkpoint, &mut resumed, None)
+    SteppedRun::resume(build_sim(42, 80), checkpoint)
+        .and_then(|run| run.complete(&mut resumed, None))
         .expect("resume completes");
 
     let got = without_checkpoint_lines(&resumed.fold().render());

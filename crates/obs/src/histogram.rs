@@ -1,10 +1,8 @@
 //! Sample-holding histograms with empirical quantiles.
 
-/// Summary quantiles of an empirical distribution.
-///
-/// Field-for-field compatible with `grefar_sim::stats::Quantiles` (the
-/// "type 7" linear-interpolation estimator); the cross-crate parity test
-/// lives in the workspace-level test suite.
+/// Summary quantiles of an empirical distribution (job delays, phase
+/// timings, …), by the "type 7" linear-interpolation estimator — the one
+/// quantile implementation the workspace shares.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Quantiles {
     /// Number of samples summarized.
@@ -19,6 +17,29 @@ pub struct Quantiles {
     pub p99: f64,
     /// Maximum.
     pub max: f64,
+}
+
+impl Quantiles {
+    /// Summarizes unsorted samples, ignoring non-finite values. With no
+    /// finite samples the summary is [`Quantiles::default()`]: `count == 0`
+    /// marks it vacuous and its quantile fields are placeholders (kept at
+    /// `0.0`, not `NaN`, so summaries stay comparable with `==`). A single
+    /// sample is reported for every quantile and the max.
+    pub fn from_samples(samples: &[f64]) -> Self {
+        let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+        sort_finite(&mut sorted);
+        let Some(&max) = sorted.last() else {
+            return Self::default();
+        };
+        Self {
+            count: sorted.len(),
+            p50: quantile_sorted(&sorted, 0.50),
+            p90: quantile_sorted(&sorted, 0.90),
+            p95: quantile_sorted(&sorted, 0.95),
+            p99: quantile_sorted(&sorted, 0.99),
+            max,
+        }
+    }
 }
 
 /// A histogram that keeps its raw samples (simulation-scale cardinalities:
@@ -85,30 +106,20 @@ impl Histogram {
             return f64::NAN;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        sort_finite(&mut sorted);
         quantile_sorted(&sorted, q)
     }
 
-    /// The full quantile summary. When empty, returns
-    /// [`Quantiles::default()`] — `count == 0` marks the summary as
-    /// vacuous and its quantile fields as placeholders (kept at `0.0`, not
-    /// `NaN`, so summaries stay comparable with `==`); single-sample
-    /// summaries report that sample for every quantile and the max.
+    /// The full quantile summary ([`Quantiles::from_samples`] of the
+    /// recorded samples).
     pub fn quantiles(&self) -> Quantiles {
-        if self.samples.is_empty() {
-            return Quantiles::default();
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        Quantiles {
-            count: sorted.len(),
-            p50: quantile_sorted(&sorted, 0.50),
-            p90: quantile_sorted(&sorted, 0.90),
-            p95: quantile_sorted(&sorted, 0.95),
-            p99: quantile_sorted(&sorted, 0.99),
-            max: sorted[sorted.len() - 1],
-        }
+        Quantiles::from_samples(&self.samples)
     }
+}
+
+/// Sorts finite values ascending.
+fn sort_finite(values: &mut [f64]) {
+    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
 }
 
 /// The `q`-quantile of an ascending-sorted non-empty slice, interpolating

@@ -4,7 +4,7 @@
 //! mix, and wall-time quantiles.
 
 use crate::stream::{BoundsEvent, Run, TelemetryStream};
-use grefar_obs::{Histogram, Quantiles};
+use grefar_obs::Quantiles;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -165,14 +165,6 @@ pub struct Analysis {
     pub runs: Vec<RunAnalysis>,
     /// Total events in the stream.
     pub total_events: usize,
-}
-
-fn quantiles_of(samples: &[f64]) -> Quantiles {
-    let mut hist = Histogram::new();
-    for &s in samples {
-        hist.record(s);
-    }
-    hist.quantiles()
 }
 
 fn mean(values: impl Iterator<Item = f64>) -> f64 {
@@ -347,7 +339,7 @@ fn analyze_run(run: &Run, bounds: Option<&BoundsEvent>) -> RunAnalysis {
         ("lp.solve", &run.lp_wall_us),
     ] {
         if !samples.is_empty() {
-            wall.push((phase, quantiles_of(samples)));
+            wall.push((phase, Quantiles::from_samples(samples)));
         }
     }
 

@@ -285,6 +285,9 @@ fn client(args: &[String]) -> ! {
         }
     };
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    // One request per round trip: without TCP_NODELAY, Nagle's algorithm
+    // holds each request behind the previous reply's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -302,7 +305,8 @@ fn client(args: &[String]) -> ! {
         if request.is_empty() || request.starts_with('#') {
             continue;
         }
-        if writeln!(writer, "{request}").is_err() {
+        // Request and newline in one write, so they leave as one segment.
+        if writer.write_all(format!("{request}\n").as_bytes()).is_err() {
             eprintln!("error: daemon closed the connection");
             std::process::exit(1);
         }

@@ -76,8 +76,10 @@ pub struct LedgerSnapshot {
 
 /// A complete mid-run snapshot: the next slot to execute plus all
 /// accumulated state. Produced by
-/// [`Simulation::run_resumable`](crate::Simulation::run_resumable), consumed
-/// by [`Simulation::resume`](crate::Simulation::resume).
+/// [`SteppedRun::checkpoint`](crate::SteppedRun::checkpoint) (written on a
+/// [`RunPolicy`](crate::RunPolicy) cadence by
+/// [`SteppedRun::complete`](crate::SteppedRun::complete)), consumed by
+/// [`SteppedRun::resume`](crate::SteppedRun::resume).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The first slot that has *not* been executed.

@@ -12,9 +12,11 @@ use std::path::PathBuf;
 /// and reading/writing checkpoints.
 #[derive(Debug)]
 pub enum SimError {
-    /// The run was deliberately killed at `slot` by
-    /// [`RunPolicy::kill_at`](crate::RunPolicy) after writing a checkpoint —
-    /// the crash-injection half of the crash-recovery test.
+    /// [`SteppedRun::complete`](crate::SteppedRun::complete) stopped at
+    /// `slot` after writing a checkpoint, at the policy's
+    /// [kill slot](crate::RunPolicy::with_kill_at) or on its
+    /// [kill predicate](crate::RunPolicy::with_kill_when) — the
+    /// crash-injection half of the crash-recovery test.
     Killed {
         /// The first slot that was *not* executed.
         slot: u64,

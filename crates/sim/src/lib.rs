@@ -13,12 +13,18 @@
 //!   Cosmos-like workload,
 //! * [`JobTracker`] — job-level FIFO tracking yielding *true per-job
 //!   delays* (not just queue-length proxies),
-//! * [`Simulation`] — the slot loop: observe → decide → meter energy and
-//!   fairness → serve jobs → update queues (12)–(13),
+//! * [`Simulation`] — builds a run: configuration, frozen inputs,
+//!   scheduler, and optional admission cap, fault plan and feed profile,
+//! * [`SteppedRun`] — the slot driver, and the only code that advances a
+//!   slot: observe → decide → meter energy and fairness → serve jobs →
+//!   update queues (12)–(13). Batch runs, checkpointed and crash-injected
+//!   runs ([`RunPolicy`]) and the `grefar-served` daemon all step through
+//!   it,
 //! * [`SimulationReport`] — running averages exactly as in the paper's
 //!   footnote 8, plus per-DC delay and work series,
 //! * [`sweep`] — run many scheduler configurations against the same inputs
-//!   in parallel (used by the V-sweep of Fig. 2).
+//!   in parallel, or serially into one telemetry stream (used by the
+//!   V-sweep of Fig. 2).
 //!
 //! # Example
 //!
@@ -44,7 +50,6 @@ mod mpc;
 mod report;
 mod scenario;
 mod simulation;
-pub mod stats;
 pub mod sweep;
 pub mod theory_obs;
 mod tracker;

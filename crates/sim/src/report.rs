@@ -6,8 +6,8 @@
 //! cumulative delay by cumulative completions instead (a running mean over
 //! *jobs*, which is what Fig. 2(b)(c) plots).
 
-use crate::stats::Quantiles;
 use crate::tracker::CompletionStats;
+use grefar_obs::Quantiles;
 
 /// A time series together with its running average (footnote 8 semantics).
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -17,7 +17,8 @@ use grefar_types::{Grid, Slot, SystemConfig};
 
 /// One simulation run: a scheduler against a frozen input horizon.
 ///
-/// Each slot `t` executes the Algorithm-1 loop:
+/// `Simulation` builds and configures the run; [`SteppedRun`] executes
+/// it. Each slot `t` executes the Algorithm-1 loop:
 ///
 /// 1. observe the state `x(t)` and queues `Θ(t)`,
 /// 2. ask the scheduler for the action `z(t)`,
@@ -48,10 +49,10 @@ use grefar_types::{Grid, Slot, SystemConfig};
 ///
 /// # Checkpoint/resume
 ///
-/// [`run_resumable`](Simulation::run_resumable) writes a schema-versioned
-/// [`Checkpoint`] every `k` slots (atomically);
-/// [`resume`](Simulation::resume) continues from one **bit-identically** —
-/// the resumed report equals the uninterrupted run's exactly. Feed-client
+/// [`SteppedRun::complete`] under a [`RunPolicy`] writes a
+/// schema-versioned [`Checkpoint`] every `k` slots (atomically);
+/// [`SteppedRun::resume`] continues from one **bit-identically** — the
+/// resumed report equals the uninterrupted run's exactly. Feed-client
 /// state (breakers, caches) is not serialized: it evolves deterministically
 /// from the profile and the frozen inputs alone, so resume replays it with
 /// [`FeedHarness::fast_forward`].
@@ -83,7 +84,7 @@ impl core::fmt::Debug for Simulation {
 }
 
 /// Checkpointing (and optional crash-injection) policy for
-/// [`Simulation::run_resumable`].
+/// [`SteppedRun::complete`].
 #[derive(Debug, Clone)]
 pub struct RunPolicy {
     path: PathBuf,
@@ -284,7 +285,7 @@ impl RunState {
     fn into_report(self, scheduler: String, horizon: usize) -> SimulationReport {
         let n = self.dc_delay.len();
         let dc_delay_quantiles = (0..n)
-            .map(|i| crate::stats::Quantiles::from_samples(self.tracker.dc_delay_samples(i)))
+            .map(|i| grefar_obs::Quantiles::from_samples(self.tracker.dc_delay_samples(i)))
             .collect();
         SimulationReport {
             scheduler,
@@ -494,7 +495,7 @@ impl Simulation {
     }
 
     /// Runs the whole horizon and returns the report.
-    pub fn run(mut self) -> SimulationReport {
+    pub fn run(self) -> SimulationReport {
         self.run_with_observer(&mut NullObserver)
     }
 
@@ -504,62 +505,75 @@ impl Simulation {
     /// event construction and clock read is guarded by
     /// [`Observer::enabled`], so the disabled path stays on the hot loop's
     /// original cost.
-    ///
-    /// Takes `&mut self` (rather than consuming) so sweep runners can reuse
-    /// a built simulation; the report is identical either way.
-    pub fn run_with_observer(&mut self, obs: &mut dyn Observer) -> SimulationReport {
-        let horizon = self.inputs.horizon();
-        let run_timer = Timer::start();
-        let mut rs = RunState::fresh(&self.config);
-        self.emit_run_start(obs);
-        self.run_span(&mut rs, horizon, obs);
-        self.emit_run_end(&rs, &run_timer, obs);
-        rs.into_report(self.scheduler.name(), horizon)
+    pub fn run_with_observer(self, obs: &mut dyn Observer) -> SimulationReport {
+        let mut run = SteppedRun::new(self);
+        while run.step(obs) {}
+        run.finish(obs)
     }
 
-    /// Like [`run_with_observer`], but checkpointing per `policy`, and
-    /// honoring its crash injection.
-    ///
-    /// # Errors
-    /// [`SimError::Killed`] when the policy's kill slot is reached (the
-    /// checkpoint has been written), or a checkpoint I/O error.
-    pub fn run_resumable(
-        &mut self,
-        obs: &mut dyn Observer,
-        policy: &RunPolicy,
-    ) -> Result<SimulationReport, SimError> {
-        let rs = RunState::fresh(&self.config);
-        self.drive(rs, obs, Some(policy))
+    /// The fault-plan and feed-profile specs a checkpoint records (empty
+    /// strings when absent).
+    fn specs(&self) -> (String, String) {
+        let faults = self
+            .faults
+            .as_ref()
+            .map(FaultPlan::spec)
+            .unwrap_or_default();
+        let feeds = self
+            .feeds
+            .as_ref()
+            .map(|h| h.profile().spec())
+            .unwrap_or_default();
+        (faults, feeds)
+    }
+}
+
+/// The slot driver: a slot-by-slot handle on one run, and the only code
+/// that advances the Algorithm-1 loop.
+///
+/// Batch runs ([`Simulation::run_with_observer`]), checkpointed and
+/// crash-injected runs ([`complete`](SteppedRun::complete) under a
+/// [`RunPolicy`]) and the live daemon (`grefar-served`, which interleaves
+/// [`step`](SteppedRun::step) with admission, checkpointing and a
+/// real-time clock) all execute the same per-slot body, so they produce
+/// the identical telemetry and state trajectory.
+///
+/// * [`checkpoint`](SteppedRun::checkpoint) captures the identical
+///   [`Checkpoint`] a [`RunPolicy`] cut writes, so a `kill -9`'d daemon
+///   resumes bit-identically ([`SteppedRun::resume`]);
+/// * live submissions enter through
+///   [`inject_arrivals`](SteppedRun::inject_arrivals) *before* their slot
+///   executes, so replaying an admission journal onto the same frozen
+///   base reproduces the exact same run.
+pub struct SteppedRun {
+    sim: Simulation,
+    rs: RunState,
+    /// The per-job work vector `d_j`, computed once per run.
+    work: Vec<f64>,
+    timer: Timer,
+    started: bool,
+}
+
+impl SteppedRun {
+    /// Wraps a built simulation for stepping, starting at slot 0.
+    /// `run.start` is emitted on the first [`step`](SteppedRun::step).
+    pub fn new(sim: Simulation) -> Self {
+        let rs = RunState::fresh(&sim.config);
+        Self::with_state(sim, rs, false)
     }
 
-    /// Resumes a checkpointed run, continuing bit-identically to the
-    /// uninterrupted execution. The simulation must be built from the same
-    /// configuration, inputs (same seed!), scheduler and fault plan as the
-    /// original run; `run.start` is not re-emitted, so appending the
-    /// resumed telemetry to the truncated original yields one contiguous
-    /// stream. Pass a `policy` to keep checkpointing during the remainder.
+    /// Resumes stepping from a checkpoint, continuing bit-identically to
+    /// the uninterrupted run. The simulation must be built from the same
+    /// configuration, inputs (same seed!), scheduler, fault plan and feed
+    /// profile as the original run. `run.start` is not re-emitted, so
+    /// appending the resumed telemetry to the truncated original yields one
+    /// contiguous stream.
     ///
     /// # Errors
     /// [`SimError::Mismatch`] when the checkpoint disagrees with this
-    /// simulation (horizon, scheduler, fault plan or shapes), plus the
-    /// [`run_resumable`](Simulation::run_resumable) errors when a policy is
-    /// given.
-    pub fn resume(
-        &mut self,
-        checkpoint: Checkpoint,
-        obs: &mut dyn Observer,
-        policy: Option<&RunPolicy>,
-    ) -> Result<SimulationReport, SimError> {
-        self.checkpoint_preflight(&checkpoint)?;
-        let rs = RunState::from_checkpoint(&self.config, checkpoint)?;
-        self.drive(rs, obs, policy)
-    }
-
-    /// Validates a checkpoint against this simulation and replays the feed
-    /// layer up to its slot — the shared front half of
-    /// [`resume`](Simulation::resume) and [`SteppedRun::resume`].
-    fn checkpoint_preflight(&mut self, checkpoint: &Checkpoint) -> Result<(), SimError> {
-        let horizon = self.inputs.horizon();
+    /// simulation (horizon, scheduler, fault plan, feed profile, shapes).
+    pub fn resume(mut sim: Simulation, checkpoint: Checkpoint) -> Result<Self, SimError> {
+        let horizon = sim.inputs.horizon();
         if checkpoint.horizon as usize != horizon {
             return Err(SimError::Mismatch(format!(
                 "checkpoint horizon {} but inputs have {horizon} slots",
@@ -572,25 +586,20 @@ impl Simulation {
                 checkpoint.slot
             )));
         }
-        let name = self.scheduler.name();
+        let name = sim.scheduler.name();
         if checkpoint.scheduler != name {
             return Err(SimError::Mismatch(format!(
                 "checkpoint was written by {:?}, this run uses {name:?}",
                 checkpoint.scheduler
             )));
         }
-        let spec = self
-            .faults
-            .as_ref()
-            .map(FaultPlan::spec)
-            .unwrap_or_default();
+        let (spec, feed_spec) = sim.specs();
         if checkpoint.faults != spec {
             return Err(SimError::Mismatch(format!(
                 "checkpoint fault plan {:?} differs from this run's {spec:?}",
                 checkpoint.faults
             )));
         }
-        let feed_spec = self.feed_spec();
         if checkpoint.feeds != feed_spec {
             return Err(SimError::Mismatch(format!(
                 "checkpoint feed profile {:?} differs from this run's {feed_spec:?}",
@@ -599,439 +608,26 @@ impl Simulation {
         }
         // Feed-client state (breakers, caches) is deterministic in the
         // profile and frozen inputs: replay it up to the checkpoint slot.
-        if let Some(harness) = &mut self.feeds {
+        if let Some(harness) = &mut sim.feeds {
             harness.fast_forward(
-                self.inputs.states(),
-                self.inputs.all_arrivals(),
+                sim.inputs.states(),
+                sim.inputs.all_arrivals(),
                 checkpoint.slot,
             );
         }
-        Ok(())
+        let rs = RunState::from_checkpoint(&sim.config, checkpoint)?;
+        Ok(Self::with_state(sim, rs, true))
     }
 
-    fn feed_spec(&self) -> String {
-        self.feeds
-            .as_ref()
-            .map(|h| h.profile().spec())
-            .unwrap_or_default()
-    }
-
-    /// The shared driver: runs `rs` to the horizon in checkpoint-bounded
-    /// spans. The slot loop itself is infallible; errors only arise at
-    /// span boundaries (checkpoint writes, crash injection).
-    fn drive(
-        &mut self,
-        mut rs: RunState,
-        obs: &mut dyn Observer,
-        policy: Option<&RunPolicy>,
-    ) -> Result<SimulationReport, SimError> {
-        let horizon = self.inputs.horizon();
-        let run_timer = Timer::start();
-        if rs.next_slot == 0 {
-            self.emit_run_start(obs);
-        }
-        loop {
-            let mut until = horizon;
-            let mut kill = false;
-            if let Some(p) = policy {
-                until = until.min((rs.next_slot / p.every + 1) * p.every);
-                if let Some(k) = p.kill_at {
-                    let k = k as usize;
-                    if k >= rs.next_slot && k < until && k < horizon {
-                        until = k;
-                    }
-                    kill = k == until && k < horizon;
-                }
-            }
-            self.run_span(&mut rs, until, obs);
-            if let Some(p) = policy {
-                let signaled =
-                    rs.next_slot < horizon && p.kill_when.is_some_and(|predicate| predicate());
-                if kill || signaled {
-                    self.write_checkpoint(&rs, p, obs)?;
-                    return Err(SimError::Killed {
-                        slot: rs.next_slot as u64,
-                        checkpoint: p.path.clone(),
-                    });
-                }
-                if rs.next_slot < horizon {
-                    self.write_checkpoint(&rs, p, obs)?;
-                }
-            }
-            if rs.next_slot >= horizon {
-                break;
-            }
-        }
-        self.emit_run_end(&rs, &run_timer, obs);
-        Ok(rs.into_report(self.scheduler.name(), horizon))
-    }
-
-    fn write_checkpoint(
-        &self,
-        rs: &RunState,
-        policy: &RunPolicy,
-        obs: &mut dyn Observer,
-    ) -> Result<(), SimError> {
-        let spec = self
-            .faults
-            .as_ref()
-            .map(FaultPlan::spec)
-            .unwrap_or_default();
-        let profiling = obs.profiling();
-        if profiling {
-            obs.span_enter("checkpoint.write");
-        }
-        let result = rs
-            .to_checkpoint(
-                self.inputs.horizon(),
-                &self.scheduler.name(),
-                &spec,
-                &self.feed_spec(),
-            )
-            .write(&policy.path);
-        if profiling {
-            obs.span_exit("checkpoint.write");
-        }
-        if result.is_ok() && obs.enabled() {
-            obs.record_event(Event::new("checkpoint.write").field("t", rs.next_slot as u64));
-            obs.add_counter("checkpoint.writes", 1);
-        }
-        result
-    }
-
-    fn emit_run_start(&mut self, obs: &mut dyn Observer) {
-        if obs.enabled() {
-            obs.record_event(
-                Event::new("run.start")
-                    .field("scheduler", self.scheduler.name())
-                    .field("horizon", self.inputs.horizon())
-                    .field("data_centers", self.config.num_data_centers())
-                    .field("job_classes", self.config.num_job_classes()),
-            );
-        }
-    }
-
-    fn emit_run_end(&mut self, rs: &RunState, run_timer: &Timer, obs: &mut dyn Observer) {
-        if obs.enabled() {
-            obs.record_event(
-                Event::new("run.end")
-                    .field("slots", self.inputs.horizon())
-                    .field("completed", rs.tracker.stats().completed_total)
-                    .field("dropped", rs.dropped)
-                    .field("wall_us", run_timer.elapsed_micros()),
-            );
-        }
-    }
-
-    /// Executes slots `rs.next_slot .. until` of the Algorithm-1 loop.
-    /// Infallible: every slot yields a decision (the scheduler's fallback
-    /// chain guarantees one) and every update is total.
-    fn run_span(&mut self, rs: &mut RunState, until: usize, obs: &mut dyn Observer) {
-        let work = self.config.work_vector();
-        for t in rs.next_slot..until {
-            self.step_slot(rs, t, &work, obs);
-        }
-        rs.next_slot = rs.next_slot.max(until);
-    }
-
-    /// Executes exactly slot `t` of the Algorithm-1 loop — the single
-    /// stepping core shared by the batch simulator ([`run_span`]) and the
-    /// live daemon ([`SteppedRun`]), so both produce the identical
-    /// telemetry and state trajectory.
-    fn step_slot(&mut self, rs: &mut RunState, t: usize, work: &[f64], obs: &mut dyn Observer) {
-        let fairness_fn = QuadraticDeviation;
-        let telemetry = obs.enabled();
-        let profiling = obs.profiling();
-        {
-            if profiling {
-                obs.span_enter("slot");
-            }
-            let slot_timer = if telemetry {
-                Some(Timer::start())
-            } else {
-                None
-            };
-            if let Some(plan) = &self.faults {
-                if telemetry {
-                    for fault in plan.starting_at(t as u64) {
-                        obs.record_event(fault_inject_event(fault, t as u64));
-                        obs.add_counter("faults.injected", 1);
-                    }
-                }
-            }
-            // The slot's iteration budget is the tighter of any active
-            // squeeze fault and the daemon's per-slot deadline budget.
-            let squeeze = self
-                .faults
-                .as_ref()
-                .and_then(|plan| plan.fw_budget_at(t as u64));
-            if self.faults.is_some() || self.deadline_iters.is_some() {
-                let budget = match (squeeze, self.deadline_iters) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                self.scheduler
-                    .set_solver_budget(budget.map(SolverBudget::fw_iters));
-            }
-            let dropped_before = rs.dropped;
-            let state = self.inputs.state(t);
-            // With a feed layer the scheduler sees the layer's *estimate*
-            // and the decision is repaired against the truth; metering and
-            // queue physics below always use the true `state`.
-            let decision = match &mut self.feeds {
-                Some(harness) => {
-                    if profiling {
-                        obs.span_enter("feed.fetch");
-                    }
-                    let estimated = harness.observe(
-                        t as u64,
-                        self.inputs.states(),
-                        self.inputs.all_arrivals(),
-                        obs,
-                    );
-                    if profiling {
-                        obs.span_exit("feed.fetch");
-                        obs.span_enter("decide");
-                    }
-                    let decision = stale::decide_estimated(
-                        self.scheduler.as_mut(),
-                        &self.config,
-                        &estimated,
-                        state,
-                        &rs.queues,
-                        obs,
-                    );
-                    if profiling {
-                        obs.span_exit("decide");
-                    }
-                    decision
-                }
-                None => {
-                    if profiling {
-                        obs.span_enter("decide");
-                    }
-                    let decision = self.scheduler.decide_observed(state, &rs.queues, obs);
-                    if profiling {
-                        obs.span_exit("decide");
-                    }
-                    decision
-                }
-            };
-            debug_assert!(decision.is_nonnegative() && decision.is_finite());
-
-            // Metering (energy (2), fairness (3)) — β only weighs the two
-            // into g; record the components themselves.
-            let breakdown = cost_breakdown(&self.config, state, &decision, 0.0, &fairness_fn);
-            rs.energy.push(breakdown.energy);
-            rs.fairness.push(breakdown.fairness);
-            for (series, &share) in rs.account_shares.iter_mut().zip(&breakdown.shares) {
-                series.push(share);
-            }
-            for (i, series) in rs.work_per_dc.iter_mut().enumerate() {
-                series.push(decision.work_processed(i, work));
-            }
-            for (i, series) in rs.prices.iter_mut().enumerate() {
-                series.push(state.data_center(i).price());
-            }
-
-            // Job-level execution, then queue dynamics (12)–(13).
-            if profiling {
-                obs.span_enter("queue.update");
-            }
-            rs.tracker.step(t as Slot, &decision);
-            let raw_arrivals = self.inputs.arrivals(t);
-            let arrivals = match self.admission_cap {
-                None => raw_arrivals.to_vec(),
-                Some(cap) => {
-                    let mut admitted = raw_arrivals.to_vec();
-                    for (j, a) in admitted.iter_mut().enumerate() {
-                        // Queue after this slot's routing:
-                        let after_route =
-                            (rs.queues.central(j) - decision.routed.col_sum(j)).max(0.0);
-                        let room = (cap - after_route).max(0.0).floor();
-                        if *a > room {
-                            rs.dropped += (*a - room).round() as u64;
-                            *a = room;
-                        }
-                    }
-                    admitted
-                }
-            };
-            rs.tracker.arrive(t as Slot, &arrivals);
-            #[cfg(feature = "strict-invariants")]
-            let prev_queues = rs.queues.clone();
-            // Conservation ledger: account the slot's effective flows
-            // against the pre-update queues, then apply the dynamics.
-            rs.ledger
-                .account(&rs.queues, &decision, raw_arrivals, &arrivals);
-            rs.queues.apply(&decision, &arrivals);
-            if profiling {
-                obs.span_exit("queue.update");
-            }
-
-            // `strict-invariants`: the realized transition must match the
-            // dynamics (12)-(13) exactly, and on a declared-admissible trace
-            // every queue must respect the Theorem 1(a) bound.
-            #[cfg(feature = "strict-invariants")]
-            {
-                use grefar_core::invariant;
-                let check = invariant::check_queue_update(
-                    &self.config,
-                    &prev_queues,
-                    &decision,
-                    &arrivals,
-                    &rs.queues,
-                )
-                .and_then(|()| match self.queue_bound {
-                    Some(bound) => invariant::check_queue_bound(&rs.queues, bound),
-                    None => Ok(()),
-                })
-                .and_then(|()| rs.ledger.check(&rs.queues));
-                if let Err(violation) = check {
-                    if obs.enabled() {
-                        obs.record_event(violation.event(t as u64));
-                    }
-                    // verify: allow(no-panic): strict-invariants enforcement aborts by design after emitting the violation event
-                    panic!("strict-invariants: slot {t}: {violation}");
-                }
-            }
-
-            // The job tracker and the (12)–(13) queues must agree whenever
-            // the scheduler respects backlogs (all built-in ones do). A
-            // run carrying the test corruption hook is deliberately broken
-            // past the corruption slot, so the cross-check stands down.
-            #[cfg(debug_assertions)]
-            if self.corrupt_at.is_none() {
-                for j in 0..self.config.num_job_classes() {
-                    debug_assert!(
-                        (rs.queues.central(j) - rs.tracker.central_backlog(j)).abs() < 1e-6,
-                        "slot {t}: central queue {j} diverged"
-                    );
-                    for i in 0..self.config.num_data_centers() {
-                        debug_assert!(
-                            (rs.queues.local(i, j) - rs.tracker.local_backlog(i, j)).abs() < 1e-6,
-                            "slot {t}: local queue ({i},{j}) diverged"
-                        );
-                    }
-                }
-            }
-
-            // Test-only corruption (see `corrupt_queue_for_test`): strikes
-            // after the physics so the recorded series and the ledger
-            // event below observe the tampered state.
-            if let Some((slot, delta)) = self.corrupt_at {
-                if slot == t as u64 {
-                    rs.queues.corrupt_central_for_test(0, delta);
-                }
-            }
-
-            rs.arriving_work.push(
-                raw_arrivals
-                    .iter()
-                    .zip(work)
-                    .map(|(a, d)| a * d)
-                    .sum::<f64>(),
-            );
-            rs.queue_total.push(rs.queues.total());
-            rs.queue_max.push(rs.queues.max_len());
-            for (i, series) in rs.dc_delay.iter_mut().enumerate() {
-                let (count, sum) = rs.tracker.dc_delay_accumulator(i);
-                series.push(if count > 0 { sum / count as f64 } else { 0.0 });
-            }
-
-            if let Some(timer) = slot_timer {
-                let elapsed = timer.elapsed();
-                let central: f64 = (0..self.config.num_job_classes())
-                    .map(|j| rs.queues.central(j))
-                    .sum();
-                let arrivals_total: f64 = raw_arrivals.iter().sum();
-                let dropped_now = rs.dropped - dropped_before;
-                obs.record_event(
-                    Event::new("slot")
-                        .field("t", t)
-                        .field("queue_central", central)
-                        .field("queue_local", rs.queues.total() - central)
-                        .field("queue_max", rs.queues.max_len())
-                        .field("energy", breakdown.energy)
-                        .field("fairness", breakdown.fairness)
-                        .field("arrivals", arrivals_total)
-                        .field("dropped", dropped_now)
-                        .field(
-                            "wall_us",
-                            u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                        ),
-                );
-                obs.record_event(rs.ledger.event(t as u64, rs.queues.total()));
-                obs.record_duration("slot.wall_us", elapsed);
-                obs.record_value("queue.total", rs.queues.total());
-                obs.add_counter("slots", 1);
-                obs.add_counter("arrivals", arrivals_total.round() as u64);
-                if dropped_now > 0 {
-                    obs.add_counter("admission_cap.hits", 1);
-                    obs.add_counter("dropped", dropped_now);
-                }
-                obs.set_gauge("queue.max", rs.queues.max_len());
-            }
-            if profiling {
-                obs.span_exit("slot");
-            }
-            rs.next_slot = t + 1;
-        }
-    }
-}
-
-/// A slot-by-slot handle on one run: the same Algorithm-1 stepping core
-/// the batch [`Simulation`] drives, exposed one slot at a time so a
-/// long-running process (`grefar-served`) can interleave the loop with
-/// live admission, checkpointing and a real-time clock.
-///
-/// Invariants shared with the batch path:
-///
-/// * [`step`](SteppedRun::step) executes exactly the slot the simulator
-///   would — identical telemetry, identical state trajectory;
-/// * [`checkpoint`](SteppedRun::checkpoint) captures the identical
-///   [`Checkpoint`] a [`RunPolicy`] cut would, so a `kill -9`'d daemon
-///   resumes bit-identically ([`SteppedRun::resume`]);
-/// * live submissions enter through
-///   [`inject_arrivals`](SteppedRun::inject_arrivals) *before* their slot
-///   executes, so replaying an admission journal onto the same frozen
-///   base reproduces the exact same run.
-pub struct SteppedRun {
-    sim: Simulation,
-    rs: RunState,
-    timer: Timer,
-    started: bool,
-}
-
-impl SteppedRun {
-    /// Wraps a built simulation for stepping, starting at slot 0.
-    /// `run.start` is emitted on the first [`step`](SteppedRun::step).
-    pub fn new(sim: Simulation) -> Self {
-        let rs = RunState::fresh(&sim.config);
+    fn with_state(sim: Simulation, rs: RunState, started: bool) -> Self {
+        let work = sim.config.work_vector();
         Self {
             sim,
             rs,
+            work,
             timer: Timer::start(),
-            started: false,
+            started,
         }
-    }
-
-    /// Resumes stepping from a checkpoint, continuing bit-identically to
-    /// the uninterrupted run (same validation and feed replay as
-    /// [`Simulation::resume`]; `run.start` is not re-emitted).
-    ///
-    /// # Errors
-    /// [`SimError::Mismatch`] when the checkpoint disagrees with this
-    /// simulation (horizon, scheduler, fault plan, feed profile, shapes).
-    pub fn resume(mut sim: Simulation, checkpoint: Checkpoint) -> Result<Self, SimError> {
-        sim.checkpoint_preflight(&checkpoint)?;
-        let rs = RunState::from_checkpoint(&sim.config, checkpoint)?;
-        Ok(Self {
-            sim,
-            rs,
-            timer: Timer::start(),
-            started: true,
-        })
     }
 
     /// The next slot to execute (also the slot a checkpoint cut now would
@@ -1134,30 +730,61 @@ impl SteppedRun {
         if self.is_done() {
             return false;
         }
-        if !self.started {
-            self.sim.emit_run_start(obs);
-            self.started = true;
-        }
-        let t = self.rs.next_slot;
-        let work = self.sim.config.work_vector();
-        self.sim.step_slot(&mut self.rs, t, &work, obs);
+        self.start(obs);
+        self.step_slot(obs);
         true
+    }
+
+    /// Steps to the end of the horizon and [`finish`](SteppedRun::finish)es,
+    /// checkpointing per `policy` when one is given.
+    ///
+    /// Under a policy a checkpoint is written at every multiple of its
+    /// interval past the slot this call started from (never at the
+    /// horizon), and at the policy's kill slot, where the run stops. When
+    /// the policy's kill predicate is true at a boundary, the run also
+    /// stops there. A fresh run emits `run.start` before anything else, a
+    /// stopped one emits no `run.end`.
+    ///
+    /// # Errors
+    /// [`SimError::Killed`] when the run stopped at a kill slot or on the
+    /// kill predicate (the checkpoint has been written), or a checkpoint
+    /// I/O error.
+    pub fn complete(
+        mut self,
+        obs: &mut dyn Observer,
+        policy: Option<&RunPolicy>,
+    ) -> Result<SimulationReport, SimError> {
+        self.start(obs);
+        let first = self.rs.next_slot;
+        while !self.is_done() {
+            if let Some(policy) = policy {
+                let t = self.rs.next_slot;
+                let killed = policy.kill_at == Some(t as u64);
+                if killed || (t > first && t.is_multiple_of(policy.every)) {
+                    let stop = killed || policy.kill_when.is_some_and(|predicate| predicate());
+                    self.write_checkpoint(&policy.path, obs)?;
+                    if stop {
+                        return Err(SimError::Killed {
+                            slot: t as u64,
+                            checkpoint: policy.path.clone(),
+                        });
+                    }
+                }
+            }
+            self.step_slot(obs);
+        }
+        Ok(self.finish(obs))
     }
 
     /// Captures the current state as a [`Checkpoint`] (identical to the
     /// cut a [`RunPolicy`] would write at this slot).
     pub fn checkpoint(&self) -> Checkpoint {
-        let faults = self
-            .sim
-            .faults
-            .as_ref()
-            .map(FaultPlan::spec)
-            .unwrap_or_default();
+        let (faults, feeds) = self.sim.specs();
         self.rs.to_checkpoint(
             self.sim.inputs.horizon(),
             &self.sim.scheduler.name(),
             &faults,
-            &self.sim.feed_spec(),
+            &feeds,
         )
     }
 
@@ -1176,6 +803,286 @@ impl SteppedRun {
         }
         let horizon = self.sim.inputs.horizon();
         self.rs.into_report(self.sim.scheduler.name(), horizon)
+    }
+
+    /// Emits `run.start` once, before a fresh run's first slot.
+    fn start(&mut self, obs: &mut dyn Observer) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        if obs.enabled() {
+            let sim = &self.sim;
+            obs.record_event(
+                Event::new("run.start")
+                    .field("scheduler", sim.scheduler.name())
+                    .field("horizon", sim.inputs.horizon())
+                    .field("data_centers", sim.config.num_data_centers())
+                    .field("job_classes", sim.config.num_job_classes()),
+            );
+        }
+    }
+
+    /// Writes the current cut to `path` atomically and reports it as a
+    /// `checkpoint.write` event.
+    fn write_checkpoint(&self, path: &Path, obs: &mut dyn Observer) -> Result<(), SimError> {
+        let profiling = obs.profiling();
+        if profiling {
+            obs.span_enter("checkpoint.write");
+        }
+        let result = self.checkpoint().write(path);
+        if profiling {
+            obs.span_exit("checkpoint.write");
+        }
+        if result.is_ok() && obs.enabled() {
+            obs.record_event(Event::new("checkpoint.write").field("t", self.rs.next_slot as u64));
+            obs.add_counter("checkpoint.writes", 1);
+        }
+        result
+    }
+
+    /// Executes slot `next_slot` of the Algorithm-1 loop. Infallible: every
+    /// slot yields a decision (the scheduler's fallback chain guarantees
+    /// one) and every update is total.
+    fn step_slot(&mut self, obs: &mut dyn Observer) {
+        let Self { sim, rs, work, .. } = self;
+        let work: &[f64] = work;
+        let t = rs.next_slot;
+        let fairness_fn = QuadraticDeviation;
+        let telemetry = obs.enabled();
+        let profiling = obs.profiling();
+        if profiling {
+            obs.span_enter("slot");
+        }
+        let slot_timer = if telemetry {
+            Some(Timer::start())
+        } else {
+            None
+        };
+        if let Some(plan) = &sim.faults {
+            if telemetry {
+                for fault in plan.starting_at(t as u64) {
+                    obs.record_event(fault_inject_event(fault, t as u64));
+                    obs.add_counter("faults.injected", 1);
+                }
+            }
+        }
+        // The slot's iteration budget is the tighter of any active
+        // squeeze fault and the daemon's per-slot deadline budget.
+        let squeeze = sim
+            .faults
+            .as_ref()
+            .and_then(|plan| plan.fw_budget_at(t as u64));
+        if sim.faults.is_some() || sim.deadline_iters.is_some() {
+            let budget = match (squeeze, sim.deadline_iters) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            sim.scheduler
+                .set_solver_budget(budget.map(SolverBudget::fw_iters));
+        }
+        let dropped_before = rs.dropped;
+        let state = sim.inputs.state(t);
+        // With a feed layer the scheduler sees the layer's *estimate*
+        // and the decision is repaired against the truth; metering and
+        // queue physics below always use the true `state`.
+        let decision = match &mut sim.feeds {
+            Some(harness) => {
+                if profiling {
+                    obs.span_enter("feed.fetch");
+                }
+                let estimated = harness.observe(
+                    t as u64,
+                    sim.inputs.states(),
+                    sim.inputs.all_arrivals(),
+                    obs,
+                );
+                if profiling {
+                    obs.span_exit("feed.fetch");
+                    obs.span_enter("decide");
+                }
+                let decision = stale::decide_estimated(
+                    sim.scheduler.as_mut(),
+                    &sim.config,
+                    &estimated,
+                    state,
+                    &rs.queues,
+                    obs,
+                );
+                if profiling {
+                    obs.span_exit("decide");
+                }
+                decision
+            }
+            None => {
+                if profiling {
+                    obs.span_enter("decide");
+                }
+                let decision = sim.scheduler.decide_observed(state, &rs.queues, obs);
+                if profiling {
+                    obs.span_exit("decide");
+                }
+                decision
+            }
+        };
+        debug_assert!(decision.is_nonnegative() && decision.is_finite());
+
+        // Metering (energy (2), fairness (3)) — β only weighs the two
+        // into g; record the components themselves.
+        let breakdown = cost_breakdown(&sim.config, state, &decision, 0.0, &fairness_fn);
+        rs.energy.push(breakdown.energy);
+        rs.fairness.push(breakdown.fairness);
+        for (series, &share) in rs.account_shares.iter_mut().zip(&breakdown.shares) {
+            series.push(share);
+        }
+        for (i, series) in rs.work_per_dc.iter_mut().enumerate() {
+            series.push(decision.work_processed(i, work));
+        }
+        for (i, series) in rs.prices.iter_mut().enumerate() {
+            series.push(state.data_center(i).price());
+        }
+
+        // Job-level execution, then queue dynamics (12)–(13).
+        if profiling {
+            obs.span_enter("queue.update");
+        }
+        rs.tracker.step(t as Slot, &decision);
+        let raw_arrivals = sim.inputs.arrivals(t);
+        let arrivals = match sim.admission_cap {
+            None => raw_arrivals.to_vec(),
+            Some(cap) => {
+                let mut admitted = raw_arrivals.to_vec();
+                for (j, a) in admitted.iter_mut().enumerate() {
+                    // Queue after this slot's routing:
+                    let after_route = (rs.queues.central(j) - decision.routed.col_sum(j)).max(0.0);
+                    let room = (cap - after_route).max(0.0).floor();
+                    if *a > room {
+                        rs.dropped += (*a - room).round() as u64;
+                        *a = room;
+                    }
+                }
+                admitted
+            }
+        };
+        rs.tracker.arrive(t as Slot, &arrivals);
+        #[cfg(feature = "strict-invariants")]
+        let prev_queues = rs.queues.clone();
+        // Conservation ledger: account the slot's effective flows
+        // against the pre-update queues, then apply the dynamics.
+        rs.ledger
+            .account(&rs.queues, &decision, raw_arrivals, &arrivals);
+        rs.queues.apply(&decision, &arrivals);
+        if profiling {
+            obs.span_exit("queue.update");
+        }
+
+        // `strict-invariants`: the realized transition must match the
+        // dynamics (12)-(13) exactly, and on a declared-admissible trace
+        // every queue must respect the Theorem 1(a) bound.
+        #[cfg(feature = "strict-invariants")]
+        {
+            use grefar_core::invariant;
+            let check = invariant::check_queue_update(
+                &sim.config,
+                &prev_queues,
+                &decision,
+                &arrivals,
+                &rs.queues,
+            )
+            .and_then(|()| match sim.queue_bound {
+                Some(bound) => invariant::check_queue_bound(&rs.queues, bound),
+                None => Ok(()),
+            })
+            .and_then(|()| rs.ledger.check(&rs.queues));
+            if let Err(violation) = check {
+                if obs.enabled() {
+                    obs.record_event(violation.event(t as u64));
+                }
+                // verify: allow(no-panic): strict-invariants enforcement aborts by design after emitting the violation event
+                panic!("strict-invariants: slot {t}: {violation}");
+            }
+        }
+
+        // The job tracker and the (12)–(13) queues must agree whenever
+        // the scheduler respects backlogs (all built-in ones do). A
+        // run carrying the test corruption hook is deliberately broken
+        // past the corruption slot, so the cross-check stands down.
+        #[cfg(debug_assertions)]
+        if sim.corrupt_at.is_none() {
+            for j in 0..sim.config.num_job_classes() {
+                debug_assert!(
+                    (rs.queues.central(j) - rs.tracker.central_backlog(j)).abs() < 1e-6,
+                    "slot {t}: central queue {j} diverged"
+                );
+                for i in 0..sim.config.num_data_centers() {
+                    debug_assert!(
+                        (rs.queues.local(i, j) - rs.tracker.local_backlog(i, j)).abs() < 1e-6,
+                        "slot {t}: local queue ({i},{j}) diverged"
+                    );
+                }
+            }
+        }
+
+        // Test-only corruption (see `corrupt_queue_for_test`): strikes
+        // after the physics so the recorded series and the ledger
+        // event below observe the tampered state.
+        if let Some((slot, delta)) = sim.corrupt_at {
+            if slot == t as u64 {
+                rs.queues.corrupt_central_for_test(0, delta);
+            }
+        }
+
+        rs.arriving_work.push(
+            raw_arrivals
+                .iter()
+                .zip(work)
+                .map(|(a, d)| a * d)
+                .sum::<f64>(),
+        );
+        rs.queue_total.push(rs.queues.total());
+        rs.queue_max.push(rs.queues.max_len());
+        for (i, series) in rs.dc_delay.iter_mut().enumerate() {
+            let (count, sum) = rs.tracker.dc_delay_accumulator(i);
+            series.push(if count > 0 { sum / count as f64 } else { 0.0 });
+        }
+
+        if let Some(timer) = slot_timer {
+            let elapsed = timer.elapsed();
+            let central: f64 = (0..sim.config.num_job_classes())
+                .map(|j| rs.queues.central(j))
+                .sum();
+            let arrivals_total: f64 = raw_arrivals.iter().sum();
+            let dropped_now = rs.dropped - dropped_before;
+            obs.record_event(
+                Event::new("slot")
+                    .field("t", t)
+                    .field("queue_central", central)
+                    .field("queue_local", rs.queues.total() - central)
+                    .field("queue_max", rs.queues.max_len())
+                    .field("energy", breakdown.energy)
+                    .field("fairness", breakdown.fairness)
+                    .field("arrivals", arrivals_total)
+                    .field("dropped", dropped_now)
+                    .field(
+                        "wall_us",
+                        u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+                    ),
+            );
+            obs.record_event(rs.ledger.event(t as u64, rs.queues.total()));
+            obs.record_duration("slot.wall_us", elapsed);
+            obs.record_value("queue.total", rs.queues.total());
+            obs.add_counter("slots", 1);
+            obs.add_counter("arrivals", arrivals_total.round() as u64);
+            if dropped_now > 0 {
+                obs.add_counter("admission_cap.hits", 1);
+                obs.add_counter("dropped", dropped_now);
+            }
+            obs.set_gauge("queue.max", rs.queues.max_len());
+        }
+        if profiling {
+            obs.span_exit("slot");
+        }
+        rs.next_slot = t + 1;
     }
 }
 
@@ -1342,7 +1249,7 @@ mod tests {
         let inp = inputs(&cfg, 120, 0.5, 2.0);
         let plan = FaultPlan::parse("outage:dc=0,start=30,end=40").unwrap();
         let g = GreFar::new(&cfg, GreFarParams::new(1.0, 0.0)).unwrap();
-        let mut sim = Simulation::new(cfg, inp, Box::new(g))
+        let sim = Simulation::new(cfg, inp, Box::new(g))
             .with_fault_plan(plan)
             .unwrap();
         let mut obs = MemoryObserver::new();
@@ -1365,7 +1272,7 @@ mod tests {
         let cfg = config();
         let inp = inputs(&cfg, 50, 0.5, 2.0);
         let g = GreFar::new(&cfg, GreFarParams::new(1.0, 0.0)).unwrap();
-        let mut sim = Simulation::new(cfg, inp, Box::new(g));
+        let sim = Simulation::new(cfg, inp, Box::new(g));
         let mut obs = MemoryObserver::new();
         sim.run_with_observer(&mut obs);
         assert_eq!(obs.event_count("fault.inject"), 0);
@@ -1397,16 +1304,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt.jsonl");
         let policy = RunPolicy::new(&path, 25).with_kill_at(60);
-        let mut killed = Simulation::new(cfg.clone(), inp.clone(), make(&cfg));
-        match killed.run_resumable(&mut NullObserver, &policy) {
+        let killed = SteppedRun::new(Simulation::new(cfg.clone(), inp.clone(), make(&cfg)));
+        match killed.complete(&mut NullObserver, Some(&policy)) {
             Err(SimError::Killed { slot: 60, .. }) => {}
             other => panic!("expected kill at 60, got {other:?}"),
         }
 
         let ck = Checkpoint::load(&path).unwrap();
         assert_eq!(ck.slot, 60);
-        let mut resumed_sim = Simulation::new(cfg.clone(), inp, make(&cfg));
-        let resumed = resumed_sim.resume(ck, &mut NullObserver, None).unwrap();
+        let resumed_sim = Simulation::new(cfg.clone(), inp, make(&cfg));
+        let resumed = SteppedRun::resume(resumed_sim, ck)
+            .unwrap()
+            .complete(&mut NullObserver, None)
+            .unwrap();
         assert_eq!(resumed, full, "resume must be bit-identical");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1433,15 +1343,15 @@ mod tests {
         // Predicate false for the whole run: completes normally.
         SIGNALED.store(false, Ordering::SeqCst);
         let policy = RunPolicy::new(&path, 25).with_kill_when(signaled);
-        let mut quiet = Simulation::new(cfg.clone(), inp.clone(), make(&cfg));
-        let report = quiet.run_resumable(&mut NullObserver, &policy).unwrap();
+        let quiet = SteppedRun::new(Simulation::new(cfg.clone(), inp.clone(), make(&cfg)));
+        let report = quiet.complete(&mut NullObserver, Some(&policy)).unwrap();
         assert_eq!(report, full);
 
         // Predicate already true: the run is cut at the first checkpoint
         // boundary (slot 25, not slot 0 — the span in flight finishes).
         SIGNALED.store(true, Ordering::SeqCst);
-        let mut cut = Simulation::new(cfg.clone(), inp.clone(), make(&cfg));
-        match cut.run_resumable(&mut NullObserver, &policy) {
+        let cut = SteppedRun::new(Simulation::new(cfg.clone(), inp.clone(), make(&cfg)));
+        match cut.complete(&mut NullObserver, Some(&policy)) {
             Err(SimError::Killed { slot: 25, .. }) => {}
             other => panic!("expected signal cut at 25, got {other:?}"),
         }
@@ -1451,8 +1361,11 @@ mod tests {
         SIGNALED.store(false, Ordering::SeqCst);
         let ck = Checkpoint::load(&path).unwrap();
         assert_eq!(ck.slot, 25);
-        let mut resumed_sim = Simulation::new(cfg.clone(), inp, make(&cfg));
-        let resumed = resumed_sim.resume(ck, &mut NullObserver, None).unwrap();
+        let resumed_sim = Simulation::new(cfg.clone(), inp, make(&cfg));
+        let resumed = SteppedRun::resume(resumed_sim, ck)
+            .unwrap()
+            .complete(&mut NullObserver, None)
+            .unwrap();
         assert_eq!(resumed, full, "signal cut + resume must be bit-identical");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1466,21 +1379,21 @@ mod tests {
         let path = dir.join("run.ckpt.jsonl");
         let policy = RunPolicy::new(&path, 10).with_kill_at(10);
         let g = GreFar::new(&cfg, GreFarParams::new(5.0, 0.0)).unwrap();
-        let mut sim = Simulation::new(cfg.clone(), inp.clone(), Box::new(g));
-        assert!(sim.run_resumable(&mut NullObserver, &policy).is_err());
+        let sim = SteppedRun::new(Simulation::new(cfg.clone(), inp.clone(), Box::new(g)));
+        assert!(sim.complete(&mut NullObserver, Some(&policy)).is_err());
         let ck = Checkpoint::load(&path).unwrap();
 
         // Different scheduler: refuse to resume.
-        let mut other = Simulation::new(cfg.clone(), inp.clone(), Box::new(Always::new(&cfg)));
+        let other = Simulation::new(cfg.clone(), inp.clone(), Box::new(Always::new(&cfg)));
         assert!(matches!(
-            other.resume(ck.clone(), &mut NullObserver, None),
+            SteppedRun::resume(other, ck.clone()),
             Err(SimError::Mismatch(_))
         ));
         // Different horizon: refuse to resume.
         let g = GreFar::new(&cfg, GreFarParams::new(5.0, 0.0)).unwrap();
-        let mut short = Simulation::new(cfg.clone(), inp.truncated(20), Box::new(g));
+        let short = Simulation::new(cfg.clone(), inp.truncated(20), Box::new(g));
         assert!(matches!(
-            short.resume(ck, &mut NullObserver, None),
+            SteppedRun::resume(short, ck),
             Err(SimError::Mismatch(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1494,7 +1407,7 @@ mod tests {
             Box::new(GreFar::new(cfg, GreFarParams::new(5.0, 0.0)).unwrap()) as Box<dyn Scheduler>
         };
         let plain = Simulation::new(cfg.clone(), inp.clone(), make(&cfg)).run();
-        let mut with_feeds = Simulation::new(cfg.clone(), inp, make(&cfg))
+        let with_feeds = Simulation::new(cfg.clone(), inp, make(&cfg))
             .with_feed_profile(FeedProfile::perfect())
             .unwrap();
         let mut obs = MemoryObserver::new();
@@ -1516,7 +1429,7 @@ mod tests {
         )
         .unwrap();
         let g = GreFar::new(&cfg, GreFarParams::new(5.0, 0.0)).unwrap();
-        let mut sim = Simulation::new(cfg.clone(), inp, Box::new(g))
+        let sim = Simulation::new(cfg.clone(), inp, Box::new(g))
             .with_feed_profile(profile)
             .unwrap();
         let mut obs = MemoryObserver::new();
@@ -1535,7 +1448,6 @@ mod tests {
     #[test]
     fn kill_and_resume_with_feeds_reproduce_the_uninterrupted_run_exactly() {
         let cfg = config();
-        let inp = inputs(&cfg, 120, 0.8, 2.0);
         let spec = "drop:feed=price,p=0.4,start=0,end=120;policy:seed=3";
         let make = |cfg: &SystemConfig| {
             Simulation::new(
@@ -1547,15 +1459,13 @@ mod tests {
             .with_feed_profile(FeedProfile::parse(spec).unwrap())
             .unwrap()
         };
-        let _ = inp;
         let full = make(&cfg).run();
 
         let dir = std::env::temp_dir().join(format!("grefar-feed-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt.jsonl");
         let policy = RunPolicy::new(&path, 25).with_kill_at(60);
-        let mut killed = make(&cfg);
-        match killed.run_resumable(&mut NullObserver, &policy) {
+        match SteppedRun::new(make(&cfg)).complete(&mut NullObserver, Some(&policy)) {
             Err(SimError::Killed { slot: 60, .. }) => {}
             other => panic!("expected kill at 60, got {other:?}"),
         }
@@ -1565,63 +1475,19 @@ mod tests {
         assert_eq!(ck.feeds, FeedProfile::parse(spec).unwrap().spec());
         // Resuming under a *different* profile is refused.
         let g = GreFar::new(&cfg, GreFarParams::new(5.0, 0.0)).unwrap();
-        let mut plain = Simulation::new(cfg.clone(), inputs(&cfg, 120, 0.8, 2.0), Box::new(g));
+        let plain = Simulation::new(cfg.clone(), inputs(&cfg, 120, 0.8, 2.0), Box::new(g));
         assert!(matches!(
-            plain.resume(ck.clone(), &mut NullObserver, None),
+            SteppedRun::resume(plain, ck.clone()),
             Err(SimError::Mismatch(_))
         ));
         // The matching profile resumes bit-identically: breaker and cache
         // state is replayed by fast_forward, not serialized.
-        let mut resumed_sim = make(&cfg);
-        let resumed = resumed_sim.resume(ck, &mut NullObserver, None).unwrap();
+        let resumed = SteppedRun::resume(make(&cfg), ck)
+            .unwrap()
+            .complete(&mut NullObserver, None)
+            .unwrap();
         assert_eq!(resumed, full, "feed-layer resume must be bit-identical");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stepped_run_matches_batch_run_event_for_event() {
-        let cfg = config();
-        let make = |cfg: &SystemConfig| {
-            Simulation::new(
-                cfg.clone(),
-                inputs(cfg, 90, 0.8, 2.0),
-                Box::new(GreFar::new(cfg, GreFarParams::new(5.0, 0.0)).unwrap())
-                    as Box<dyn Scheduler>,
-            )
-            .with_fault_plan(FaultPlan::parse("outage:dc=0,start=20,end=30").unwrap())
-            .unwrap()
-        };
-        // A capturing sink: full event stream with the wall-clock timing
-        // field blanked (the only nondeterministic payload).
-        #[derive(Default)]
-        struct Recorder(Vec<String>);
-        impl Observer for Recorder {
-            fn record_event(&mut self, event: Event) {
-                let mut line = event.to_json();
-                if let Some(at) = line.find("\"wall_us\":") {
-                    let tail = &line[at..];
-                    let stop = tail.find([',', '}']).map_or(line.len(), |rel| at + rel);
-                    line.replace_range(at..stop, "\"wall_us\":0");
-                }
-                self.0.push(line);
-            }
-        }
-
-        let mut batch_obs = Recorder::default();
-        let batch = make(&cfg).run_with_observer(&mut batch_obs);
-
-        let mut stepped = SteppedRun::new(make(&cfg));
-        let mut stepped_obs = Recorder::default();
-        assert_eq!(stepped.horizon(), 90);
-        while stepped.step(&mut stepped_obs) {}
-        assert!(stepped.is_done());
-        assert!(!stepped.step(&mut stepped_obs), "done run must not step");
-        let report = stepped.finish(&mut stepped_obs);
-        assert_eq!(report, batch, "stepped report must equal batch report");
-
-        // Same events, same order, same payloads.
-        assert!(!batch_obs.0.is_empty());
-        assert_eq!(batch_obs.0, stepped_obs.0);
     }
 
     #[test]
@@ -1787,7 +1653,7 @@ mod tests {
         let inp = SimulationInputs::generate(&cfg, 40, 1, &mut prices, &mut avail, &mut workload);
         let plan = FaultPlan::parse("squeeze:start=10,end=20,iters=1").unwrap();
         let g = GreFar::new(&cfg, GreFarParams::new(1.0, 500.0)).unwrap();
-        let mut sim = Simulation::new(cfg, inp, Box::new(g))
+        let sim = Simulation::new(cfg, inp, Box::new(g))
             .with_fault_plan(plan)
             .unwrap();
         let mut obs = MemoryObserver::new();

@@ -12,9 +12,12 @@
 //!    slot by slot, checking the job-conservation ledger and the widened
 //!    stale-aware Theorem 1(a) occupancy bound after every slot, while
 //!    recording the reference telemetry stream.
-//! 2. **Crash leg** — the same simulation killed mid-run at the scenario's
-//!    cut slot ([`RunPolicy::with_kill_at`](grefar_sim::RunPolicy)), then
-//!    resumed from its checkpoint; the concatenated truncated + resumed
+//! 2. **Crash leg** — the same simulation run through
+//!    [`SteppedRun::complete`](grefar_sim::SteppedRun::complete) and killed
+//!    at the scenario's cut slot
+//!    ([`RunPolicy::with_kill_at`](grefar_sim::RunPolicy::with_kill_at)),
+//!    then [resumed](grefar_sim::SteppedRun::resume) from its checkpoint;
+//!    the concatenated truncated + resumed
 //!    stream must diff clean against the uninterrupted reference
 //!    (`grefar-report diff` semantics, zero tolerance).
 //! 3. **Daemon leg** — `grefar-served` run in-process under a manual

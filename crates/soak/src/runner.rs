@@ -218,12 +218,10 @@ fn batch_leg(scenario: &Scenario) -> Result<(String, Option<Violation>, bool), S
             }
         }
     }
-    let done = run.is_done();
     let _ = run.finish(&mut sink);
-    let text = String::from_utf8(sink.into_inner()).map_err(|e| e.to_string())?;
     // A run cut short by a violation has a truncated stream; it is never
     // used as a reference because the caller stops at the violation.
-    let _ = done;
+    let text = String::from_utf8(sink.into_inner()).map_err(|e| e.to_string())?;
     Ok((text, violation, bound.is_some()))
 }
 
@@ -238,9 +236,9 @@ fn crash_leg(
     let ck_path = scratch.join("batch-checkpoint.jsonl");
     let policy =
         RunPolicy::new(&ck_path, scenario.checkpoint_every as usize).with_kill_at(scenario.kill_at);
-    let mut sim = build_simulation(scenario, false)?;
+    let run = SteppedRun::new(build_simulation(scenario, false)?);
     let mut cut = JsonlSink::new(Vec::new());
-    match sim.run_resumable(&mut cut, &policy) {
+    match run.complete(&mut cut, Some(&policy)) {
         Err(SimError::Killed { .. }) => {}
         Ok(_) => {
             return Ok(Some(Violation::new(
@@ -254,10 +252,9 @@ fn crash_leg(
         Err(e) => return Err(format!("crash leg: {e}")),
     }
     let recovery = Checkpoint::load_latest(&ck_path).map_err(|e| format!("checkpoint: {e}"))?;
-    let mut resumed_sim = build_simulation(scenario, false)?;
     let mut tail = JsonlSink::new(Vec::new());
-    resumed_sim
-        .resume(recovery.checkpoint, &mut tail, None)
+    SteppedRun::resume(build_simulation(scenario, false)?, recovery.checkpoint)
+        .and_then(|run| run.complete(&mut tail, None))
         .map_err(|e| format!("resume: {e}"))?;
     let mut combined = String::from_utf8(cut.into_inner()).map_err(|e| e.to_string())?;
     combined.push_str(&String::from_utf8(tail.into_inner()).map_err(|e| e.to_string())?);
@@ -299,6 +296,10 @@ impl Wire {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .map_err(|e| e.to_string())?;
+        // One request per round trip: without TCP_NODELAY, Nagle's
+        // algorithm holds each request behind the previous reply's delayed
+        // ACK.
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
         Ok(Wire {
             reader,
@@ -316,7 +317,10 @@ impl Wire {
         line: &str,
         want_op: &str,
     ) -> Result<Option<BTreeMap<String, JsonValue>>, String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send {line:?}: {e}"))?;
+        // Request and newline in one write, so they leave as one segment.
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| format!("send {line:?}: {e}"))?;
         loop {
             let mut reply = String::new();
             match self.reader.read_line(&mut reply) {

@@ -15,7 +15,7 @@ fn main() {
     let config = scenario.config().clone();
     let inputs = scenario.into_inputs(200);
     let scheduler = GreFar::new(&config, GreFarParams::new(7.5, 300.0)).expect("valid params");
-    let mut sim = Simulation::new(config, inputs, Box::new(scheduler));
+    let sim = Simulation::new(config, inputs, Box::new(scheduler));
 
     // Fan the event stream out to a JSONL file and an in-memory aggregator.
     let path = std::env::temp_dir().join("grefar_telemetry.jsonl");

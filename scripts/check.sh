@@ -225,6 +225,16 @@ timeout 300 ./target/release/grefar-soak selfcheck > /dev/null 2>&1 \
     || { echo "soak selfcheck failed: the oracles cannot catch a planted bug" >&2; exit 1; }
 echo "soak harness ok"
 
+# Benchmark smoke (see benchmark/README.md): the benchmark is a package of
+# its own, so `cargo build --workspace` never compiles it against a
+# changed library API. A smoke run of every workload builds it, drives the
+# public surface it calls, and exits non-zero on any failed correctness
+# check.
+bash benchmark/run.sh run --seed 5 --workload all --out "$report_tmp/bench" --smoke \
+    > "$report_tmp/bench.log" 2>&1 \
+    || { cat "$report_tmp/bench.log" >&2; echo "benchmark smoke run failed" >&2; exit 1; }
+echo "benchmark smoke ok"
+
 # Perf trajectory: benches emit machine-readable BENCH_<target>.json; a
 # self-comparison through the gate must pass at a tight threshold, and the
 # fresh numbers must stay within a loose envelope of the committed

@@ -19,7 +19,8 @@
 //!   state estimation for stale-state scheduling,
 //! * [`sim`] — the discrete-time simulator and experiment runner,
 //! * [`obs`] — the structured telemetry layer (observers, JSONL export,
-//!   timing histograms); see `Simulation::run_with_observer`.
+//!   timing histograms); `sim::SteppedRun` is the one slot driver and
+//!   streams every slot's telemetry to the observer it is handed.
 //!
 //! # Quickstart
 //!

@@ -79,7 +79,7 @@ fn telemetry_event_stream_is_deterministic() {
         let config = scenario.config().clone();
         let inputs = scenario.into_inputs(24 * 3);
         let g = GreFar::new(&config, GreFarParams::new(7.5, 100.0)).expect("valid");
-        let mut sim = Simulation::new(config, inputs, Box::new(g));
+        let sim = Simulation::new(config, inputs, Box::new(g));
         let mut sink = JsonlSink::new(Vec::new());
         sim.run_with_observer(&mut sink);
         String::from_utf8(sink.into_inner()).expect("utf8")

@@ -7,7 +7,7 @@
 use grefar::faults::FaultPlan;
 use grefar::obs::JsonlSink;
 use grefar::prelude::*;
-use grefar::sim::{Checkpoint, RunPolicy, SimError};
+use grefar::sim::{Checkpoint, RunPolicy, SimError, SteppedRun};
 use grefar_report::{diff_streams, Analysis, DiffOptions, TelemetryStream};
 
 const HOURS: usize = 120;
@@ -23,7 +23,7 @@ fn faulted_sim(seed: u64, plan: &str) -> Simulation {
         .expect("plan fits the paper scenario")
 }
 
-fn telemetry_of(sim: &mut Simulation) -> String {
+fn telemetry_of(sim: Simulation) -> String {
     let mut sink = JsonlSink::new(Vec::new());
     sim.run_with_observer(&mut sink);
     assert_eq!(sink.io_errors(), 0);
@@ -32,7 +32,7 @@ fn telemetry_of(sim: &mut Simulation) -> String {
 
 #[test]
 fn full_outage_degrades_transparently_and_recovers() {
-    let text = telemetry_of(&mut faulted_sim(2012, OUTAGE));
+    let text = telemetry_of(faulted_sim(2012, OUTAGE));
     let stream = TelemetryStream::parse(&text).expect("valid telemetry");
     assert_eq!(stream.runs.len(), 1);
     let run = &stream.runs[0];
@@ -103,7 +103,7 @@ fn full_outage_degrades_transparently_and_recovers() {
 #[test]
 fn killed_faulted_run_resumes_into_an_identical_stream() {
     // Reference: the same faulted run, uninterrupted.
-    let full = telemetry_of(&mut faulted_sim(7, OUTAGE));
+    let full = telemetry_of(faulted_sim(7, OUTAGE));
 
     let dir = std::env::temp_dir().join(format!("grefar-fault-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -112,7 +112,7 @@ fn killed_faulted_run_resumes_into_an_identical_stream() {
     // Crash half: kill at slot 60 (inside nothing, after the outage window).
     let mut sink = JsonlSink::new(Vec::new());
     let policy = RunPolicy::new(&ck_path, 25).with_kill_at(60);
-    match faulted_sim(7, OUTAGE).run_resumable(&mut sink, &policy) {
+    match SteppedRun::new(faulted_sim(7, OUTAGE)).complete(&mut sink, Some(&policy)) {
         Err(SimError::Killed { slot: 60, .. }) => {}
         other => panic!("expected kill at slot 60, got {other:?}"),
     }
@@ -123,8 +123,8 @@ fn killed_faulted_run_resumes_into_an_identical_stream() {
     let ck = Checkpoint::load(&ck_path).expect("checkpoint readable");
     let buf = sink.into_inner();
     let mut sink = JsonlSink::new(buf);
-    faulted_sim(7, OUTAGE)
-        .resume(ck, &mut sink, None)
+    SteppedRun::resume(faulted_sim(7, OUTAGE), ck)
+        .and_then(|run| run.complete(&mut sink, None))
         .expect("resume completes");
     let stitched = String::from_utf8(sink.into_inner()).expect("utf8");
 

@@ -33,7 +33,7 @@ fn feed_sim(seed: u64, profile: Option<&str>) -> Simulation {
     }
 }
 
-fn telemetry_of(sim: &mut Simulation) -> String {
+fn telemetry_of(sim: Simulation) -> String {
     let mut sink = JsonlSink::new(Vec::new());
     sim.run_with_observer(&mut sink);
     assert_eq!(sink.io_errors(), 0);
@@ -63,8 +63,7 @@ fn stale_state_run_respects_the_degraded_queue_bound() {
     let degraded = bounds.stale_queue_bound(V, stale_slots);
     assert!(degraded > plain, "staleness must widen the bound");
 
-    let mut sim = feed_sim(2012, Some(LOSSY));
-    let text = telemetry_of(&mut sim);
+    let text = telemetry_of(feed_sim(2012, Some(LOSSY)));
     let stream = TelemetryStream::parse(&text).expect("valid telemetry");
     let run = &stream.runs[0];
     assert_eq!(run.slots.len(), HOURS, "the lossy run must complete");
@@ -95,8 +94,8 @@ fn feed_lines(text: &str) -> Vec<&str> {
 /// feed-event lines are byte for byte identical.
 #[test]
 fn identical_seeds_reproduce_the_feed_run_byte_for_byte() {
-    let first = telemetry_of(&mut feed_sim(7, Some(LOSSY)));
-    let second = telemetry_of(&mut feed_sim(7, Some(LOSSY)));
+    let first = telemetry_of(feed_sim(7, Some(LOSSY)));
+    let second = telemetry_of(feed_sim(7, Some(LOSSY)));
     assert_eq!(
         feed_lines(&first),
         feed_lines(&second),
@@ -130,16 +129,16 @@ fn identical_seeds_reproduce_the_feed_run_byte_for_byte() {
 /// feed event.
 #[test]
 fn perfect_feeds_are_indistinguishable_from_no_feeds() {
-    let plain = telemetry_of(&mut feed_sim(23, None));
+    let plain = telemetry_of(feed_sim(23, None));
     let perfect = {
         let scenario = PaperScenario::default().with_seed(23);
         let config = scenario.config().clone();
         let inputs = scenario.into_inputs(HOURS);
         let g = GreFar::new(&config, GreFarParams::new(V, 0.0)).expect("valid params");
-        let mut sim = Simulation::new(config, inputs, Box::new(g))
+        let sim = Simulation::new(config, inputs, Box::new(g))
             .with_feed_profile(FeedProfile::perfect())
             .expect("perfect profile always fits");
-        telemetry_of(&mut sim)
+        telemetry_of(sim)
     };
     assert!(feed_lines(&plain).is_empty());
     assert!(

@@ -25,7 +25,7 @@ fn sweep_stream(seed: u64, hours: usize) -> String {
             (format!("V={v}"), Box::new(g) as Box<dyn Scheduler>)
         })
         .collect();
-    sweep::run_all_observed(&config, &inputs, runs, &mut sink);
+    sweep::run_all_observed_until(&config, &inputs, runs, &mut sink, &|| false);
     String::from_utf8(sink.into_inner()).expect("utf8")
 }
 
