@@ -178,9 +178,14 @@ impl GreFar {
                             if gap > squeezed.gap_tolerance =>
                         {
                             // Budget exhausted without convergence: fall
-                            // back to the exact (fairness-blind) greedy.
+                            // back to the exact (fairness-blind) greedy,
+                            // whose objective is stated at β = 0.
                             degradations.push(Degradation::budget_exhausted(iterations, gap));
-                            inst.solve_greedy()
+                            let greedy = inst.solve_greedy();
+                            SlotSolution {
+                                objective: self.objective(state, queues, &greedy.decision),
+                                ..greedy
+                            }
                         }
                         _ => attempt,
                     }
@@ -198,22 +203,28 @@ impl GreFar {
             let repaired =
                 fallback::project_decision(&self.config, state, queues, &solution.decision);
             degradations.push(Degradation::infeasible_repaired(kind));
-            let objective = crate::cost::drift_penalty_objective(
-                &self.config,
-                state,
-                queues,
-                &repaired,
-                self.params.v,
-                self.params.beta,
-                self.fairness.as_ref(),
-            );
             solution = SlotSolution {
+                objective: self.objective(state, queues, &repaired),
                 decision: repaired,
-                objective,
                 solver: solution.solver,
             };
         }
         (solution, degradations)
+    }
+
+    /// Objective (14) of `decision` at this scheduler's `V` and `β` — the
+    /// value `decide_observed` splits into drift and penalty, re-evaluated
+    /// whenever a fallback replaces the solver's own decision.
+    fn objective(&self, state: &SystemState, queues: &QueueState, decision: &Decision) -> f64 {
+        crate::cost::drift_penalty_objective(
+            &self.config,
+            state,
+            queues,
+            decision,
+            self.params.v,
+            self.params.beta,
+            self.fairness.as_ref(),
+        )
     }
 
     /// `strict-invariants` enforcement: every decision must satisfy

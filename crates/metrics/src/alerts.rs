@@ -493,30 +493,15 @@ fn fmt_f64(value: f64) -> String {
 /// carries alerts regenerates the identical alert sequence.
 ///
 /// # Errors
-/// The first unparsable line, with its line number.
+/// The first line that fails to parse or decode (including an
+/// unsupported `schema` version), with its line number.
 pub fn replay_jsonl(
     rules: Vec<AlertRule>,
     text: &str,
 ) -> Result<(crate::MetricsFold, AlertEngine, Vec<Event>), String> {
     let mut fold = crate::MetricsFold::new(false);
     let mut engine = AlertEngine::new(rules);
-    let mut generated = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let object =
-            grefar_obs::json::parse_object(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let name = object
-            .get("event")
-            .and_then(grefar_obs::json::JsonValue::as_str)
-            .unwrap_or("")
-            .to_string();
-        fold.fold_json(&object);
-        if name == "slot" {
-            generated.extend(engine.evaluate(&fold.health()));
-        }
-    }
+    let (_, generated) = fold.fold_lines(Some(&mut engine), text)?;
     Ok((fold, engine, generated))
 }
 
@@ -664,6 +649,16 @@ mod tests {
     }
 
     #[test]
+    fn replay_rejects_future_schema_versions() {
+        let text = "{\"schema\":2,\"event\":\"checkpoint.write\",\"t\":1}\n\
+                    {\"schema\":2,\"event\":\"checkpoint.write\",\"t\":2}\n";
+        let rules = parse_rules("deg:degraded_events>0").unwrap();
+        let err = replay_jsonl(rules, text).err().unwrap();
+        assert!(err.starts_with("line 1: "), "{err}");
+        assert!(err.contains("schema version 2"), "{err}");
+    }
+
+    #[test]
     fn replay_regenerates_an_identical_alert_stream() {
         let mut text = String::new();
         for t in 0..4u64 {
@@ -683,8 +678,10 @@ mod tests {
                     .field("queue_local", 0.0)
                     .field("queue_max", 0.0)
                     .field("energy", 0.0)
+                    .field("fairness", 0.0)
                     .field("arrivals", 0.0)
                     .field("dropped", 0_u64)
+                    .field("wall_us", 1_u64)
                     .to_json_with_schema(1),
             );
             text.push('\n');

@@ -3,8 +3,9 @@
 //! [`MetricsFold`] is the single source of truth for how telemetry events
 //! become Prometheus series: the live [`MetricsLayer`](crate::MetricsLayer)
 //! and the offline `grefar-report metrics` rebuild both drive this type,
-//! so a snapshot taken live and a fold of the same JSONL stream agree
-//! (the kill/resume rebuild test pins this).
+//! and both hand it events decoded by [`grefar_obs::decode`], so a
+//! snapshot taken live and a fold of the same JSONL stream agree (the
+//! kill/resume rebuild test pins this).
 //!
 //! Wall-clock (`_us`) fields are only folded when `include_timings` is on:
 //! live snapshots want them, offline rebuilds exclude them so the output
@@ -13,9 +14,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use grefar_obs::json::JsonValue;
-use grefar_obs::{Event, Value};
+use grefar_obs::decode::{BoundsEvent, BreakerSample, DecideSample, SlotSample, TelemetryEvent};
+use grefar_obs::Event;
 
+use crate::alerts::AlertEngine;
 use crate::health::{Health, Verdict};
 use crate::registry::Registry;
 
@@ -34,44 +36,6 @@ pub const DURATION_US_BUCKETS: &[f64] = &[
     100_000.0,
     1_000_000.0,
 ];
-
-/// A uniform read-only view over a live [`Event`] and a parsed JSONL
-/// object, so the fold logic exists once.
-enum Fields<'a> {
-    Live(&'a Event),
-    Json(&'a BTreeMap<String, JsonValue>),
-}
-
-impl Fields<'_> {
-    fn name(&self) -> &str {
-        match self {
-            Fields::Live(event) => event.name(),
-            Fields::Json(obj) => obj.get("event").and_then(JsonValue::as_str).unwrap_or(""),
-        }
-    }
-
-    fn f64(&self, key: &str) -> Option<f64> {
-        match self {
-            Fields::Live(event) => match event.get(key)? {
-                Value::U64(v) => Some(*v as f64),
-                Value::I64(v) => Some(*v as f64),
-                Value::F64(v) => Some(*v),
-                _ => None,
-            },
-            Fields::Json(obj) => obj.get(key).and_then(JsonValue::as_f64),
-        }
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        match self {
-            Fields::Live(event) => match event.get(key)? {
-                Value::Str(s) => Some(s.as_str()),
-                _ => None,
-            },
-            Fields::Json(obj) => obj.get(key).and_then(JsonValue::as_str),
-        }
-    }
-}
 
 /// Per-run-label health accumulators (the queue-bound check is stated per
 /// labeled run, exactly like `grefar-report analyze`).
@@ -124,33 +88,52 @@ impl MetricsFold {
         }
     }
 
-    /// Folds one live event.
+    /// Folds one live event. An event that fails to
+    /// [decode](grefar_obs::decode) is counted but not folded.
     pub fn fold_event(&mut self, event: &Event) {
-        self.fold(&Fields::Live(event));
-    }
-
-    /// Folds one parsed JSONL object (as produced by
-    /// `grefar_obs::json::parse_object`; the `schema` key is ignored).
-    pub fn fold_json(&mut self, object: &BTreeMap<String, JsonValue>) {
-        self.fold(&Fields::Json(object));
+        self.events += 1;
+        if let Ok(Some(event)) = TelemetryEvent::from_event(event) {
+            self.apply(event);
+        }
     }
 
     /// Folds a whole JSONL document, skipping blank lines.
     ///
     /// # Errors
-    /// The first unparsable line, with its line number.
+    /// The first line that fails to parse or decode (including an
+    /// unsupported `schema` version), with its line number.
     pub fn fold_jsonl(&mut self, text: &str) -> Result<usize, String> {
+        self.fold_lines(None, text).map(|(folded, _)| folded)
+    }
+
+    /// The one JSONL fold loop, behind [`fold_jsonl`](Self::fold_jsonl),
+    /// the resume prefold and the alert replay. With an `engine`, every
+    /// `slot` event also steps it, exactly like the live layer does; the
+    /// alerts it generates are returned, not folded.
+    pub(crate) fn fold_lines(
+        &mut self,
+        mut engine: Option<&mut AlertEngine>,
+        text: &str,
+    ) -> Result<(usize, Vec<Event>), String> {
         let mut folded = 0usize;
+        let mut generated = Vec::new();
         for (idx, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let object = grefar_obs::json::parse_object(line)
+            let event = grefar_obs::json::parse_object(line)
+                .and_then(|object| TelemetryEvent::from_json(&object))
                 .map_err(|e| format!("line {}: {e}", idx + 1))?;
-            self.fold_json(&object);
+            self.events += 1;
             folded += 1;
+            let Some(event) = event else { continue };
+            let is_slot = matches!(event, TelemetryEvent::Slot(_));
+            self.apply(event);
+            if let (true, Some(engine)) = (is_slot, engine.as_deref_mut()) {
+                generated.extend(engine.evaluate(&self.health()));
+            }
         }
-        Ok(folded)
+        Ok((folded, generated))
     }
 
     /// Events folded so far.
@@ -234,78 +217,72 @@ impl MetricsFold {
         self.per_label.entry(self.label.clone()).or_default()
     }
 
-    fn fold(&mut self, fields: &Fields<'_>) {
-        self.events += 1;
-        let name = fields.name();
-        // verify: match-events(telemetry)
-        match name {
-            "sweep.run" => {
-                if let Some(label) = fields.str("label") {
-                    self.label = label.to_string();
-                }
-            }
-            "run.start" => {
+    /// One arm per decoded event. The lints forbid a wildcard arm, so a new
+    /// `TelemetryEvent` variant fails `cargo clippy -D warnings` until it is
+    /// handled here (the second lint catches the single-variant wildcard
+    /// the first one skips).
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn apply(&mut self, event: TelemetryEvent) {
+        use TelemetryEvent as E;
+        match event {
+            E::SweepRun(label) => self.label = label,
+            E::RunStart { scheduler, horizon } => {
                 // A sweep marker names the run; a bare run adopts the
                 // scheduler's self-description. `runs_started` (not
                 // `per_label`) decides whether the current label is free:
                 // a `theory.bounds` certificate pre-registers its label's
                 // health accumulator before the run begins.
-                if self.label.is_empty() || self.runs_started.contains(&self.label) {
-                    if let Some(scheduler) = fields.str("scheduler") {
-                        if !self.runs_started.contains(scheduler) {
-                            self.label = scheduler.to_string();
-                        }
-                    }
+                if (self.label.is_empty() || self.runs_started.contains(&self.label))
+                    && !self.runs_started.contains(&scheduler)
+                {
+                    self.label = scheduler;
                 }
                 self.runs_started.insert(self.label.clone());
                 self.accum();
                 let label = self.label.clone();
-                if let Some(horizon) = fields.f64("horizon") {
-                    self.registry.gauge_set(
-                        "grefar_run_horizon_slots",
-                        "Planned horizon of the labeled run, in slots.",
-                        &[("scheduler", &label)],
-                        horizon,
-                    );
-                }
+                self.registry.gauge_set(
+                    "grefar_run_horizon_slots",
+                    "Planned horizon of the labeled run, in slots.",
+                    &[("scheduler", &label)],
+                    horizon as f64,
+                );
             }
-            "slot" => self.fold_slot(fields),
-            "grefar.decide" => self.fold_decide(fields),
-            "lp.solve" => self.fold_lp(fields),
-            "run.end" => {
+            E::Slot(sample) => self.fold_slot(&sample),
+            E::GrefarDecide(sample) => self.fold_decide(&sample),
+            E::LpSolve { pivots, wall_us } => self.fold_lp(pivots, wall_us),
+            E::RunEnd { completed, .. } => {
                 let label = self.label.clone();
-                if let Some(completed) = fields.f64("completed") {
-                    self.registry.gauge_set(
-                        "grefar_jobs_completed",
-                        "Jobs completed over the labeled run.",
-                        &[("scheduler", &label)],
-                        completed,
-                    );
-                }
+                self.registry.gauge_set(
+                    "grefar_jobs_completed",
+                    "Jobs completed over the labeled run.",
+                    &[("scheduler", &label)],
+                    completed,
+                );
             }
-            "theory.bounds" => self.fold_bounds(fields),
-            "fault.inject" => {
+            E::TheoryBounds(bounds) => self.fold_bounds(&bounds),
+            E::FaultInject(fault) => {
                 let label = self.label.clone();
-                let kind = fields.str("kind").unwrap_or("unknown").to_string();
                 self.registry.counter_add(
                     "grefar_faults_injected_total",
                     "Fault windows opened by the injection plan.",
-                    &[("scheduler", &label), ("kind", &kind)],
+                    &[("scheduler", &label), ("kind", &fault.kind)],
                     1.0,
                 );
             }
-            "degraded.mode" => {
-                let reason = fields.str("reason").unwrap_or("unknown").to_string();
+            E::DegradedMode(degraded) => {
                 self.accum().degraded_events += 1;
                 let label = self.label.clone();
                 self.registry.counter_add(
                     "grefar_degraded_events_total",
                     "Slots the solver served through a degradation fallback.",
-                    &[("scheduler", &label), ("reason", &reason)],
+                    &[("scheduler", &label), ("reason", &degraded.reason)],
                     1.0,
                 );
             }
-            "state.stale" => {
+            E::StateStale(_) => {
                 self.accum().stale_events += 1;
                 let label = self.label.clone();
                 self.registry.counter_add(
@@ -315,8 +292,7 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "invariant.violation" => {
-                let kind = fields.str("kind").unwrap_or("unknown").to_string();
+            E::InvariantViolation(kind) => {
                 self.accum().invariant_violations += 1;
                 let label = self.label.clone();
                 self.registry.counter_add(
@@ -326,37 +302,30 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "soak.ledger" => {
+            E::SoakLedger(ledger) => {
                 let label = self.label.clone();
-                if let Some(balance) = fields.f64("balance") {
-                    self.registry.gauge_set(
-                        "grefar_ledger_balance_jobs",
-                        "Signed job-conservation balance (queues minus ledger prediction).",
-                        &[("scheduler", &label)],
-                        balance,
-                    );
-                }
-                if let Some(excess) = fields.f64("route_excess") {
-                    self.registry.gauge_set(
-                        "grefar_ledger_route_excess_jobs",
-                        "Cumulative phantom work minted by over-routing.",
-                        &[("scheduler", &label)],
-                        excess,
-                    );
-                }
+                self.registry.gauge_set(
+                    "grefar_ledger_balance_jobs",
+                    "Signed job-conservation balance (queues minus ledger prediction).",
+                    &[("scheduler", &label)],
+                    ledger.balance,
+                );
+                self.registry.gauge_set(
+                    "grefar_ledger_route_excess_jobs",
+                    "Cumulative phantom work minted by over-routing.",
+                    &[("scheduler", &label)],
+                    ledger.route_excess,
+                );
             }
-            "feed.fetch" => {
-                let feed = fields.str("feed").unwrap_or("unknown").to_string();
-                let outcome = fields.str("outcome").unwrap_or("unknown").to_string();
+            E::FeedFetch(fetch) => {
                 self.registry.counter_add(
                     "grefar_feed_fetch_events_total",
                     "Noteworthy feed fetches (failures, or successes that needed retries).",
-                    &[("feed", &feed), ("outcome", &outcome)],
+                    &[("feed", &fetch.feed), ("outcome", &fetch.outcome)],
                     1.0,
                 );
             }
-            "feed.quarantine" => {
-                let feed = fields.str("feed").unwrap_or("unknown").to_string();
+            E::FeedQuarantine { feed, .. } => {
                 self.registry.counter_add(
                     "grefar_feed_quarantined_total",
                     "Feed payloads rejected by validation.",
@@ -364,11 +333,9 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "feed.breaker" => self.fold_breaker(fields),
-            "checkpoint.write" => {
-                if let Some(t) = fields.f64("t") {
-                    self.last_checkpoint = Some(t as u64);
-                }
+            E::FeedBreaker(breaker) => self.fold_breaker(&breaker),
+            E::CheckpointWrite(t) => {
+                self.last_checkpoint = Some(t);
                 let label = self.label.clone();
                 self.registry.counter_add(
                     "grefar_checkpoint_writes_total",
@@ -377,7 +344,7 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "admission.accept" => {
+            E::AdmissionAccept => {
                 self.registry.counter_add(
                     "grefar_admission_accepted_total",
                     "Job submissions the daemon admitted into future slots.",
@@ -385,8 +352,7 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "admission.reject" => {
-                let reason = fields.str("reason").unwrap_or("unknown").to_string();
+            E::AdmissionReject(reason) => {
                 self.registry.counter_add(
                     "grefar_admission_rejected_total",
                     "Job submissions the daemon rejected (shedding, draining, malformed).",
@@ -394,8 +360,7 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "served.restart" => {
-                let actor = fields.str("actor").unwrap_or("unknown").to_string();
+            E::ServedRestart(actor) => {
                 self.registry.counter_add(
                     "grefar_actor_restarts_total",
                     "Actors the daemon's supervisor restarted after a crash or stall.",
@@ -403,7 +368,7 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "checkpoint.truncated" => {
+            E::CheckpointTruncated => {
                 self.registry.counter_add(
                     "grefar_checkpoint_truncations_total",
                     "Checkpoint loads that recovered past a corrupt trailing record.",
@@ -411,8 +376,7 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "alert.fire" => {
-                let rule = fields.str("rule").unwrap_or("unknown").to_string();
+            E::AlertFire(rule) => {
                 self.alerts_firing.insert(rule.clone(), true);
                 self.registry.counter_add(
                     "grefar_alerts_fired_total",
@@ -427,8 +391,7 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            "alert.resolve" => {
-                let rule = fields.str("rule").unwrap_or("unknown").to_string();
+            E::AlertResolve(rule) => {
                 self.alerts_firing.insert(rule.clone(), false);
                 self.registry.counter_add(
                     "grefar_alerts_resolved_total",
@@ -450,99 +413,76 @@ impl MetricsFold {
             // double-count. The daemon's lifecycle brackets are likewise
             // markers only; everything countable about them (admissions,
             // restarts) arrives as its own event above.
-            "decision.explain" | "profile.span" | "health.snapshot" | "served.start"
-            | "served.stop" => {}
-            _ => {}
+            E::DecisionExplain(_)
+            | E::ProfileSpan
+            | E::HealthSnapshot
+            | E::ServedStart
+            | E::ServedStop => {}
         }
     }
 
-    fn fold_slot(&mut self, fields: &Fields<'_>) {
+    fn fold_slot(&mut self, slot: &SlotSample) {
         let label = self.label.clone();
         let labels = [("scheduler", label.as_str())];
-        if let Some(t) = fields.f64("t") {
-            self.last_slot = t as u64;
-        }
+        self.last_slot = slot.t;
         self.registry
             .counter_add("grefar_slots_total", "Slots executed.", &labels, 1.0);
-        if let Some(energy) = fields.f64("energy") {
+        self.registry.counter_add(
+            "grefar_energy_cost_total",
+            "Accumulated energy cost g(t).",
+            &labels,
+            slot.energy,
+        );
+        self.registry.counter_add(
+            "grefar_jobs_arrived_total",
+            "Jobs arrived.",
+            &labels,
+            slot.arrivals,
+        );
+        if slot.dropped > 0.0 {
             self.registry.counter_add(
-                "grefar_energy_cost_total",
-                "Accumulated energy cost g(t).",
+                "grefar_jobs_dropped_total",
+                "Jobs dropped by admission control.",
                 &labels,
-                energy,
+                slot.dropped,
             );
         }
-        if let Some(arrivals) = fields.f64("arrivals") {
-            self.registry.counter_add(
-                "grefar_jobs_arrived_total",
-                "Jobs arrived.",
-                &labels,
-                arrivals,
-            );
-        }
-        if let Some(dropped) = fields.f64("dropped") {
-            if dropped > 0.0 {
-                self.registry.counter_add(
-                    "grefar_jobs_dropped_total",
-                    "Jobs dropped by admission control.",
-                    &labels,
-                    dropped,
-                );
-            }
-        }
-        let central = fields.f64("queue_central");
-        let local = fields.f64("queue_local");
-        if let Some(central) = central {
+        for (queue, backlog) in [("central", slot.queue_central), ("local", slot.queue_local)] {
             self.registry.gauge_set(
                 "grefar_queue_jobs",
                 "Current queue backlog, central vs local.",
-                &[("scheduler", &label), ("queue", "central")],
-                central,
+                &[("scheduler", &label), ("queue", queue)],
+                backlog,
             );
         }
-        if let Some(local) = local {
-            self.registry.gauge_set(
-                "grefar_queue_jobs",
-                "Current queue backlog, central vs local.",
-                &[("scheduler", &label), ("queue", "local")],
-                local,
-            );
+        self.registry.gauge_set(
+            "grefar_queue_max_jobs",
+            "Longest single queue this slot.",
+            &labels,
+            slot.queue_max,
+        );
+        let accum = self.accum();
+        if slot.queue_max > accum.queue_peak {
+            accum.queue_peak = slot.queue_max;
         }
-        if let Some(queue_max) = fields.f64("queue_max") {
-            self.registry.gauge_set(
-                "grefar_queue_max_jobs",
-                "Longest single queue this slot.",
-                &labels,
-                queue_max,
-            );
-            let accum = self.accum();
-            if queue_max > accum.queue_peak {
-                accum.queue_peak = queue_max;
-            }
-            let (peak, bound) = {
-                let accum = self.accum();
-                (accum.queue_peak, accum.queue_bound)
-            };
-            self.registry.gauge_set(
-                "grefar_queue_peak_jobs",
-                "Peak of the longest single queue over the run.",
-                &labels,
-                peak,
-            );
-            if let Some(bound) = bound {
-                self.set_occupancy(&label, peak, bound);
-            }
+        let (peak, bound) = (accum.queue_peak, accum.queue_bound);
+        self.registry.gauge_set(
+            "grefar_queue_peak_jobs",
+            "Peak of the longest single queue over the run.",
+            &labels,
+            peak,
+        );
+        if let Some(bound) = bound {
+            self.set_occupancy(&label, peak, bound);
         }
         if self.include_timings {
-            if let Some(wall) = fields.f64("wall_us") {
-                self.registry.histogram_observe(
-                    "grefar_slot_duration_us",
-                    "Wall time per slot, microseconds.",
-                    DURATION_US_BUCKETS,
-                    &labels,
-                    wall,
-                );
-            }
+            self.registry.histogram_observe(
+                "grefar_slot_duration_us",
+                "Wall time per slot, microseconds.",
+                DURATION_US_BUCKETS,
+                &labels,
+                slot.wall_us,
+            );
         }
         if let Some(age) = self
             .last_checkpoint
@@ -557,44 +497,37 @@ impl MetricsFold {
         }
     }
 
-    fn fold_decide(&mut self, fields: &Fields<'_>) {
+    fn fold_decide(&mut self, decide: &DecideSample) {
         let label = self.label.clone();
         let labels = [("scheduler", label.as_str())];
-        let solver = fields.str("solver").unwrap_or("unknown").to_string();
         self.registry.counter_add(
             "grefar_decisions_total",
             "Per-slot decisions, by solver path.",
-            &[("scheduler", &label), ("solver", &solver)],
+            &[("scheduler", &label), ("solver", &decide.solver)],
             1.0,
         );
-        if let Some(iters) = fields.f64("fw_iterations") {
-            if iters > 0.0 {
-                self.registry.counter_add(
-                    "grefar_fw_iterations_total",
-                    "Frank-Wolfe iterations spent.",
-                    &labels,
-                    iters,
-                );
-            }
+        if decide.fw_iterations > 0 {
+            self.registry.counter_add(
+                "grefar_fw_iterations_total",
+                "Frank-Wolfe iterations spent.",
+                &labels,
+                decide.fw_iterations as f64,
+            );
         }
         if self.include_timings {
-            if let Some(wall) = fields.f64("wall_us") {
-                self.registry.histogram_observe(
-                    "grefar_decide_duration_us",
-                    "Wall time per drift-plus-penalty solve, microseconds.",
-                    DURATION_US_BUCKETS,
-                    &labels,
-                    wall,
-                );
-            }
+            self.registry.histogram_observe(
+                "grefar_decide_duration_us",
+                "Wall time per drift-plus-penalty solve, microseconds.",
+                DURATION_US_BUCKETS,
+                &labels,
+                decide.wall_us,
+            );
         }
     }
 
-    fn fold_lp(&mut self, fields: &Fields<'_>) {
+    fn fold_lp(&mut self, pivots: f64, wall_us: f64) {
         let label = self.label.clone();
         let labels = [("scheduler", label.as_str())];
-        let pivots =
-            fields.f64("pivots_phase1").unwrap_or(0.0) + fields.f64("pivots_phase2").unwrap_or(0.0);
         self.registry.counter_add(
             "grefar_lp_pivots_total",
             "Simplex pivots spent by the MPC baseline.",
@@ -602,38 +535,28 @@ impl MetricsFold {
             pivots,
         );
         if self.include_timings {
-            if let Some(wall) = fields.f64("wall_us") {
-                self.registry.histogram_observe(
-                    "grefar_lp_solve_duration_us",
-                    "Wall time per LP solve, microseconds.",
-                    DURATION_US_BUCKETS,
-                    &labels,
-                    wall,
-                );
-            }
+            self.registry.histogram_observe(
+                "grefar_lp_solve_duration_us",
+                "Wall time per LP solve, microseconds.",
+                DURATION_US_BUCKETS,
+                &labels,
+                wall_us,
+            );
         }
     }
 
-    fn fold_bounds(&mut self, fields: &Fields<'_>) {
-        // theory.bounds names its run explicitly; fall back to the current
-        // label for streams that predate the `label` field.
-        let label = fields
-            .str("label")
-            .map(str::to_string)
-            .unwrap_or_else(|| self.label.clone());
-        let bound = fields
-            .f64("stale_queue_bound")
-            .or_else(|| fields.f64("queue_bound"));
-        let Some(bound) = bound else { return };
+    fn fold_bounds(&mut self, bounds: &BoundsEvent) {
+        let label = &bounds.label;
+        let bound = bounds.stale_queue_bound.unwrap_or(bounds.queue_bound);
         self.per_label.entry(label.clone()).or_default().queue_bound = Some(bound);
         self.registry.gauge_set(
             "grefar_queue_bound_jobs",
             "Theorem 1(a) queue bound (stale-widened when the run declares staleness).",
-            &[("scheduler", &label)],
+            &[("scheduler", label)],
             bound,
         );
-        let peak = self.per_label[&label].queue_peak;
-        self.set_occupancy(&label, peak, bound);
+        let peak = self.per_label[label].queue_peak;
+        self.set_occupancy(label, peak, bound);
     }
 
     fn set_occupancy(&mut self, label: &str, peak: f64, bound: f64) {
@@ -650,16 +573,13 @@ impl MetricsFold {
         );
     }
 
-    fn fold_breaker(&mut self, fields: &Fields<'_>) {
-        let feed = fields.str("feed").unwrap_or("unknown").to_string();
-        let dc = fields
-            .f64("dc")
-            .map(|dc| format!("{}", dc as u64))
-            .unwrap_or_default();
-        let to = fields.str("to").unwrap_or("unknown").to_string();
+    fn fold_breaker(&mut self, breaker: &BreakerSample) {
+        let feed = &breaker.feed;
+        let to = &breaker.to;
+        let dc = breaker.dc.map(|dc| dc.to_string()).unwrap_or_default();
         let state = match to.as_str() {
             "closed" => 0.0,
-            "half_open" | "half-open" => 1.0,
+            "half_open" => 1.0,
             "open" => 2.0,
             _ => -1.0,
         };
@@ -668,13 +588,13 @@ impl MetricsFold {
         self.registry.counter_add(
             "grefar_feed_breaker_transitions_total",
             "Circuit-breaker transitions, by target state.",
-            &[("feed", &feed), ("dc", &dc), ("to", &to)],
+            &[("feed", feed), ("dc", &dc), ("to", to)],
             1.0,
         );
         self.registry.gauge_set(
             "grefar_feed_breaker_state",
             "Circuit-breaker state: 0 closed, 1 half-open, 2 open.",
-            &[("feed", &feed), ("dc", &dc)],
+            &[("feed", feed), ("dc", &dc)],
             state,
         );
     }
@@ -692,37 +612,22 @@ mod tests {
             .field("queue_local", 2.0)
             .field("queue_max", queue_max)
             .field("energy", 0.5)
+            .field("fairness", 0.0)
             .field("arrivals", 3.0)
             .field("dropped", 0_u64)
             .field("wall_us", 120_u64)
     }
 
-    /// Registry-sync fixture: every telemetry event the registry can
-    /// declare — required-only and with optionals — folds without error,
-    /// and the live fold agrees with the offline (JSONL) fold on the
-    /// synthesized stream. Run together with the verifier's
-    /// `event-schema` match-coverage check, this proves the fold and the
-    /// registry cannot drift apart in either direction.
-    #[test]
-    fn registry_synthesized_events_fold_cleanly() {
-        use grefar_obs::schema::{self, Channel};
-        let mut live = MetricsFold::new(true);
-        let mut text = String::new();
-        for sch in schema::EVENTS
-            .iter()
-            .filter(|s| s.channel == Channel::Telemetry)
-        {
-            for include_optional in [false, true] {
-                let event = schema::synthesize(sch, include_optional);
-                live.fold_event(&event);
-                text.push_str(&event.to_json_with_schema(1));
-                text.push('\n');
-            }
-        }
-        assert!(live.events() > 0);
-        let mut offline = MetricsFold::new(true);
-        offline.fold_jsonl(&text).unwrap();
-        assert_eq!(live.render(), offline.render());
+    fn bounds_event(queue_bound: f64) -> Event {
+        Event::new("theory.bounds")
+            .field("label", "g")
+            .field("v", 1.0)
+            .field("beta", 0.0)
+            .field("delta", 2.0)
+            .field("price_max", 0.8)
+            .field("queue_bound", queue_bound)
+            .field("cost_gap_bound", 5.0)
+            .field("frame", 24_u64)
     }
 
     #[test]
@@ -757,6 +662,16 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_fold_rejects_future_schema_versions() {
+        let text: String = (0..2)
+            .map(|t| format!("{}\n", slot_event(t, 1.0).to_json_with_schema(2)))
+            .collect();
+        let err = MetricsFold::new(false).fold_jsonl(&text).unwrap_err();
+        assert!(err.starts_with("line 1: "), "{err}");
+        assert!(err.contains("schema version 2"), "{err}");
+    }
+
+    #[test]
     fn occupancy_tracks_peak_over_bound() {
         let mut fold = MetricsFold::new(false);
         fold.fold_event(
@@ -764,11 +679,7 @@ mod tests {
                 .field("scheduler", "g")
                 .field("horizon", 9_u64),
         );
-        fold.fold_event(
-            &Event::new("theory.bounds")
-                .field("label", "g")
-                .field("queue_bound", 20.0),
-        );
+        fold.fold_event(&bounds_event(20.0));
         fold.fold_event(&slot_event(0, 5.0));
         fold.fold_event(&slot_event(1, 4.0));
         let occ = fold
@@ -785,9 +696,7 @@ mod tests {
     fn stale_widened_bound_is_preferred() {
         let mut fold = MetricsFold::new(false);
         fold.fold_event(
-            &Event::new("theory.bounds")
-                .field("label", "g")
-                .field("queue_bound", 10.0)
+            &bounds_event(10.0)
                 .field("stale_slots", 2_u64)
                 .field("stale_queue_bound", 30.0),
         );

@@ -129,39 +129,18 @@ impl<I: Observer> MetricsLayer<I> {
 
     /// Pre-seeds the fold from an existing telemetry JSONL document, so a
     /// resumed run's aggregates continue from the truncated prefix instead
-    /// of restarting at zero.
+    /// of restarting at zero. The alert engine advances through the prefix
+    /// too, so rule state (hold counters, firing flags) continues where the
+    /// interrupted run left off; the alerts it regenerates are discarded,
+    /// being already in the recorded prefix.
     ///
     /// # Errors
-    /// The first unparsable line, with its line number.
+    /// The first line that fails to parse or decode (including an
+    /// unsupported `schema` version), with its line number.
     pub fn prefold_jsonl(&mut self, text: &str) -> Result<usize, String> {
-        match &mut self.engine {
-            None => self.fold.fold_jsonl(text),
-            Some(engine) => {
-                // Advance the alert engine through the prefix too, so a
-                // resumed run's rule state (hold counters, firing flags)
-                // continues where the interrupted run left off. The
-                // regenerated events are discarded: they are already in
-                // the recorded prefix.
-                let mut folded = 0usize;
-                for (idx, line) in text.lines().enumerate() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let object = grefar_obs::json::parse_object(line)
-                        .map_err(|e| format!("line {}: {e}", idx + 1))?;
-                    let is_slot = object
-                        .get("event")
-                        .and_then(grefar_obs::json::JsonValue::as_str)
-                        == Some("slot");
-                    self.fold.fold_json(&object);
-                    if is_slot {
-                        let _ = engine.evaluate(&self.fold.health());
-                    }
-                    folded += 1;
-                }
-                Ok(folded)
-            }
-        }
+        self.fold
+            .fold_lines(self.engine.as_mut(), text)
+            .map(|(folded, _)| folded)
     }
 
     /// The current health summary.
@@ -317,8 +296,10 @@ mod tests {
             .field("queue_local", 1.0)
             .field("queue_max", 1.0)
             .field("energy", 0.1)
+            .field("fairness", 0.0)
             .field("arrivals", 1.0)
             .field("dropped", 0_u64)
+            .field("wall_us", 10_u64)
     }
 
     #[test]
@@ -449,6 +430,18 @@ mod tests {
         layer.record_event(slot(1));
         drop(layer);
         assert_eq!(mem.event_count("alert.fire"), 0);
+    }
+
+    #[test]
+    fn prefold_rejects_future_schema_versions() {
+        let text: String = (0..2)
+            .map(|t| format!("{}\n", slot(t).to_json_with_schema(2)))
+            .collect();
+        let mut null = NullObserver;
+        let mut layer = MetricsLayer::new(&mut null, MetricsConfig::default());
+        let err = layer.prefold_jsonl(&text).unwrap_err();
+        assert!(err.starts_with("line 1: "), "{err}");
+        assert!(err.contains("schema version 2"), "{err}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Layout:
 //! - [`Registry`] — counter / gauge / histogram families with labels,
 //!   rendered as Prometheus text exposition format 0.0.4.
-//! - [`MetricsFold`] — the event-name → metric mapping (one place, shared
-//!   by the live layer and the offline rebuild).
+//! - [`MetricsFold`] — the decoded-event → metric mapping (one place,
+//!   shared by the live layer and the offline rebuild).
 //! - [`Health`] / [`Verdict`] — the `ok` / `degraded` / `violating`
 //!   summary behind `/healthz` and the `health.snapshot` event, aligned
 //!   with `grefar-report analyze --assert-bound`.

@@ -7,6 +7,9 @@
 
 use std::collections::BTreeMap;
 
+/// One parsed flat JSON object, keyed in sorted order.
+pub type JsonObject = BTreeMap<String, JsonValue>;
+
 /// A parsed flat JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -50,7 +53,7 @@ impl JsonValue {
 ///
 /// Returns `Err` with a position-tagged message on malformed input,
 /// including duplicate keys (which would silently lose data).
-pub fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
+pub fn parse_object(line: &str) -> Result<JsonObject, String> {
     let mut parser = Parser {
         bytes: line.as_bytes(),
         pos: 0,
@@ -94,7 +97,7 @@ pub fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
 }
 
 /// Parses a full JSONL document (one object per non-empty line).
-pub fn parse_lines(text: &str) -> Result<Vec<BTreeMap<String, JsonValue>>, String> {
+pub fn parse_lines(text: &str) -> Result<Vec<JsonObject>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())

@@ -23,7 +23,10 @@
 //!   deterministic logical clock ([`SpanClock`]) and folded-stack
 //!   flamegraph export;
 //! * [`json`] — a minimal parser for the emitted JSONL (round-trip tests,
-//!   offline tooling).
+//!   offline tooling);
+//! * [`decode`] — the one decoder every stream consumer shares: a live
+//!   [`Event`] or a parsed JSONL line in, a typed
+//!   [`TelemetryEvent`](decode::TelemetryEvent) out.
 //!
 //! # Event schema used by the workspace
 //!
@@ -32,10 +35,10 @@
 //! This file used to carry a hand-maintained table of the same facts; it
 //! drifted (it claimed a `degraded_slots` field the code never emitted),
 //! so the registry is now the single source of truth. `grefar-verify`'s
-//! `event-schema` pass statically checks every construction site and
-//! every consumer `match` against it (see DESIGN.md, "Correctness
-//! tooling"), and [`schema::synthesize`] lets consumers fixture-test
-//! their parsers against the declared contract.
+//! `event-schema` pass statically checks every construction site against
+//! it (see DESIGN.md, "Correctness tooling"), and [`decode`] turns events
+//! back into one typed variant per registered name, which its registry
+//! test checks against [`schema::synthesize`]d events.
 //!
 //! Timing fields are suffixed `_us` (microseconds); everything else is
 //! deterministic for a fixed seed, which the determinism suite asserts by
@@ -68,6 +71,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod decode;
 mod event;
 mod histogram;
 pub mod json;

@@ -11,12 +11,12 @@
 //! * [`EVENTS`] declares every event, its [`Channel`], and its
 //!   required/optional [`FieldSpec`]s;
 //! * `grefar-verify`'s `event-schema` static pass checks every
-//!   `Event::new("…")` construction site against it, and checks that the
-//!   fold/stream `match` arms cover it (see DESIGN.md, "Correctness
-//!   tooling");
-//! * [`synthesize`] builds a placeholder event straight from a schema so
-//!   consumers can fixture-test that their parsers accept exactly what
-//!   the registry declares.
+//!   `Event::new("…")` construction site against it (see DESIGN.md,
+//!   "Correctness tooling");
+//! * [`decode`](crate::decode) has one variant per telemetry entry, so
+//!   the fold and the report stream consume the same typed events; its
+//!   registry test decodes every entry, built by [`synthesize`], live and
+//!   from JSONL.
 //!
 //! Keep entries sorted by name within each channel; the registry's own
 //! unit tests enforce the structural invariants (unique sorted names,
@@ -493,9 +493,8 @@ fn placeholder(field: &FieldSpec) -> Value {
 /// field (and, when `include_optional`, every optional field) set to a
 /// deterministic dummy value of the declared kind.
 ///
-/// Consumers use this to prove, in fixture tests, that their parsers
-/// accept exactly what the registry declares — see
-/// `grefar-metrics`' and `grefar-report`'s registry-sync tests.
+/// The decoder's registry test uses this to prove that every declared
+/// event decodes (see [`decode`](crate::decode)).
 pub fn synthesize(schema: &EventSchema, include_optional: bool) -> Event {
     let mut event = Event::new(schema.name);
     for field in schema.required {

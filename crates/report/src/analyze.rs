@@ -332,10 +332,12 @@ fn analyze_run(run: &Run, bounds: Option<&BoundsEvent>) -> RunAnalysis {
     );
     let fw_gap_max = run.decides.iter().map(|d| d.fw_gap).fold(0.0f64, f64::max);
 
+    let slot_wall: Vec<f64> = run.slots.iter().map(|s| s.wall_us).collect();
+    let decide_wall: Vec<f64> = run.decides.iter().map(|d| d.wall_us).collect();
     let mut wall = Vec::new();
     for (phase, samples) in [
-        ("slot", &run.slot_wall_us),
-        ("decide", &run.decide_wall_us),
+        ("slot", &slot_wall),
+        ("decide", &decide_wall),
         ("lp.solve", &run.lp_wall_us),
     ] {
         if !samples.is_empty() {
@@ -713,13 +715,15 @@ mod tests {
             run.slots.push(SlotSample {
                 t: t as u64,
                 queue_total: qmax * 1.5,
+                queue_central: qmax,
+                queue_local: qmax * 0.5,
                 queue_max: qmax,
                 energy: cost,
                 fairness: 0.0,
                 arrivals: 5.0,
                 dropped: 0.0,
+                wall_us: 10.0 + t as f64,
             });
-            run.slot_wall_us.push(10.0 + t as f64);
             run.decides.push(DecideSample {
                 v,
                 beta: 0.0,
@@ -729,8 +733,8 @@ mod tests {
                 solver: "greedy".to_string(),
                 fw_iterations: 0,
                 fw_gap: 0.0,
+                wall_us: 5.0,
             });
-            run.decide_wall_us.push(5.0);
         }
         run
     }
@@ -832,11 +836,14 @@ mod tests {
             run.slots.push(SlotSample {
                 t,
                 queue_total: q(t) * 1.5,
+                queue_central: q(t),
+                queue_local: q(t) * 0.5,
                 queue_max: q(t),
                 energy: 1.0,
                 fairness: 0.0,
                 arrivals: 5.0,
                 dropped: 0.0,
+                wall_us: 1.0,
             });
         }
         run.faults.push(FaultSample {

@@ -1,246 +1,29 @@
 //! Parsing and segmentation of a GreFar JSONL telemetry stream.
 //!
 //! A stream (see the `grefar-obs` crate docs for the event schema) is a
-//! flat sequence of events; this module checks the wire-format version of
-//! every line, groups the events into per-run segments delimited by
-//! `run.start`/`run.end` (with optional `sweep.run` labels), and extracts
+//! flat sequence of events; this module decodes every line through
+//! [`grefar_obs::decode`] (which also checks its wire-format version),
+//! groups the events into per-run segments delimited by
+//! `run.start`/`run.end` (with optional `sweep.run` labels), and collects
 //! the typed samples the analyzers consume.
 
-use grefar_obs::json::{self, JsonValue};
-use std::collections::BTreeMap;
+use grefar_obs::decode::{self, TelemetryEvent};
+use grefar_obs::json;
 
-/// One parsed JSONL object.
-pub type JsonObject = BTreeMap<String, JsonValue>;
+pub use grefar_obs::decode::{
+    BoundsEvent, BreakerSample, DecideSample, DegradedSample, ExplainSample, FaultSample,
+    FeedFetchSample, LedgerSample, SlotSample, StaleSample,
+};
+pub use grefar_obs::json::JsonObject;
 
-/// Parses a JSONL document and validates the per-line `"schema"` field.
-///
-/// Lines without a `schema` field are accepted (streams written before the
-/// format was versioned); lines with `schema >` the supported
-/// [`grefar_obs::SCHEMA_VERSION`] are rejected — they were written by a
-/// newer, incompatible emitter.
+/// Parses a JSONL document and validates the per-line `"schema"` field
+/// (see [`decode::check_version`]).
 pub fn parse_versioned_lines(text: &str) -> Result<Vec<JsonObject>, String> {
     let events = json::parse_lines(text)?;
     for (idx, event) in events.iter().enumerate() {
-        if let Some(value) = event.get("schema") {
-            let version = value
-                .as_f64()
-                .ok_or_else(|| format!("event {}: non-numeric schema field", idx + 1))?;
-            if version < 0.0 || version.fract() > 0.0 {
-                return Err(format!(
-                    "event {}: invalid schema version {version}",
-                    idx + 1
-                ));
-            }
-            let version = version as u32;
-            if version > grefar_obs::SCHEMA_VERSION {
-                return Err(format!(
-                    "event {}: stream uses schema version {version}, but this \
-                     tool only understands versions up to {} — upgrade grefar-report",
-                    idx + 1,
-                    grefar_obs::SCHEMA_VERSION
-                ));
-            }
-        }
+        decode::check_version(event).map_err(|e| format!("event {}: {e}", idx + 1))?;
     }
     Ok(events)
-}
-
-/// One `slot` event's deterministic payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlotSample {
-    /// Slot index `t`.
-    pub t: u64,
-    /// Total backlog across all queues.
-    pub queue_total: f64,
-    /// Longest single queue this slot.
-    pub queue_max: f64,
-    /// Metered energy cost `e(t)`.
-    pub energy: f64,
-    /// Metered fairness score `f(t)`.
-    pub fairness: f64,
-    /// Jobs arriving this slot.
-    pub arrivals: f64,
-    /// Jobs dropped by admission control this slot.
-    pub dropped: f64,
-}
-
-/// One `grefar.decide` event's deterministic payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecideSample {
-    /// The cost-delay parameter `V`.
-    pub v: f64,
-    /// The energy-fairness parameter `β`.
-    pub beta: f64,
-    /// Value of the drift-plus-penalty objective (14).
-    pub objective: f64,
-    /// The queue-drift share of the objective.
-    pub drift: f64,
-    /// The `V·g(t)` penalty share of the objective.
-    pub penalty: f64,
-    /// Which solver produced the decision (`greedy` / `frank_wolfe`).
-    pub solver: String,
-    /// Frank–Wolfe iterations (0 for the greedy path).
-    pub fw_iterations: u64,
-    /// Final Frank–Wolfe duality gap (0 for the greedy path).
-    pub fw_gap: f64,
-}
-
-/// One `fault.inject` event — a fault window opening (emitted once, at the
-/// window's first slot).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSample {
-    /// Slot the event was emitted at (the window's first slot).
-    pub t: u64,
-    /// Fault kind label (`outage`, `collapse`, `spike`, `gap`, `burst`,
-    /// `squeeze`).
-    pub kind: String,
-    /// First slot of the fault window.
-    pub start: u64,
-    /// One past the last slot of the fault window.
-    pub end: u64,
-    /// Targeted data center, for DC-scoped faults.
-    pub dc: Option<u64>,
-}
-
-/// One `degraded.mode` event — the scheduler fell back or repaired a
-/// decision instead of failing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedSample {
-    /// Slot the degradation happened at.
-    pub t: u64,
-    /// Machine-readable reason (`solver_budget_exhausted`,
-    /// `infeasible_repaired`, `dc_offline`).
-    pub reason: String,
-    /// The data center involved, when the reason is DC-scoped.
-    pub dc: Option<u64>,
-}
-
-/// One `decision.explain` event — per-DC provenance of one drift-plus-
-/// penalty decision (eq. 14). The slot-wide fairness score and deficit
-/// counters ride on the DC-0 event only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplainSample {
-    /// The slot.
-    pub t: u64,
-    /// Data center index `i`.
-    pub dc: u64,
-    /// This DC's share of the drift term of (14).
-    pub drift: f64,
-    /// This DC's energy cost `e_i(t)`.
-    pub energy: f64,
-    /// Jobs routed to this DC, `Σ_j r_{i,j}`.
-    pub routed: f64,
-    /// Jobs processed at this DC, `Σ_j h_{i,j}`.
-    pub processed: f64,
-    /// Local backlog `Σ_j q_{i,j}(t)` before the decision.
-    pub backlog: f64,
-    /// Work scheduled, `Σ_j h_{i,j}·d_j` (LHS of constraint (11)).
-    pub busy: f64,
-    /// Work capacity `Σ_k n_{i,k}·s_k` (RHS of constraint (11)).
-    pub capacity: f64,
-    /// Slot-wide fairness score `f(t)` (DC-0 event only).
-    pub fairness: Option<f64>,
-    /// Comma-joined per-account deficits `γ_m − x_m` (DC-0 event only).
-    pub deficits: Option<String>,
-    /// Machine reason when a fallback overrode the solver for this DC or
-    /// the whole slot.
-    pub reason: Option<String>,
-}
-
-/// One `feed.fetch` event — a poll that failed or needed retries (clean
-/// single-attempt fetches stay silent, so these samples *are* the feed
-/// layer's retry/failure activity).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeedFetchSample {
-    /// Slot of the poll.
-    pub t: u64,
-    /// Feed kind label (`price`, `avail`, `arrivals`).
-    pub feed: String,
-    /// Targeted data center, for per-DC feeds.
-    pub dc: Option<u64>,
-    /// `ok` (arrived after retries) or `fail`.
-    pub outcome: String,
-    /// Fetch attempts spent (0 when the breaker skipped the poll).
-    pub attempts: u64,
-    /// Failure reason (`timeout`, `dropped`, `breaker_open`,
-    /// `retries_exhausted`, `deadline`, `quarantined`), absent on `ok`.
-    pub reason: Option<String>,
-}
-
-/// One `feed.breaker` event — a circuit-breaker state transition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BreakerSample {
-    /// Slot of the transition.
-    pub t: u64,
-    /// Feed kind label.
-    pub feed: String,
-    /// Targeted data center, for per-DC feeds.
-    pub dc: Option<u64>,
-    /// State left (`closed`, `open`, `half_open`).
-    pub from: String,
-    /// State entered.
-    pub to: String,
-}
-
-/// One `state.stale` event — a slot scheduled on a not-fully-fresh
-/// estimate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StaleSample {
-    /// The slot.
-    pub t: u64,
-    /// Number of estimated fields that were not fresh.
-    pub stale_fields: u64,
-    /// Largest estimate age (slots) across all fields.
-    pub max_age: u64,
-    /// Mean absolute error of the estimated prices vs the truth.
-    pub price_mae: f64,
-}
-
-/// One `soak.ledger` event — the per-slot job-conservation ledger state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LedgerSample {
-    /// The slot.
-    pub t: u64,
-    /// Jobs offered (pre-admission-control) so far.
-    pub offered: f64,
-    /// Jobs admitted so far.
-    pub admitted: f64,
-    /// Jobs dropped by admission control so far.
-    pub dropped: f64,
-    /// Effective service so far.
-    pub served: f64,
-    /// Phantom work minted by over-routing so far.
-    pub route_excess: f64,
-    /// The realized queue total this slot.
-    pub queued: f64,
-    /// The signed conservation balance (zero up to accumulation on a
-    /// healthy run).
-    pub balance: f64,
-}
-
-/// Theorem 1 bounds attached to one labeled run (a `theory.bounds` event).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundsEvent {
-    /// The run label the bounds apply to.
-    pub label: String,
-    /// The GreFar operating point.
-    pub v: f64,
-    /// The energy-fairness parameter.
-    pub beta: f64,
-    /// The certified slackness `δ` of (20)–(22).
-    pub delta: f64,
-    /// Theorem 1(a): the queue bound `V·C3/δ` of (23).
-    pub queue_bound: f64,
-    /// Theorem 1(b): the gap bound `(B + D(T−1))/V` of (24).
-    pub cost_gap_bound: f64,
-    /// The frame length `T` the gap bound is stated against.
-    pub frame: u64,
-    /// Admissible staleness the run was certified against, when it ran
-    /// behind an unreliable feed layer.
-    pub stale_slots: Option<u64>,
-    /// The degraded Theorem 1(a) bound `queue_bound + stale_slots·q^max`
-    /// (an engineering corollary; present iff `stale_slots` is).
-    pub stale_queue_bound: Option<f64>,
 }
 
 /// One simulation run's telemetry: the events between a `run.start` and its
@@ -260,10 +43,6 @@ pub struct Run {
     /// `decision.explain` provenance events, in stream order (N per
     /// decided slot, one per data center).
     pub explains: Vec<ExplainSample>,
-    /// `wall_us` of every `slot` event.
-    pub slot_wall_us: Vec<f64>,
-    /// `wall_us` of every `grefar.decide` event.
-    pub decide_wall_us: Vec<f64>,
     /// `wall_us` of every `lp.solve` event.
     pub lp_wall_us: Vec<f64>,
     /// Simplex pivot counts (phase 1 + phase 2) of every `lp.solve` event.
@@ -311,235 +90,114 @@ pub struct TelemetryStream {
     pub total_events: usize,
 }
 
-fn number(event: &JsonObject, key: &str, idx: usize) -> Result<f64, String> {
-    event
-        .get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("event {}: missing numeric field {key:?}", idx + 1))
-}
-
-fn opt_number(event: &JsonObject, key: &str) -> Option<f64> {
-    event.get(key).and_then(JsonValue::as_f64)
-}
-
-fn string(event: &JsonObject, key: &str, idx: usize) -> Result<String, String> {
-    event
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("event {}: missing string field {key:?}", idx + 1))
-}
-
 impl TelemetryStream {
     /// Parses and segments a JSONL document.
     ///
     /// Unknown event names are skipped (they are additive within a schema
     /// version); structurally impossible sequences (samples outside any
-    /// run) are errors.
+    /// run) are errors. Every decoded event has its own arm: the lints
+    /// below forbid a wildcard, as in the metrics fold.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn parse(text: &str) -> Result<Self, String> {
-        let events = parse_versioned_lines(text)?;
-        let total_events = events.len();
+        use TelemetryEvent as E;
+        let objects = json::parse_lines(text)?;
+        let total_events = objects.len();
         let mut runs: Vec<Run> = Vec::new();
         let mut bounds = Vec::new();
         let mut pending_label: Option<String> = None;
         let mut in_run = false;
 
-        for (idx, event) in events.iter().enumerate() {
-            let name = string(event, "event", idx)?;
-            // Events that may appear outside a run segment:
-            // verify: match-events(telemetry)
-            match name.as_str() {
-                "sweep.run" => {
-                    pending_label = Some(string(event, "label", idx)?);
-                    continue;
-                }
-                "theory.bounds" => {
-                    bounds.push(BoundsEvent {
-                        label: string(event, "label", idx)?,
-                        v: number(event, "v", idx)?,
-                        beta: number(event, "beta", idx)?,
-                        delta: number(event, "delta", idx)?,
-                        queue_bound: number(event, "queue_bound", idx)?,
-                        cost_gap_bound: number(event, "cost_gap_bound", idx)?,
-                        frame: number(event, "frame", idx)? as u64,
-                        stale_slots: opt_number(event, "stale_slots").map(|s| s as u64),
-                        stale_queue_bound: opt_number(event, "stale_queue_bound"),
-                    });
-                    continue;
-                }
-                "run.start" => {
+        for (idx, object) in objects.iter().enumerate() {
+            let event =
+                TelemetryEvent::from_json(object).map_err(|e| format!("event {}: {e}", idx + 1))?;
+            // Additive events from the same schema version.
+            let Some(event) = event else { continue };
+            let name = event.name();
+            let outside = || {
+                format!(
+                    "event {}: {name:?} outside any run (no preceding run.start)",
+                    idx + 1
+                )
+            };
+            let run = runs.last_mut().filter(|_| in_run);
+            match event {
+                // Events that may appear outside a run segment.
+                E::SweepRun(label) => pending_label = Some(label),
+                E::TheoryBounds(event) => bounds.push(event),
+                E::RunStart { scheduler, horizon } => {
                     runs.push(Run {
                         label: pending_label.take(),
-                        scheduler: string(event, "scheduler", idx)?,
-                        horizon: number(event, "horizon", idx)? as u64,
+                        scheduler,
+                        horizon,
                         ..Run::default()
                     });
                     in_run = true;
-                    continue;
                 }
                 // Post-run trailers: the span profiler flushes after
                 // `run.end`, and the metrics layer's final `health.snapshot`
                 // lands there too. Alert transitions are fold policy, not
                 // run samples — `grefar-report alerts` replays them through
                 // the metrics fold instead.
-                "profile.span" | "health.snapshot" | "alert.fire" | "alert.resolve" => continue,
+                E::ProfileSpan | E::HealthSnapshot | E::AlertFire(_) | E::AlertResolve(_) => {}
                 // The daemon's service plane: lifecycle brackets, supervisor
                 // restarts, admission decisions and checkpoint-recovery
                 // notes all land outside any run (before `run.start`, after
                 // `run.end`, or between resumed segments). The analytics
                 // don't consume them — `grefar-report diff` filters them as
                 // policy events, and the metrics fold counts them.
-                "served.start"
-                | "served.stop"
-                | "served.restart"
-                | "admission.accept"
-                | "admission.reject"
-                | "checkpoint.truncated" => continue,
-                _ => {}
-            }
-            let run = match runs.last_mut() {
-                Some(run) if in_run => run,
-                _ => {
-                    return Err(format!(
-                        "event {}: {name:?} outside any run (no preceding run.start)",
-                        idx + 1
-                    ))
+                E::ServedStart
+                | E::ServedStop
+                | E::ServedRestart(_)
+                | E::AdmissionAccept
+                | E::AdmissionReject(_)
+                | E::CheckpointTruncated => {}
+                // Samples that belong to the open run.
+                E::Slot(sample) => run.ok_or_else(outside)?.slots.push(sample),
+                E::GrefarDecide(mut sample) => {
+                    let run = run.ok_or_else(outside)?;
+                    // The greedy path reports gap 0; nulls (serialized NaN)
+                    // default to 0 too.
+                    if sample.fw_gap.is_nan() {
+                        sample.fw_gap = 0.0;
+                    }
+                    run.decides.push(sample);
                 }
-            };
-            // verify: match-events(telemetry)
-            match name.as_str() {
-                "slot" => {
-                    run.slots.push(SlotSample {
-                        t: number(event, "t", idx)? as u64,
-                        queue_total: number(event, "queue_central", idx)?
-                            + number(event, "queue_local", idx)?,
-                        queue_max: number(event, "queue_max", idx)?,
-                        energy: number(event, "energy", idx)?,
-                        fairness: number(event, "fairness", idx)?,
-                        arrivals: number(event, "arrivals", idx)?,
-                        dropped: number(event, "dropped", idx)?,
-                    });
-                    run.slot_wall_us.push(number(event, "wall_us", idx)?);
+                E::DecisionExplain(sample) => run.ok_or_else(outside)?.explains.push(sample),
+                E::LpSolve { pivots, wall_us } => {
+                    let run = run.ok_or_else(outside)?;
+                    run.lp_wall_us.push(wall_us);
+                    run.lp_pivots.push(pivots);
                 }
-                "grefar.decide" => {
-                    run.decides.push(DecideSample {
-                        v: number(event, "v", idx)?,
-                        beta: number(event, "beta", idx)?,
-                        objective: number(event, "objective", idx)?,
-                        drift: number(event, "drift", idx)?,
-                        penalty: number(event, "penalty", idx)?,
-                        solver: string(event, "solver", idx)?,
-                        fw_iterations: number(event, "fw_iterations", idx)? as u64,
-                        // The greedy path reports gap 0; nulls (serialized
-                        // NaN) read back as absent and default to 0 too.
-                        fw_gap: number(event, "fw_gap", idx).unwrap_or(0.0),
-                    });
-                    run.decide_wall_us.push(number(event, "wall_us", idx)?);
-                }
-                "decision.explain" => {
-                    run.explains.push(ExplainSample {
-                        t: number(event, "t", idx)? as u64,
-                        dc: number(event, "dc", idx)? as u64,
-                        drift: number(event, "drift", idx)?,
-                        energy: number(event, "energy", idx)?,
-                        routed: number(event, "routed", idx)?,
-                        processed: number(event, "processed", idx)?,
-                        backlog: number(event, "backlog", idx)?,
-                        busy: number(event, "busy", idx)?,
-                        capacity: number(event, "capacity", idx)?,
-                        fairness: opt_number(event, "fairness"),
-                        deficits: event
-                            .get("deficits")
-                            .and_then(JsonValue::as_str)
-                            .map(str::to_string),
-                        reason: event
-                            .get("reason")
-                            .and_then(JsonValue::as_str)
-                            .map(str::to_string),
-                    });
-                }
-                "lp.solve" => {
-                    run.lp_wall_us.push(number(event, "wall_us", idx)?);
-                    run.lp_pivots.push(
-                        number(event, "pivots_phase1", idx)? + number(event, "pivots_phase2", idx)?,
-                    );
-                }
-                "run.end" => {
-                    run.completed = Some(number(event, "completed", idx)?);
-                    run.dropped = Some(number(event, "dropped", idx)?);
-                    run.run_wall_us = Some(number(event, "wall_us", idx)?);
+                E::RunEnd {
+                    completed,
+                    dropped,
+                    wall_us,
+                } => {
+                    let run = run.ok_or_else(outside)?;
+                    run.completed = Some(completed);
+                    run.dropped = Some(dropped);
+                    run.run_wall_us = Some(wall_us);
                     in_run = false;
                 }
-                "invariant.violation" => run.invariant_violations += 1,
-                "fault.inject" => {
-                    run.faults.push(FaultSample {
-                        t: number(event, "t", idx)? as u64,
-                        kind: string(event, "kind", idx)?,
-                        start: number(event, "start", idx)? as u64,
-                        end: number(event, "end", idx)? as u64,
-                        dc: opt_number(event, "dc").map(|d| d as u64),
-                    });
-                }
-                "degraded.mode" => {
-                    run.degraded.push(DegradedSample {
-                        t: number(event, "t", idx)? as u64,
-                        reason: string(event, "reason", idx)?,
-                        dc: opt_number(event, "dc").map(|d| d as u64),
-                    });
-                }
-                "feed.fetch" => {
-                    run.feed_fetches.push(FeedFetchSample {
-                        t: number(event, "t", idx)? as u64,
-                        feed: string(event, "feed", idx)?,
-                        dc: opt_number(event, "dc").map(|d| d as u64),
-                        outcome: string(event, "outcome", idx)?,
-                        attempts: number(event, "attempts", idx)? as u64,
-                        reason: event
-                            .get("reason")
-                            .and_then(JsonValue::as_str)
-                            .map(str::to_string),
-                    });
-                }
-                "feed.breaker" => {
-                    run.feed_breakers.push(BreakerSample {
-                        t: number(event, "t", idx)? as u64,
-                        feed: string(event, "feed", idx)?,
-                        dc: opt_number(event, "dc").map(|d| d as u64),
-                        from: string(event, "from", idx)?,
-                        to: string(event, "to", idx)?,
-                    });
-                }
-                "feed.quarantine" => {
-                    run.feed_quarantined.push((
-                        number(event, "t", idx)? as u64,
-                        string(event, "feed", idx)?,
-                        string(event, "reason", idx)?,
-                    ));
-                }
-                "state.stale" => {
-                    run.stale.push(StaleSample {
-                        t: number(event, "t", idx)? as u64,
-                        stale_fields: number(event, "stale_fields", idx)? as u64,
-                        max_age: number(event, "max_age", idx)? as u64,
-                        price_mae: number(event, "price_mae", idx)?,
-                    });
-                }
-                "soak.ledger" => {
-                    run.ledger.push(LedgerSample {
-                        t: number(event, "t", idx)? as u64,
-                        offered: number(event, "offered", idx)?,
-                        admitted: number(event, "admitted", idx)?,
-                        dropped: number(event, "dropped", idx)?,
-                        served: number(event, "served", idx)?,
-                        route_excess: number(event, "route_excess", idx)?,
-                        queued: number(event, "queued", idx)?,
-                        balance: number(event, "balance", idx)?,
-                    });
-                }
+                E::InvariantViolation(_) => run.ok_or_else(outside)?.invariant_violations += 1,
+                E::FaultInject(sample) => run.ok_or_else(outside)?.faults.push(sample),
+                E::DegradedMode(sample) => run.ok_or_else(outside)?.degraded.push(sample),
+                E::FeedFetch(sample) => run.ok_or_else(outside)?.feed_fetches.push(sample),
+                E::FeedBreaker(sample) => run.ok_or_else(outside)?.feed_breakers.push(sample),
+                E::FeedQuarantine { t, feed, reason } => run
+                    .ok_or_else(outside)?
+                    .feed_quarantined
+                    .push((t, feed, reason)),
+                E::StateStale(sample) => run.ok_or_else(outside)?.stale.push(sample),
+                E::SoakLedger(sample) => run.ok_or_else(outside)?.ledger.push(sample),
                 // Run-policy bookkeeping; the analytics don't consume it
                 // (checkpoint age is the metrics fold's concern).
-                "checkpoint.write" => {}
-                _ => {} // additive events from the same schema version
+                E::CheckpointWrite(_) => {
+                    run.ok_or_else(outside)?;
+                }
             }
         }
         Ok(TelemetryStream {
@@ -632,53 +290,6 @@ mod tests {
                 .field("wall_us", 55_u64),
         );
         String::from_utf8(sink.into_inner()).unwrap()
-    }
-
-    /// Registry-sync fixture: a stream synthesized from the telemetry
-    /// registry — every event, all declared fields — parses without
-    /// error, and each in-run event lands in its sample vector. Together
-    /// with the verifier's `event-schema` match-coverage check this
-    /// proves the parser and the registry cannot drift apart.
-    #[test]
-    fn registry_synthesized_stream_parses() {
-        use grefar_obs::schema::{self, Channel};
-        let pre_run = ["sweep.run", "theory.bounds", "run.start"];
-        let mut text = String::new();
-        let mut push = |name: &str| {
-            let sch = schema::lookup(name).expect("registered");
-            text.push_str(&schema::synthesize(sch, true).to_json_with_schema(1));
-            text.push('\n');
-        };
-        for name in pre_run {
-            push(name);
-        }
-        for name in schema::names(Channel::Telemetry) {
-            if !pre_run.contains(&name) && name != "run.end" {
-                push(name);
-            }
-        }
-        push("run.end");
-
-        let stream = TelemetryStream::parse(&text).unwrap();
-        assert_eq!(
-            stream.total_events,
-            schema::names(Channel::Telemetry).count()
-        );
-        assert_eq!(stream.runs.len(), 1);
-        assert_eq!(stream.bounds.len(), 1);
-        let run = &stream.runs[0];
-        assert_eq!(run.slots.len(), 1);
-        assert_eq!(run.decides.len(), 1);
-        assert_eq!(run.explains.len(), 1);
-        assert_eq!(run.lp_wall_us.len(), 1);
-        assert_eq!(run.faults.len(), 1);
-        assert_eq!(run.degraded.len(), 1);
-        assert_eq!(run.feed_fetches.len(), 1);
-        assert_eq!(run.feed_breakers.len(), 1);
-        assert_eq!(run.feed_quarantined.len(), 1);
-        assert_eq!(run.stale.len(), 1);
-        assert_eq!(run.invariant_violations, 1);
-        assert!(run.completed.is_some());
     }
 
     #[test]
@@ -880,7 +491,10 @@ mod tests {
 
     #[test]
     fn samples_outside_a_run_are_an_error() {
-        let err = TelemetryStream::parse("{\"event\":\"slot\",\"t\":0}\n").unwrap_err();
+        let slot = "{\"event\":\"slot\",\"t\":0,\"queue_central\":1,\"queue_local\":1,\
+                    \"queue_max\":1,\"energy\":1,\"fairness\":0,\"arrivals\":1,\"dropped\":0,\
+                    \"wall_us\":1}\n";
+        let err = TelemetryStream::parse(slot).unwrap_err();
         assert!(err.contains("outside any run"), "{err}");
     }
 }

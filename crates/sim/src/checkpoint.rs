@@ -497,9 +497,7 @@ impl Checkpoint {
         let mut saw_ledger = false;
         for (idx, obj) in parsed.iter().enumerate().skip(1).take(parsed.len() - 2) {
             let lineno = idx + 1;
-            // verify: match-events(checkpoint, partial)
-            // (header/footer are consumed by the framing loop above, not
-            // by this per-line dispatch.)
+            // The header and footer are consumed by the framing loop above.
             match event_name(obj) {
                 Some("ckpt.ledger") => {
                     out.ledger = LedgerSnapshot {

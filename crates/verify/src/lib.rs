@@ -19,7 +19,7 @@
 //!   `no-panic` (plus a strict variant that also bans subscripts),
 //!   `errors-doc`. These see one cleaned file at a time.
 //! * **Cross-file passes** ([`passes`]): `event-schema` (construction
-//!   sites and consumer `match`es vs. [`grefar_obs::schema::EVENTS`]),
+//!   sites vs. [`grefar_obs::schema::EVENTS`]),
 //!   `hot-path-alloc` (no heap allocation in the per-slot call tree),
 //!   and `deps-audit` (lockfile duplicates, unused manifest entries).
 //!   These see a whole [`model::Workspace`].
@@ -28,8 +28,7 @@
 //! warnings fail under `--deny-warnings` (which `scripts/check.sh`
 //! passes). See [`scanner`] for the lexical preprocessing
 //! (comment/string blanking, `#[cfg(test)]` detection, and the
-//! `verify: allow(<rule>): <justification>` / `verify:
-//! match-events(<channel>[, partial])` directives) and [`tokens`] for
+//! `verify: allow(<rule>): <justification>` directive) and [`tokens`] for
 //! the token stream the passes pattern-match against.
 //!
 //! The library half exists so every rule and pass is testable against
@@ -53,7 +52,7 @@ pub use rules::{
     check_no_panic_strict, Violation, RULE_DEPS_AUDIT, RULE_DETERMINISM, RULE_DIRECTIVE,
     RULE_ERRORS_DOC, RULE_EVENT_SCHEMA, RULE_FLOAT_EQ, RULE_HOT_PATH_ALLOC, RULE_NO_PANIC,
 };
-pub use scanner::{clean, CleanedSource, MatchEvents};
+pub use scanner::{clean, CleanedSource};
 
 /// Runs the named per-line rules over one file's source, returning
 /// violations (including malformed suppression directives).

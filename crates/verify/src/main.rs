@@ -249,11 +249,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        for rel in event_schema::REQUIRED_MATCH_FILES {
-            if !all_paths.contains(rel) {
-                all_paths.push(rel);
-            }
-        }
         let (ws, io_errors) = Workspace::load(&root, &all_paths);
         files_scanned = ws.files.len();
         for err in io_errors {

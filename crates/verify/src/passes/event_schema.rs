@@ -1,70 +1,36 @@
 //! The `event-schema` pass: the telemetry contract as a compile gate.
 //!
 //! The [`grefar_obs::schema::EVENTS`] registry declares every event name
-//! and its required/optional fields. This pass holds the workspace to it
-//! from both ends:
+//! and its required/optional fields. This pass holds every emission site
+//! to it: each `Event::new("…")` in the emit scope must use a registered
+//! name, set no undeclared field, and set every required field at least
+//! once on some path. Field keys are collected from the builder chain
+//! *and*, when the event is bound to a variable
+//! (`let mut event = Event::new(…)`), from every later
+//! `event.field("…", …)` / `event = event.field(…)` in the enclosing
+//! function — so conditionally-attached fields count (they must be
+//! declared `optional`). Sites with non-literal names or computed keys are
+//! skipped.
 //!
-//! * **Emission sites** — every `Event::new("…")` in the emit scope must
-//!   use a registered name, set no undeclared field, and set every
-//!   required field at least once on some path. Field keys are collected
-//!   from the builder chain *and*, when the event is bound to a variable
-//!   (`let mut event = Event::new(…)`), from every later
-//!   `event.field("…", …)` / `event = event.field(…)` in the enclosing
-//!   function — so conditionally-attached fields count (they must be
-//!   declared `optional`). Sites with non-literal names or computed keys
-//!   are skipped statically; the `synthesize`-based fixture tests cover
-//!   them at runtime.
-//! * **Consumer matches** — a `match` annotated with
-//!   `// verify: match-events(<channel>[, partial])` must use only
-//!   registered names in its string arms, and per file the union of all
-//!   annotated arms must cover the channel's full registry (waived only
-//!   when every annotation in the file is `partial`). The metrics fold
-//!   and the report stream parser are *required* to carry a `telemetry`
-//!   annotation — deleting the comment is itself a finding — which makes
-//!   the live/offline fold identity a static guarantee, not a hope.
+//! The consumer side needs no pass: the metrics fold and the report
+//! stream both `match` on [`grefar_obs::decode::TelemetryEvent`], which
+//! has one variant per registered telemetry event, and both deny wildcard
+//! arms through clippy, so the compiler checks coverage.
 
-use grefar_obs::schema::{self, Channel};
+use grefar_obs::schema;
 
 use crate::findings::{Finding, Severity};
 use crate::model::{FileModel, Workspace};
 use crate::rules::RULE_EVENT_SCHEMA;
 use crate::tokens::{Token, TokenKind};
 
-/// Files that must carry at least one non-`partial`
-/// `match-events(telemetry)` annotation: the two consumers whose arm
-/// coverage *is* the live/offline fold identity.
-pub const REQUIRED_MATCH_FILES: &[&str] =
-    &["crates/metrics/src/fold.rs", "crates/report/src/stream.rs"];
-
-/// Runs the pass. `emit_scope` lists workspace-relative directories (or
-/// `.rs` files) whose construction sites are checked; match annotations
-/// are honored in every loaded file.
+/// Runs the pass over the construction sites in `emit_scope`
+/// (workspace-relative directories or `.rs` files).
 pub fn check(ws: &Workspace, emit_scope: &[&str]) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in &ws.files {
         if in_scope(&file.rel, emit_scope) {
             check_emissions(file, &mut out);
-        }
-        check_matches(file, &mut out);
-    }
-    for rel in REQUIRED_MATCH_FILES {
-        let ok = ws.file(rel).is_some_and(|f| {
-            f.cleaned
-                .match_events
-                .iter()
-                .any(|m| m.channel == "telemetry" && !m.partial)
-        });
-        if !ok {
-            out.push(Finding {
-                file: (*rel).to_string(),
-                line: 0,
-                rule: RULE_EVENT_SCHEMA,
-                severity: Severity::Error,
-                message: "this consumer must annotate its event match with \
-                          `// verify: match-events(telemetry)` (full coverage); \
-                          the annotation is load-bearing — do not delete it"
-                    .to_string(),
-            });
         }
     }
     out
@@ -238,165 +204,6 @@ fn check_emissions(file: &FileModel, out: &mut Vec<Finding>) {
     }
 }
 
-fn check_matches(file: &FileModel, out: &mut Vec<Finding>) {
-    // Per-channel arm unions and partial-ness across the file.
-    let mut telemetry: (Vec<String>, bool, bool) = (Vec::new(), true, false); // (arms, all_partial, any)
-    let mut checkpoint: (Vec<String>, bool, bool) = (Vec::new(), true, false);
-
-    for directive in &file.cleaned.match_events {
-        let channel = match directive.channel.as_str() {
-            "telemetry" => Channel::Telemetry,
-            "checkpoint" => Channel::Checkpoint,
-            other => {
-                out.push(Finding {
-                    file: file.rel.clone(),
-                    line: directive.line,
-                    rule: RULE_EVENT_SCHEMA,
-                    severity: Severity::Error,
-                    message: format!(
-                        "match-events names unknown channel `{other}` \
-                         (expected `telemetry` or `checkpoint`)"
-                    ),
-                });
-                continue;
-            }
-        };
-        let Some(arms) = collect_match_arms(&file.tokens, directive.line) else {
-            out.push(Finding {
-                file: file.rel.clone(),
-                line: directive.line,
-                rule: RULE_EVENT_SCHEMA,
-                severity: Severity::Error,
-                message: "match-events annotation is not followed by a `match` \
-                          within 10 lines"
-                    .to_string(),
-            });
-            continue;
-        };
-        for arm in &arms {
-            let registered = schema::lookup(arm).is_some_and(|s| s.channel == channel);
-            if !registered {
-                out.push(Finding {
-                    file: file.rel.clone(),
-                    line: directive.line,
-                    rule: RULE_EVENT_SCHEMA,
-                    severity: Severity::Error,
-                    message: format!(
-                        "match arm `\"{arm}\"` is not a registered {} event",
-                        directive.channel
-                    ),
-                });
-            }
-        }
-        let slot = match channel {
-            Channel::Telemetry => &mut telemetry,
-            Channel::Checkpoint => &mut checkpoint,
-        };
-        slot.0.extend(arms);
-        slot.1 &= directive.partial;
-        slot.2 = true;
-    }
-
-    for (channel, label, (arms, all_partial, any)) in [
-        (Channel::Telemetry, "telemetry", telemetry),
-        (Channel::Checkpoint, "checkpoint", checkpoint),
-    ] {
-        if !any || all_partial {
-            continue;
-        }
-        for name in schema::names(channel) {
-            if !arms.iter().any(|a| a == name) {
-                out.push(Finding {
-                    file: file.rel.clone(),
-                    line: 0,
-                    rule: RULE_EVENT_SCHEMA,
-                    severity: Severity::Error,
-                    message: format!(
-                        "annotated {label} match arms do not cover registered \
-                         event `{name}`; add an arm (an explicit no-op is fine) \
-                         or mark every annotation `partial`"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Finds the `match` following the annotation line and returns the string
-/// literals appearing in its arm *patterns* (guards and arm bodies are
-/// skipped). `None` when no `match` starts within 10 lines.
-fn collect_match_arms(toks: &[Token], directive_line: usize) -> Option<Vec<String>> {
-    let mi = toks.iter().position(|t| {
-        t.kind == TokenKind::Ident
-            && t.text == "match"
-            && t.line >= directive_line
-            && t.line <= directive_line + 10
-    })?;
-    // The match body: first `{` after the scrutinee (the scrutinee itself
-    // cannot contain braces in the shapes we annotate).
-    let open = (mi..toks.len()).find(|&j| toks[j].is_punct('{'))?;
-
-    #[derive(PartialEq)]
-    enum Mode {
-        Pattern,
-        Guard,
-        Expr { block: bool },
-    }
-    let mut arms = Vec::new();
-    let mut mode = Mode::Pattern;
-    let mut depth = 1i32; // inside the match braces
-    let mut j = open + 1;
-    while j < toks.len() && depth > 0 {
-        let t = &toks[j];
-        let opening = t.is_punct('{') || t.is_punct('(') || t.is_punct('[');
-        let closing = t.is_punct('}') || t.is_punct(')') || t.is_punct(']');
-        if opening {
-            depth += 1;
-        } else if closing {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        match mode {
-            Mode::Pattern => {
-                if t.kind == TokenKind::Str {
-                    arms.push(t.text.clone());
-                } else if t.is_ident("if") && depth == 1 {
-                    mode = Mode::Guard;
-                } else if t.is_punct('=')
-                    && depth == 1
-                    && toks.get(j + 1).is_some_and(|n| n.is_punct('>'))
-                {
-                    let block = toks.get(j + 2).is_some_and(|n| n.is_punct('{'));
-                    mode = Mode::Expr { block };
-                    j += 1; // consume the '>'
-                }
-            }
-            Mode::Guard => {
-                if t.is_punct('=') && depth == 1 && toks.get(j + 1).is_some_and(|n| n.is_punct('>'))
-                {
-                    let block = toks.get(j + 2).is_some_and(|n| n.is_punct('{'));
-                    mode = Mode::Expr { block };
-                    j += 1;
-                }
-            }
-            Mode::Expr { block } => {
-                if block {
-                    // The block's own '}' returns depth to 1.
-                    if closing && depth == 1 {
-                        mode = Mode::Pattern;
-                    }
-                } else if t.is_punct(',') && depth == 1 {
-                    mode = Mode::Pattern;
-                }
-            }
-        }
-        j += 1;
-    }
-    Some(arms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,9 +216,6 @@ mod tests {
     fn check_one(file: FileModel) -> Vec<Finding> {
         let ws = Workspace { files: vec![file] };
         check(&ws, &["crates"])
-            .into_iter()
-            .filter(|f| f.line != 0 || !f.message.contains("load-bearing"))
-            .collect()
     }
 
     #[test]
@@ -466,84 +270,5 @@ fn emit(dc: Option<u64>) -> Event {
         let src = "#[cfg(test)]\nmod tests {\n    fn f() { let e = Event::new(\"bogus\"); }\n}\n";
         let f = check_one(model("crates/sim/src/x.rs", src));
         assert_eq!(f, vec![], "{f:?}");
-    }
-
-    #[test]
-    fn match_arms_checked_against_channel() {
-        let src = r#"
-fn fold(name: &str) {
-    // verify: match-events(checkpoint, partial)
-    match name {
-        "ckpt.header" | "ckpt.end" => {}
-        "not.registered" => {}
-        other if other.is_empty() => {}
-        _ => {}
-    }
-}
-"#;
-        let f = check_one(model("crates/sim/src/x.rs", src));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("not.registered"));
-    }
-
-    #[test]
-    fn full_coverage_is_required_unless_partial() {
-        let src = r#"
-fn fold(name: &str) {
-    // verify: match-events(checkpoint)
-    match name {
-        "ckpt.header" => {}
-        _ => {}
-    }
-}
-"#;
-        let f = check_one(model("crates/sim/src/x.rs", src));
-        assert!(
-            f.iter().any(|x| x
-                .message
-                .contains("do not cover registered event `ckpt.end`")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn coverage_unions_across_matches_in_a_file() {
-        // Every checkpoint event split across two annotated matches.
-        let src = r#"
-fn pre(name: &str) {
-    // verify: match-events(checkpoint)
-    match name {
-        "ckpt.header" | "ckpt.end" | "ckpt.queues" => {}
-        _ => {}
-    }
-}
-fn body(name: &str) {
-    // verify: match-events(checkpoint)
-    match name {
-        "ckpt.central_jobs" => { let x = 1; }
-        "ckpt.local_jobs" | "ckpt.local_queues" => {}
-        "ckpt.series" => {}
-        "ckpt.tracker_dc" => {}
-        "ckpt.ledger" => {}
-        _ => {}
-    }
-}
-"#;
-        let f = check_one(model("crates/sim/src/x.rs", src));
-        assert_eq!(f, vec![], "{f:?}");
-    }
-
-    #[test]
-    fn required_consumers_must_be_annotated() {
-        let ws = Workspace {
-            files: vec![model("crates/metrics/src/fold.rs", "fn x() {}\n")],
-        };
-        let f = check(&ws, &[]);
-        assert!(
-            f.iter().any(
-                |x| x.file.contains("fold.rs") && x.message.contains("match-events(telemetry)")
-            ),
-            "{f:?}"
-        );
     }
 }

@@ -5,9 +5,8 @@
 //! manifests) at once and returns file-attributed
 //! [`Finding`](crate::findings::Finding)s:
 //!
-//! * [`event_schema`] — every telemetry construction site and every
-//!   annotated consumer `match` agrees with the
-//!   [`grefar_obs::schema::EVENTS`] registry;
+//! * [`event_schema`] — every telemetry construction site agrees with
+//!   the [`grefar_obs::schema::EVENTS`] registry;
 //! * [`hot_path_alloc`] — no heap allocation in the per-slot call tree;
 //! * [`deps_audit`] — duplicate crate versions in `Cargo.lock` and
 //!   declared-but-unused dependencies in crate manifests.

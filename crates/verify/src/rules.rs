@@ -28,8 +28,8 @@ pub const RULE_FLOAT_EQ: &str = "float-eq";
 pub const RULE_NO_PANIC: &str = "no-panic";
 /// Rule name: `# Errors` / `# Panics` doc sections on `pub fn`s.
 pub const RULE_ERRORS_DOC: &str = "errors-doc";
-/// Rule name: telemetry emission sites and consumer matches agree with
-/// the `grefar_obs::schema` registry (see `passes::event_schema`).
+/// Rule name: telemetry emission sites agree with the
+/// `grefar_obs::schema` registry (see `passes::event_schema`).
 pub const RULE_EVENT_SCHEMA: &str = "event-schema";
 /// Rule name: no heap allocation in the per-slot call tree (see
 /// `passes::hot_path_alloc`).
@@ -437,8 +437,7 @@ pub fn check_directives(src: &CleanedSource) -> Vec<Violation> {
             line,
             rule: RULE_DIRECTIVE,
             severity: Severity::Error,
-            message: "malformed directive; expected `verify: allow(<rule>): <justification>` \
-                      or `verify: match-events(<channel>[, partial])`"
+            message: "malformed directive; expected `verify: allow(<rule>): <justification>`"
                 .to_string(),
         })
         .collect()

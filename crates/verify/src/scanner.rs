@@ -23,21 +23,6 @@ pub struct Allow {
     pub line: usize,
 }
 
-/// One `verify: match-events(<channel>[, partial])` annotation: the next
-/// `match` below it claims to cover the named registry channel. The
-/// `event-schema` pass checks the claim (unknown arms are always errors;
-/// completeness is waived per-file only when every annotation is
-/// `partial`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchEvents {
-    /// Registry channel name (`telemetry` / `checkpoint`).
-    pub channel: String,
-    /// The annotated match covers only a subset on purpose.
-    pub partial: bool,
-    /// 1-based line of the directive comment.
-    pub line: usize,
-}
-
 /// The result of lexically cleaning one source file.
 #[derive(Debug, Clone)]
 pub struct CleanedSource {
@@ -49,8 +34,6 @@ pub struct CleanedSource {
     pub is_test_line: Vec<bool>,
     /// Per 0-based line: the allow directives that cover it.
     pub allows: Vec<Vec<Allow>>,
-    /// `match-events` annotations, in source order.
-    pub match_events: Vec<MatchEvents>,
     /// 1-based lines holding a `verify:` directive that failed to parse.
     pub bad_directives: Vec<usize>,
 }
@@ -79,7 +62,6 @@ pub fn clean(source: &str) -> CleanedSource {
     let mut out = String::with_capacity(source.len());
     let num_lines = source.lines().count().max(1);
     let mut allows: Vec<Vec<Allow>> = vec![Vec::new(); num_lines + 1];
-    let mut match_events = Vec::new();
     let mut bad_directives = Vec::new();
 
     let mut line = 1usize; // current 1-based line
@@ -95,13 +77,7 @@ pub fn clean(source: &str) -> CleanedSource {
                     i += 1;
                 }
                 let text: String = chars[start..i].iter().collect();
-                parse_directives(
-                    &text,
-                    line,
-                    &mut allows,
-                    &mut match_events,
-                    &mut bad_directives,
-                );
+                parse_directives(&text, line, &mut allows, &mut bad_directives);
                 for _ in start..i {
                     out.push(' ');
                 }
@@ -217,7 +193,6 @@ pub fn clean(source: &str) -> CleanedSource {
         code: out,
         is_test_line,
         allows,
-        match_events,
         bad_directives,
     }
 }
@@ -299,46 +274,15 @@ fn push_blanked(out: &mut String, c: char, line: &mut usize) {
     }
 }
 
-/// Parses `verify:` directives from one comment's text:
-///
-/// * `verify: allow(<rule>): <justification>` — suppression;
-/// * `verify: match-events(<channel>[, partial])` — coverage annotation
-///   for the next `match` below (see [`MatchEvents`]).
-///
-/// A directive that fails to parse (empty rule, missing justification,
-/// unknown form) is recorded in `bad` instead.
-fn parse_directives(
-    comment: &str,
-    line: usize,
-    allows: &mut [Vec<Allow>],
-    match_events: &mut Vec<MatchEvents>,
-    bad: &mut Vec<usize>,
-) {
+/// Parses a `verify: allow(<rule>): <justification>` suppression
+/// directive from one comment's text. A directive that fails to parse
+/// (empty rule, missing justification, unknown form) is recorded in `bad`
+/// instead.
+fn parse_directives(comment: &str, line: usize, allows: &mut [Vec<Allow>], bad: &mut Vec<usize>) {
     let Some(pos) = comment.find("verify:") else {
         return;
     };
     let rest = comment[pos + "verify:".len()..].trim_start();
-    if let Some(args) = rest.strip_prefix("match-events(") {
-        let Some(close) = args.find(')') else {
-            bad.push(line);
-            return;
-        };
-        let mut parts = args[..close].split(',').map(str::trim);
-        let channel = parts.next().unwrap_or("").to_string();
-        let qualifier = parts.next();
-        let partial = qualifier == Some("partial");
-        let extra = parts.next();
-        if channel.is_empty() || extra.is_some() || (qualifier.is_some() && !partial) {
-            bad.push(line);
-            return;
-        }
-        match_events.push(MatchEvents {
-            channel,
-            partial,
-            line,
-        });
-        return;
-    }
     let Some(args) = rest.strip_prefix("allow(") else {
         bad.push(line);
         return;
@@ -542,20 +486,5 @@ mod tests {
         assert!(!c.is_allowed("no-panic", 3));
         assert!(c.code.contains("x.unwrap();"));
         assert_eq!(c.code.lines().count(), src.lines().count());
-    }
-
-    #[test]
-    fn parses_match_events_directives() {
-        let src = "// verify: match-events(telemetry)\nmatch name {}\n\
-                   // verify: match-events(checkpoint, partial)\nmatch n {}\n\
-                   // verify: match-events()\n// verify: match-events(a, b, c)\n";
-        let c = clean(src);
-        assert_eq!(c.match_events.len(), 2);
-        assert_eq!(c.match_events[0].channel, "telemetry");
-        assert!(!c.match_events[0].partial);
-        assert_eq!(c.match_events[0].line, 1);
-        assert_eq!(c.match_events[1].channel, "checkpoint");
-        assert!(c.match_events[1].partial);
-        assert_eq!(c.bad_directives, vec![5, 6]);
     }
 }

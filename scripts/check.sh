@@ -5,14 +5,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
-cargo test -q --offline
+# Every crate's unit and integration tests, not only the root package's.
+cargo test -q --offline --workspace
 # Repo-specific static analysis (see crates/verify and DESIGN.md,
 # "Correctness tooling"): lexical rules plus the cross-file event-schema
 # and hot-path-alloc passes. --deny-warnings makes every non-allowed
 # finding — warning or error — fail the gate.
 ./target/release/grefar-verify --deny-warnings
 ./target/release/grefar-verify deps-audit --deny-warnings
-cargo test -q -p grefar-verify --offline
 # The machine-readable output must self-diff clean through the
 # lint-diff baseline tool (grefar-report lint-diff).
 lint_tmp="$(mktemp -d)"
@@ -85,7 +85,10 @@ echo "chaos soak ok"
 ./target/release/grefar-report promlint "$report_tmp/obs.prom" > /dev/null
 grep -q 'grefar_slots_total' "$report_tmp/obs.prom" \
     || { echo "metrics snapshot missing slot counter" >&2; exit 1; }
-./target/release/grefar-report metrics "$report_tmp/obs.jsonl" > /dev/null
+./target/release/grefar-report metrics --include-timings "$report_tmp/obs.jsonl" \
+    > "$report_tmp/obs.rebuilt.prom"
+cmp -s "$report_tmp/obs.prom" "$report_tmp/obs.rebuilt.prom" \
+    || { echo "offline metrics rebuild differs from the live snapshot" >&2; exit 1; }
 ./target/release/grefar-report profile "$report_tmp/obs.jsonl" \
     --folded "$report_tmp/obs_a.folded" > /dev/null
 ./target/release/fig2 --hours 48 --telemetry "$report_tmp/obs_b.jsonl" \

@@ -2,10 +2,13 @@
 //! simulator telemetry: analyze (Theorem 1 occupancy), diff (replay
 //! determinism) and bench-gate (BENCH_*.json comparison).
 
+use grefar::faults::FaultPlan;
 use grefar::obs::JsonlSink;
 use grefar::prelude::*;
 use grefar::sim::{sweep, theory_obs};
-use grefar_report::{bench_gate, diff_streams, Analysis, BenchFile, DiffOptions, TelemetryStream};
+use grefar_report::{
+    bench_gate, diff_streams, Analysis, BenchFile, DiffOptions, ExplainReport, TelemetryStream,
+};
 
 /// A labeled two-point V-sweep with `theory.bounds` events, exactly the
 /// stream `fig2 --telemetry` writes (smaller horizon).
@@ -61,6 +64,31 @@ fn analyze_checks_theorem_1_on_a_real_run() {
         !rendered.contains(" NO\n"),
         "a run violated its gap bound:\n{rendered}"
     );
+}
+
+/// A solver squeeze at β > 0 forces the fairness-blind greedy fallback;
+/// its `grefar.decide` drift must still be objective (14) at the
+/// scheduler's own β minus the penalty, so the per-DC attribution
+/// reconciles on every squeezed slot.
+#[test]
+fn explain_reconciles_a_squeezed_run_at_positive_beta() {
+    let scenario = PaperScenario::default();
+    let config = scenario.config().clone();
+    let inputs = scenario.into_inputs(72);
+    let g = GreFar::new(&config, GreFarParams::new(7.5, 100.0)).expect("valid params");
+    let plan = FaultPlan::parse("squeeze:iters=2,start=60,end=70").expect("valid plan");
+    let mut sink = JsonlSink::new(Vec::new());
+    Simulation::new(config, inputs, Box::new(g))
+        .with_fault_plan(plan)
+        .expect("plan fits the paper scenario")
+        .run_with_observer(&mut sink);
+    let text = String::from_utf8(sink.into_inner()).expect("utf8");
+    assert!(
+        text.contains("\"reason\":\"solver_budget_exhausted\""),
+        "the squeeze must force the greedy fallback"
+    );
+    let report = ExplainReport::from_stream(&text).expect("stream has provenance");
+    assert_eq!(report.reconcile(), Vec::<String>::new());
 }
 
 #[test]
