@@ -2,10 +2,13 @@
 
 use core::fmt::Write as _;
 
+use crate::json;
+
 /// A typed field value.
 ///
-/// Floats serialize through Rust's shortest-roundtrip `Display`; NaN and
-/// infinities (not valid JSON numbers) serialize as `null`.
+/// Floats serialize as [`json::write_number`] does: Rust's
+/// shortest-roundtrip `Display` text, and `null` for NaN and infinities
+/// (not valid JSON numbers).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Unsigned integer (slot numbers, counts).
@@ -130,10 +133,10 @@ impl Event {
     }
 
     fn write_fields(&self, out: &mut String) {
-        write_json_string(out, self.name);
+        json::write_string(out, self.name);
         for (key, value) in &self.fields {
             out.push(',');
-            write_json_string(out, key);
+            json::write_string(out, key);
             out.push(':');
             write_json_value(out, value);
         }
@@ -141,45 +144,13 @@ impl Event {
     }
 }
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn write_json_value(out: &mut String, value: &Value) {
     match value {
-        Value::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::I64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::F64(v) => {
-            if v.is_finite() {
-                // Display for f64 is shortest-roundtrip; ensure the token
-                // stays a JSON number (it never produces exponents without
-                // digits or bare dots).
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::U64(v) => json::write_u64(out, *v),
+        Value::I64(v) => json::write_i64(out, *v),
+        Value::F64(v) => json::write_number(out, *v),
         Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        Value::Str(s) => write_json_string(out, s),
+        Value::Str(s) => json::write_string(out, s),
     }
 }
 

@@ -1,4 +1,5 @@
-//! Sample-holding histograms with empirical quantiles.
+//! Sample-holding histograms with empirical quantiles, and quantiles of
+//! whole-number count histograms.
 
 /// Summary quantiles of an empirical distribution (job delays, phase
 /// timings, …), by the "type 7" linear-interpolation estimator — the one
@@ -28,16 +29,42 @@ impl Quantiles {
     pub fn from_samples(samples: &[f64]) -> Self {
         let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
         sort_finite(&mut sorted);
-        let Some(&max) = sorted.last() else {
+        Self::from_order_statistics(sorted.len(), |k| sorted[k])
+    }
+
+    /// Summarizes a histogram of whole-number samples: `counts[v]` is the
+    /// number of samples equal to `v` (job delays in slots, for one). The
+    /// result is bit for bit [`from_samples`](Self::from_samples) of the
+    /// expanded samples, with no sort and no per-sample memory; empty or
+    /// all-zero counts give [`Quantiles::default()`].
+    pub fn from_counts(counts: &[u64]) -> Self {
+        // cumulative[v]: how many samples are ≤ v.
+        let cumulative: Vec<u64> = counts
+            .iter()
+            .scan(0u64, |total, &c| {
+                *total += c;
+                Some(*total)
+            })
+            .collect();
+        let n = cumulative.last().map_or(0, |&total| total as usize);
+        // The k-th order statistic (0-based) is the least v with more
+        // than k samples ≤ v.
+        Self::from_order_statistics(n, |k| cumulative.partition_point(|&c| c <= k as u64) as f64)
+    }
+
+    /// The summary of `n` ascending order statistics, `at(k)` being the
+    /// `k`-th (0-based); the default when `n == 0`.
+    fn from_order_statistics(n: usize, at: impl Fn(usize) -> f64) -> Self {
+        if n == 0 {
             return Self::default();
-        };
+        }
         Self {
-            count: sorted.len(),
-            p50: quantile_sorted(&sorted, 0.50),
-            p90: quantile_sorted(&sorted, 0.90),
-            p95: quantile_sorted(&sorted, 0.95),
-            p99: quantile_sorted(&sorted, 0.99),
-            max,
+            count: n,
+            p50: quantile_of(n, 0.50, &at),
+            p90: quantile_of(n, 0.90, &at),
+            p95: quantile_of(n, 0.95, &at),
+            p99: quantile_of(n, 0.99, &at),
+            max: at(n - 1),
         }
     }
 }
@@ -107,7 +134,7 @@ impl Histogram {
         }
         let mut sorted = self.samples.clone();
         sort_finite(&mut sorted);
-        quantile_sorted(&sorted, q)
+        quantile_of(sorted.len(), q, |k| sorted[k])
     }
 
     /// The full quantile summary ([`Quantiles::from_samples`] of the
@@ -122,18 +149,17 @@ fn sort_finite(values: &mut [f64]) {
     values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
 }
 
-/// The `q`-quantile of an ascending-sorted non-empty slice, interpolating
-/// linearly between order statistics.
-fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
+/// The `q`-quantile of `n > 0` ascending order statistics, `at(k)` being
+/// the `k`-th (0-based), interpolating linearly between them.
+fn quantile_of(n: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
     if n == 1 {
-        return sorted[0];
+        return at(0);
     }
     let position = q * (n - 1) as f64;
     let lo = position.floor() as usize;
     let hi = position.ceil() as usize;
     let frac = position - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    at(lo) * (1.0 - frac) + at(hi) * frac
 }
 
 #[cfg(test)]
@@ -210,6 +236,69 @@ mod tests {
         h.record(f64::INFINITY);
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 1.0);
+    }
+
+    /// `from_counts(counts)` against `from_samples` of the expanded
+    /// samples, field for field and by bits.
+    fn assert_counts_match_samples(counts: &[u64]) {
+        let samples: Vec<f64> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(v, &c)| std::iter::repeat_n(v as f64, c as usize))
+            .collect();
+        let (got, want) = (
+            Quantiles::from_counts(counts),
+            Quantiles::from_samples(&samples),
+        );
+        assert_eq!(got.count, want.count, "{counts:?}");
+        for (name, g, w) in [
+            ("p50", got.p50, want.p50),
+            ("p90", got.p90, want.p90),
+            ("p95", got.p95, want.p95),
+            ("p99", got.p99, want.p99),
+            ("max", got.max, want.max),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{name} of {counts:?}");
+        }
+    }
+
+    #[test]
+    fn counts_quantiles_match_expanded_samples() {
+        // Edge rows: empty, all zero, one sample, all mass at one delay,
+        // a long tail behind a heavy head.
+        assert_counts_match_samples(&[]);
+        assert_counts_match_samples(&[0, 0, 0]);
+        assert_eq!(Quantiles::from_counts(&[0, 0]), Quantiles::default());
+        assert_counts_match_samples(&[0, 1]);
+        assert_counts_match_samples(&[0, 0, 0, 0, 0, 0, 0, 5_000]);
+        let mut tail = vec![0u64; 2_072];
+        tail[1] = 90_000;
+        tail[2] = 6_000;
+        for v in (3..tail.len()).step_by(11) {
+            tail[v] = 1 + (v as u64 % 3);
+        }
+        assert_counts_match_samples(&tail);
+
+        // Seeded random rows (splitmix64) of varied length and density.
+        let mut state = 5u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..500 {
+            let len = 1 + (next() % 64) as usize;
+            let row: Vec<u64> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => 0,
+                    1 => next() % 3,
+                    _ => next() % 200,
+                })
+                .collect();
+            assert_counts_match_samples(&row);
+        }
     }
 
     #[test]

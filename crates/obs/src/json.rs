@@ -1,11 +1,90 @@
-//! A minimal parser for the JSONL this crate emits.
+//! The JSONL this crate emits: a minimal parser, and the writers that
+//! produce it.
 //!
 //! Scope: flat objects whose values are numbers, strings, booleans or
 //! `null` — exactly what [`Event::to_json`](crate::Event::to_json)
-//! produces. Used by round-trip tests and offline tooling; not a general
-//! JSON parser (no nesting, no arrays).
+//! produces. The parser serves round-trip tests and offline tooling; it
+//! is not a general JSON parser (no nesting, no arrays).
+//!
+//! The writers ([`write_string`], [`write_u64`], [`write_i64`],
+//! [`write_f64`], [`write_number`]) append to a caller's `String`, so a
+//! serializer that emits many values (an [`Event`](crate::Event), a
+//! simulator checkpoint) formats them in place with one set of rules.
 
+use core::fmt::Write as _;
 use std::collections::BTreeMap;
+
+/// 2^53: below it every integer is an `f64`, and `Display` prints a whole
+/// `f64` as exactly that integer's digits.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// Appends `s` as a JSON string literal (quoted, escaped).
+pub fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends `v` in decimal.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `v` in decimal.
+pub fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
+/// Appends exactly what `format!("{v}")` gives: Rust's shortest
+/// round-trip text, which parses back to the same bits, and `NaN`, `inf`
+/// or `-inf` when `v` is not finite.
+///
+/// A whole `v` with `|v| < 2^53` takes a fast path through
+/// [`write_u64`]'s digit loop; `-0.0` and every other value go through
+/// `Display`.
+pub fn write_f64(out: &mut String, v: f64) {
+    let negative_zero = v == 0.0 && v.is_sign_negative();
+    if v.fract() == 0.0 && v.abs() < EXACT_INTEGERS && !negative_zero {
+        write_i64(out, v as i64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Appends `v` as a JSON number ([`write_f64`] text), or `null` when `v`
+/// is not finite (JSON has no NaN or infinities).
+pub fn write_number(out: &mut String, v: f64) {
+    if v.is_finite() {
+        write_f64(out, v);
+    } else {
+        out.push_str("null");
+    }
+}
 
 /// One parsed flat JSON object, keyed in sorted order.
 pub type JsonObject = BTreeMap<String, JsonValue>;
@@ -339,6 +418,100 @@ mod tests {
             parse_object("{\"s\":\"\\u0041\"}").unwrap()["s"].as_str(),
             Some("A")
         );
+    }
+
+    /// splitmix64: a seeded stream of bit patterns for the parity tests.
+    fn next_bits(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn f64_text(v: f64) -> String {
+        let mut out = String::new();
+        write_f64(&mut out, v);
+        out
+    }
+
+    #[test]
+    fn number_writer_matches_display_at_the_edges() {
+        let two_53 = EXACT_INTEGERS;
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            two_53 - 1.0,
+            two_53,
+            two_53 + 2.0,
+            2f64.powi(60),
+            1e15,
+            1e16,
+            1e21,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in edges {
+            assert_eq!(f64_text(v), format!("{v}"), "bits {:#x}", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn number_writer_matches_display_on_seeded_values() {
+        let mut state = 5;
+        for i in 0..100_000 {
+            let bits = next_bits(&mut state);
+            let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+            let v = match i % 4 {
+                // Whole numbers of every magnitude up to 2^64, across the
+                // fast path's 2^53 edge.
+                0 => sign * (bits >> (bits % 64)) as f64,
+                // Arbitrary bit patterns: NaNs, infinities, subnormals.
+                1 => f64::from_bits(bits),
+                // Binary fractions and small integers.
+                2 => sign * (bits >> 40) as f64 / 1024.0,
+                // Decimal fractions, as costs and queue lengths are.
+                _ => sign * (bits >> 20) as f64 * 1e-6,
+            };
+            assert_eq!(f64_text(v), format!("{v}"), "bits {:#x}", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn integer_writers_match_display() {
+        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::MAX - 1, u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [0, -1, 1, -10, 42, i64::MIN, i64::MIN + 1, i64::MAX] {
+            let mut out = String::new();
+            write_i64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+    }
+
+    #[test]
+    fn json_numbers_are_null_when_not_finite() {
+        for (v, want) in [
+            (2.0, "2"),
+            (-0.5, "-0.5"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            let mut out = String::new();
+            write_number(&mut out, v);
+            assert_eq!(out, want);
+        }
     }
 
     #[test]

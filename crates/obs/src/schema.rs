@@ -460,8 +460,11 @@ pub const EVENTS: &[EventSchema] = &[
     EventSchema {
         name: "ckpt.tracker_dc",
         channel: Channel::Checkpoint,
-        doc: "Per-DC completion and delay tracker state.",
-        required: &[u("dc"), u("completed"), s("delay_sum"), s("delay_samples")],
+        doc: "Per-DC completion and delay tracker state; `delay_counts[d]` is \
+              the number of jobs completed with a delay of `d` slots. The \
+              parser still reads the legacy `delay_samples` list (one delay \
+              per completed job) in its place.",
+        required: &[u("dc"), u("completed"), s("delay_sum"), s("delay_counts")],
         optional: &[],
     },
 ];

@@ -9,6 +9,21 @@
 //! **bit-identically**: the exogenous inputs are regenerated from the seed
 //! and the accumulated state parses back to the exact same bits.
 //!
+//! [`Checkpoint::to_jsonl`] encodes in one pass: every line is written
+//! straight into one pre-sized `String` through `grefar_obs::json`'s
+//! writers, the escaper and number writer `Event` serialization uses too.
+//! Floats in quoted lists and string fields are `Display` text (`NaN` and
+//! `inf` included); the bare numbers of `ckpt.ledger` are JSON numbers, or
+//! `null` when not finite. The line names and fields are registered as
+//! `Channel::Checkpoint` entries of `grefar_obs::schema::EVENTS`.
+//!
+//! Completed jobs' delays travel as per-delay counts: the
+//! `ckpt.tracker_dc` line's `delay_counts` list holds, at index `d`, the
+//! number of jobs a data center completed with a delay of `d` slots.
+//! Checkpoints written before counts existed carry a `delay_samples` list
+//! (one whole-number delay per completed job) instead; the parser still
+//! reads it and folds it into counts.
+//!
 //! Files are written atomically (temp file + rename), and the final
 //! `ckpt.end` line carries the line count, so a crash mid-write leaves
 //! either the previous complete checkpoint or a detectably-truncated file —
@@ -17,9 +32,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use grefar_obs::json::{self, JsonValue};
-use grefar_obs::Event;
-use grefar_types::Slot;
+use grefar_obs::json::{self, write_f64, write_u64, JsonValue};
 
 use crate::error::SimError;
 use crate::tracker::TrackerSnapshot;
@@ -50,6 +63,55 @@ pub struct SeriesSnapshot {
     pub queue_total: Vec<f64>,
     /// Max single queue length per slot.
     pub queue_max: Vec<f64>,
+}
+
+impl SeriesSnapshot {
+    /// The one-value-per-slot series, by their checkpoint names.
+    fn scalar(&self) -> [(&'static str, &Vec<f64>); 5] {
+        [
+            ("energy", &self.energy),
+            ("fairness", &self.fairness),
+            ("arriving_work", &self.arriving_work),
+            ("queue_total", &self.queue_total),
+            ("queue_max", &self.queue_max),
+        ]
+    }
+
+    /// The `[index][slot]` families, by their checkpoint names.
+    fn indexed(&self) -> [(&'static str, &Vec<Vec<f64>>); 4] {
+        [
+            ("account_shares", &self.account_shares),
+            ("work_per_dc", &self.work_per_dc),
+            ("dc_delay", &self.dc_delay),
+            ("prices", &self.prices),
+        ]
+    }
+
+    /// Why these cannot be the series of a run cut after `slots` slots
+    /// with `dcs` data centers and `accounts` accounts, if they cannot:
+    /// `account_shares` needs one row per account, every other family one
+    /// row per data center, and every series `slots` values.
+    pub(crate) fn shape_error(&self, slots: usize, dcs: usize, accounts: usize) -> Option<String> {
+        for (name, rows) in self.indexed() {
+            let want = if name == "account_shares" {
+                accounts
+            } else {
+                dcs
+            };
+            if rows.len() != want {
+                return Some(format!("{name} has {} rows, not {want}", rows.len()));
+            }
+        }
+        let rows = self
+            .indexed()
+            .into_iter()
+            .flat_map(|(name, rows)| rows.iter().map(move |row| (name, row)));
+        self.scalar()
+            .into_iter()
+            .chain(rows)
+            .find(|(_, values)| values.len() != slots)
+            .map(|(name, values)| format!("{name} holds {} values for {slots} slots", values.len()))
+    }
 }
 
 /// Cumulative job-conservation ledger counters
@@ -136,121 +198,103 @@ fn is_event_line(line: &str, name: &str) -> bool {
 }
 
 impl Checkpoint {
-    /// Serializes to the JSONL checkpoint format.
+    /// Serializes to the JSONL checkpoint format, in one pass into one
+    /// pre-sized buffer (see the [module docs](self)).
     pub fn to_jsonl(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        lines.push(
-            Event::new("ckpt.header")
-                .field("v", CHECKPOINT_SCHEMA)
-                .field("slot", self.slot)
-                .field("horizon", self.horizon)
-                .field("scheduler", self.scheduler.clone())
-                .field("faults", self.faults.clone())
-                .field("feeds", self.feeds.clone())
-                .field("dropped", self.dropped)
-                .field("data_centers", self.queues_local.len())
-                .field("job_classes", self.queues_central.len())
-                .field("accounts", self.series.account_shares.len())
-                .field("completed_total", self.tracker.completed_total)
-                .field("sojourn_sum", fmt_f64(self.tracker.sojourn_sum))
-                .to_json(),
-        );
-        lines.push(
-            Event::new("ckpt.ledger")
-                .field("offered", self.ledger.offered)
-                .field("admitted", self.ledger.admitted)
-                .field("dropped", self.ledger.dropped)
-                .field("served", self.ledger.served)
-                .field("route_excess", self.ledger.route_excess)
-                .to_json(),
-        );
-        lines.push(
-            Event::new("ckpt.queues")
-                .field("central", join_f64(&self.queues_central))
-                .to_json(),
-        );
+        let series = &self.series;
+        // The per-slot series are the bulk of a checkpoint.
+        let series_values: usize = series.scalar().iter().map(|(_, v)| v.len()).sum::<usize>()
+            + series
+                .indexed()
+                .iter()
+                .flat_map(|(_, rows)| rows.iter())
+                .map(Vec::len)
+                .sum::<usize>();
+        let mut w = LineWriter::with_capacity(BYTES_PER_VALUE * series_values + 4096);
+
+        w.begin("ckpt.header");
+        w.u64("v", CHECKPOINT_SCHEMA);
+        w.u64("slot", self.slot);
+        w.u64("horizon", self.horizon);
+        w.str("scheduler", &self.scheduler);
+        w.str("faults", &self.faults);
+        w.str("feeds", &self.feeds);
+        w.u64("dropped", self.dropped);
+        w.u64("data_centers", self.queues_local.len() as u64);
+        w.u64("job_classes", self.queues_central.len() as u64);
+        w.u64("accounts", series.account_shares.len() as u64);
+        w.u64("completed_total", self.tracker.completed_total);
+        w.display("sojourn_sum", self.tracker.sojourn_sum);
+        w.end();
+
+        w.begin("ckpt.ledger");
+        w.number("offered", self.ledger.offered);
+        w.number("admitted", self.ledger.admitted);
+        w.number("dropped", self.ledger.dropped);
+        w.number("served", self.ledger.served);
+        w.number("route_excess", self.ledger.route_excess);
+        w.end();
+
+        w.begin("ckpt.queues");
+        w.list("central", self.queues_central.iter().copied(), write_f64);
+        w.end();
         for (i, row) in self.queues_local.iter().enumerate() {
-            lines.push(
-                Event::new("ckpt.local_queues")
-                    .field("dc", i)
-                    .field("values", join_f64(row))
-                    .to_json(),
-            );
+            w.begin("ckpt.local_queues");
+            w.u64("dc", i as u64);
+            w.list("values", row.iter().copied(), write_f64);
+            w.end();
         }
         for (j, arrivals) in self.tracker.central.iter().enumerate() {
-            lines.push(
-                Event::new("ckpt.central_jobs")
-                    .field("job", j)
-                    .field("arrivals", join_u64(arrivals))
-                    .to_json(),
-            );
+            w.begin("ckpt.central_jobs");
+            w.u64("job", j as u64);
+            w.list("arrivals", arrivals.iter().copied(), write_u64);
+            w.end();
         }
         for (i, row) in self.tracker.local.iter().enumerate() {
             for (j, jobs) in row.iter().enumerate() {
-                let arrivals: Vec<Slot> = jobs.iter().map(|&(a, _, _)| a).collect();
-                let serviceable: Vec<Slot> = jobs.iter().map(|&(_, s, _)| s).collect();
-                let remaining: Vec<f64> = jobs.iter().map(|&(_, _, r)| r).collect();
-                lines.push(
-                    Event::new("ckpt.local_jobs")
-                        .field("dc", i)
-                        .field("job", j)
-                        .field("arrivals", join_u64(&arrivals))
-                        .field("serviceable", join_u64(&serviceable))
-                        .field("remaining", join_f64(&remaining))
-                        .to_json(),
-                );
+                w.begin("ckpt.local_jobs");
+                w.u64("dc", i as u64);
+                w.u64("job", j as u64);
+                w.list("arrivals", jobs.iter().map(|&(a, _, _)| a), write_u64);
+                w.list("serviceable", jobs.iter().map(|&(_, s, _)| s), write_u64);
+                w.list("remaining", jobs.iter().map(|&(_, _, r)| r), write_f64);
+                w.end();
             }
         }
-        for i in 0..self.tracker.completed_per_dc.len() {
-            lines.push(
-                Event::new("ckpt.tracker_dc")
-                    .field("dc", i)
-                    .field("completed", self.tracker.completed_per_dc[i])
-                    .field("delay_sum", fmt_f64(self.tracker.dc_delay_sum[i]))
-                    .field("delay_samples", join_f64(&self.tracker.dc_delay_samples[i]))
-                    .to_json(),
-            );
+        let tracker_dcs = self
+            .tracker
+            .completed_per_dc
+            .iter()
+            .zip(&self.tracker.dc_delay_sum)
+            .zip(&self.tracker.dc_delay_counts);
+        for (i, ((&completed, &delay_sum), counts)) in tracker_dcs.enumerate() {
+            w.begin("ckpt.tracker_dc");
+            w.u64("dc", i as u64);
+            w.u64("completed", completed);
+            w.display("delay_sum", delay_sum);
+            w.list("delay_counts", counts.iter().copied(), write_u64);
+            w.end();
         }
-        let scalar_series = [
-            ("energy", &self.series.energy),
-            ("fairness", &self.series.fairness),
-            ("arriving_work", &self.series.arriving_work),
-            ("queue_total", &self.series.queue_total),
-            ("queue_max", &self.series.queue_max),
-        ];
-        for (name, values) in scalar_series {
-            lines.push(
-                Event::new("ckpt.series")
-                    .field("name", name)
-                    .field("values", join_f64(values))
-                    .to_json(),
-            );
+        for (name, values) in series.scalar() {
+            w.begin("ckpt.series");
+            w.str("name", name);
+            w.list("values", values.iter().copied(), write_f64);
+            w.end();
         }
-        let indexed_series = [
-            ("account_shares", &self.series.account_shares),
-            ("work_per_dc", &self.series.work_per_dc),
-            ("dc_delay", &self.series.dc_delay),
-            ("prices", &self.series.prices),
-        ];
-        for (name, family) in indexed_series {
+        for (name, family) in series.indexed() {
             for (index, values) in family.iter().enumerate() {
-                lines.push(
-                    Event::new("ckpt.series")
-                        .field("name", name)
-                        .field("index", index)
-                        .field("values", join_f64(values))
-                        .to_json(),
-                );
+                w.begin("ckpt.series");
+                w.str("name", name);
+                w.u64("index", index as u64);
+                w.list("values", values.iter().copied(), write_f64);
+                w.end();
             }
         }
-        lines.push(
-            Event::new("ckpt.end")
-                .field("lines", lines.len() + 1)
-                .to_json(),
-        );
-        let mut out = lines.join("\n");
-        out.push('\n');
-        out
+        let lines = w.lines + 1;
+        w.begin("ckpt.end");
+        w.u64("lines", lines);
+        w.end();
+        w.out
     }
 
     /// Writes the checkpoint atomically *and durably*: serialize to
@@ -464,8 +508,21 @@ impl Checkpoint {
         let n = get_u64(header, "data_centers", 1)? as usize;
         let j_count = get_u64(header, "job_classes", 1)? as usize;
         let accounts = get_u64(header, "accounts", 1)? as usize;
+        let slot = get_u64(header, "slot", 1)?;
+        // Every executed slot adds a value to each per-slot series, so a
+        // checkpoint has more bytes than slots. Checked up front because
+        // the legacy delay fold allocates up to `slot` counts per row.
+        if slot > text.len() as u64 {
+            return Err(bad(
+                1,
+                &format!(
+                    "slot {slot} exceeds the {} bytes of the checkpoint",
+                    text.len()
+                ),
+            ));
+        }
         let mut out = Checkpoint {
-            slot: get_u64(header, "slot", 1)?,
+            slot,
             horizon: get_u64(header, "horizon", 1)?,
             scheduler: get_str(header, "scheduler", 1)?.to_string(),
             faults: get_str(header, "faults", 1)?.to_string(),
@@ -480,7 +537,7 @@ impl Checkpoint {
                 local: vec![vec![Vec::new(); j_count]; n],
                 completed_per_dc: vec![0; n],
                 dc_delay_sum: vec![0.0; n],
-                dc_delay_samples: vec![Vec::new(); n],
+                dc_delay_counts: vec![Vec::new(); n],
                 completed_total: get_u64(header, "completed_total", 1)?,
                 sojourn_sum: parse_f64(get_str(header, "sojourn_sum", 1)?, 1)?,
             },
@@ -538,11 +595,23 @@ impl Checkpoint {
                 }
                 Some("ckpt.tracker_dc") => {
                     let i = index_in(obj, "dc", n, lineno)?;
-                    out.tracker.completed_per_dc[i] = get_u64(obj, "completed", lineno)?;
+                    let completed = get_u64(obj, "completed", lineno)?;
+                    let legacy = obj.get("delay_samples").and_then(JsonValue::as_str);
+                    let counts = match (obj.get("delay_counts"), legacy) {
+                        (None, Some(samples)) => fold_delay_samples(samples, slot, lineno)?,
+                        _ => split_u64(get_str(obj, "delay_counts", lineno)?, lineno)?,
+                    };
+                    if counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(completed)
+                    {
+                        return Err(bad(
+                            lineno,
+                            &format!("delay counts do not sum to the {completed} jobs completed"),
+                        ));
+                    }
+                    out.tracker.completed_per_dc[i] = completed;
                     out.tracker.dc_delay_sum[i] =
                         parse_f64(get_str(obj, "delay_sum", lineno)?, lineno)?;
-                    out.tracker.dc_delay_samples[i] =
-                        split_f64(get_str(obj, "delay_samples", lineno)?, lineno)?;
+                    out.tracker.dc_delay_counts[i] = counts;
                 }
                 Some("ckpt.series") => {
                     let values = split_f64(get_str(obj, "values", lineno)?, lineno)?;
@@ -590,14 +659,16 @@ impl Checkpoint {
             };
         }
 
-        let executed = out.slot as usize;
         if out.queues_central.len() != j_count
             || out.queues_local.iter().any(|row| row.len() != j_count)
-            || out.series.energy.len() != executed
-            || out.series.fairness.len() != executed
-            || out.series.queue_total.len() != executed
         {
             return Err(bad(1, "checkpoint shapes disagree with its header"));
+        }
+        if let Some(problem) = out.series.shape_error(slot as usize, n, accounts) {
+            return Err(bad(
+                1,
+                &format!("checkpoint shapes disagree with its header: {problem}"),
+            ));
         }
         Ok(out)
     }
@@ -657,27 +728,81 @@ fn index_in(
     Ok(v)
 }
 
-/// Rust's `Display` for finite `f64` is shortest-roundtrip, so formatting
-/// and reparsing reproduces the exact bits — the foundation of
-/// bit-identical resume.
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
+/// The encoded size of one per-slot series value and its comma, rounded
+/// up (a 4 000-slot paper-scenario cut averages 12.9 bytes per value), for
+/// pre-sizing [`Checkpoint::to_jsonl`]'s buffer.
+const BYTES_PER_VALUE: usize = 16;
+
+/// Writes checkpoint lines into one buffer: `{"event":…,"key":value,…}`
+/// plus a newline per line, byte for byte what `Event::to_json` would
+/// give, without building an `Event` or any per-value `String`.
+struct LineWriter {
+    out: String,
+    /// Lines finished so far.
+    lines: u64,
 }
 
-fn join_f64(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| fmt_f64(*v))
-        .collect::<Vec<_>>()
-        .join(",")
-}
+impl LineWriter {
+    fn with_capacity(bytes: usize) -> Self {
+        Self {
+            out: String::with_capacity(bytes),
+            lines: 0,
+        }
+    }
 
-fn join_u64(values: &[u64]) -> String {
-    values
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
+    fn begin(&mut self, event: &str) {
+        self.out.push_str("{\"event\":");
+        json::write_string(&mut self.out, event);
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push(',');
+        json::write_string(&mut self.out, key);
+        self.out.push(':');
+    }
+
+    fn u64(&mut self, key: &str, v: u64) {
+        self.key(key);
+        json::write_u64(&mut self.out, v);
+    }
+
+    fn str(&mut self, key: &str, v: &str) {
+        self.key(key);
+        json::write_string(&mut self.out, v);
+    }
+
+    /// A bare JSON number (`null` when not finite).
+    fn number(&mut self, key: &str, v: f64) {
+        self.key(key);
+        json::write_number(&mut self.out, v);
+    }
+
+    /// A float as a string field: `Display` text, which keeps `NaN` and
+    /// `inf` and parses back to the same bits.
+    fn display(&mut self, key: &str, v: f64) {
+        self.key(key);
+        self.out.push('"');
+        json::write_f64(&mut self.out, v);
+        self.out.push('"');
+    }
+
+    /// A quoted, comma-joined list. Number text never needs escaping.
+    fn list<T>(&mut self, key: &str, values: impl Iterator<Item = T>, write: fn(&mut String, T)) {
+        self.key(key);
+        self.out.push('"');
+        for (k, v) in values.enumerate() {
+            if k > 0 {
+                self.out.push(',');
+            }
+            write(&mut self.out, v);
+        }
+        self.out.push('"');
+    }
+
+    fn end(&mut self) {
+        self.out.push_str("}\n");
+        self.lines += 1;
+    }
 }
 
 fn parse_f64(text: &str, line: usize) -> Result<f64, SimError> {
@@ -695,6 +820,28 @@ fn split_f64(text: &str, line: usize) -> Result<Vec<f64>, SimError> {
                 .map_err(|_| bad(line, &format!("bad float {tok:?}")))
         })
         .collect()
+}
+
+/// Folds a legacy `delay_samples` list — one delay per completed job,
+/// written by `f64` `Display`, which prints a whole number without a
+/// fraction — into per-delay counts. A delay is shorter than the `slot`
+/// slots run so far, which also bounds the row this allocates.
+fn fold_delay_samples(text: &str, slot: u64, line: usize) -> Result<Vec<u64>, SimError> {
+    let mut counts: Vec<u64> = Vec::new();
+    for delay in split_u64(text, line)? {
+        if delay >= slot {
+            return Err(bad(
+                line,
+                &format!("delay {delay} is not shorter than the {slot} slots run"),
+            ));
+        }
+        let delay = delay as usize;
+        if counts.len() <= delay {
+            counts.resize(delay + 1, 0);
+        }
+        counts[delay] += 1;
+    }
+    Ok(counts)
 }
 
 fn split_u64(text: &str, line: usize) -> Result<Vec<u64>, SimError> {
@@ -730,8 +877,9 @@ mod tests {
                     vec![vec![], vec![(1, 2, 0.7)]],
                 ],
                 completed_per_dc: vec![4, 0],
-                dc_delay_sum: vec![5.5, 0.0],
-                dc_delay_samples: vec![vec![1.0, 2.0, 1.5, 1.0], vec![]],
+                dc_delay_sum: vec![6.0, 0.0],
+                // Delays of 1, 1, 2 and 2 slots.
+                dc_delay_counts: vec![vec![0, 2, 2], vec![]],
                 completed_total: 4,
                 sojourn_sum: 9.25,
             },
@@ -754,6 +902,33 @@ mod tests {
                 route_excess: 0.30000000000000004,
             },
         }
+    }
+
+    /// `sample()`'s encoding with `from`, which occurs once, replaced.
+    fn edited(from: &str, to: &str) -> String {
+        let text = sample().to_jsonl();
+        assert_eq!(text.matches(from).count(), 1, "{from}");
+        text.replace(from, to)
+    }
+
+    /// The line and message of the format error `text` must raise.
+    fn format_error(text: &str) -> (usize, String) {
+        match Checkpoint::parse(text) {
+            Err(SimError::CheckpointFormat { line, message }) => (line, message),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    /// Data center 0's delays in `sample()`'s `ckpt.tracker_dc` line.
+    const DC0_COUNTS: &str = "\"delay_counts\":\"0,2,2\"";
+
+    /// The line number of data center 0's `ckpt.tracker_dc` line.
+    fn dc0_line() -> usize {
+        let text = sample().to_jsonl();
+        1 + text
+            .lines()
+            .position(|l| l.contains(DC0_COUNTS))
+            .expect("sample has a tracker line")
     }
 
     #[test]
@@ -817,6 +992,103 @@ mod tests {
                 ..LedgerSnapshot::default()
             }
         );
+    }
+
+    #[test]
+    fn every_line_conforms_to_the_schema_registry() {
+        use grefar_obs::schema::{self, Channel, FieldKind};
+        use std::collections::BTreeSet;
+
+        let text = sample().to_jsonl();
+        let mut seen = BTreeSet::new();
+        for (idx, line) in text.lines().enumerate() {
+            let obj = json::parse_object(line).unwrap_or_else(|e| panic!("line {}: {e}", idx + 1));
+            let name = event_name(&obj).expect("every line names its event");
+            let entry = schema::lookup(name)
+                .filter(|entry| entry.channel == Channel::Checkpoint)
+                .unwrap_or_else(|| panic!("{name} is not a registered checkpoint line"));
+            for field in entry.required {
+                assert!(obj.contains_key(field.name), "{name} lacks {}", field.name);
+            }
+            for (key, value) in obj.iter().filter(|(key, _)| *key != "event") {
+                let field = entry
+                    .required
+                    .iter()
+                    .chain(entry.optional)
+                    .find(|field| field.name == key)
+                    .unwrap_or_else(|| panic!("{name} sets undeclared field {key}"));
+                let typed = if field.kind == FieldKind::Str {
+                    value.as_str().is_some()
+                } else {
+                    value.as_f64().is_some()
+                };
+                assert!(typed, "{name}.{key} is {value:?}, not {:?}", field.kind);
+            }
+            seen.insert(name.to_string());
+        }
+        let registered: BTreeSet<String> = schema::names(Channel::Checkpoint)
+            .map(str::to_string)
+            .collect();
+        assert_eq!(seen, registered, "the sample must hold every line kind");
+    }
+
+    #[test]
+    fn legacy_delay_samples_fold_into_counts() {
+        // Display wrote one whole-number delay per completed job, in
+        // completion order.
+        let text = edited(DC0_COUNTS, "\"delay_samples\":\"2,1,2,1\"");
+        assert_eq!(Checkpoint::parse(&text).unwrap(), sample());
+        let text = edited("\"delay_counts\":\"\"", "\"delay_samples\":\"\"");
+        assert_eq!(Checkpoint::parse(&text).unwrap(), sample());
+    }
+
+    #[test]
+    fn legacy_delay_samples_must_be_whole_delays_shorter_than_the_run() {
+        // A delay is shorter than the 3 slots the sample has run.
+        for token in ["1.5", "-1", "3"] {
+            let text = edited(DC0_COUNTS, &format!("\"delay_samples\":\"2,1,{token},1\""));
+            let (line, message) = format_error(&text);
+            assert_eq!(line, dc0_line(), "{token}");
+            assert!(message.contains(token), "{message}");
+        }
+        // A header cannot claim more slots than its text could hold, so
+        // the fold's allocation stays bounded by the input.
+        let text = edited("\"slot\":3,", "\"slot\":1000000000000,");
+        let (line, message) = format_error(&text);
+        assert_eq!(line, 1);
+        assert!(message.contains("1000000000000"), "{message}");
+    }
+
+    #[test]
+    fn tracker_line_without_delays_is_rejected() {
+        let (line, message) = format_error(&edited(&format!(",{DC0_COUNTS}"), ""));
+        assert_eq!(line, dc0_line());
+        assert!(message.contains("delay_counts"), "{message}");
+    }
+
+    #[test]
+    fn delay_counts_must_sum_to_the_completions() {
+        for counts in ["0,2,1", "0,2,2,1", "18446744073709551615,5"] {
+            let text = edited(DC0_COUNTS, &format!("\"delay_counts\":\"{counts}\""));
+            let (line, message) = format_error(&text);
+            assert_eq!(line, dc0_line(), "{counts}");
+            assert!(message.contains("sum"), "{message}");
+        }
+    }
+
+    #[test]
+    fn every_series_must_hold_one_value_per_slot() {
+        for (name, values, short) in [
+            ("queue_max", "\"2,3,3\"", "\"2,3\""),
+            ("arriving_work", "\"2,2,2\"", "\"2,2,2,2\""),
+            ("prices", "\"0.3,0.3,0.3\"", "\"0.3,0.3\""),
+            ("dc_delay", "\"0,1,1.375\"", "\"0,1\""),
+            ("account_shares", "\"1,1,1\"", "\"\""),
+        ] {
+            let (line, message) = format_error(&edited(values, short));
+            assert_eq!(line, 1, "{name}");
+            assert!(message.contains(name), "{message}");
+        }
     }
 
     #[test]
@@ -934,7 +1206,11 @@ mod tests {
             12345.678901234567,
             0.0,
         ];
-        let back = split_f64(&join_f64(&values), 1).unwrap();
+        let mut w = LineWriter::with_capacity(0);
+        w.list("values", values.iter().copied(), write_f64);
+        let text = w.out.trim_start_matches(",\"values\":").trim_matches('"');
+        let back = split_f64(text, 1).unwrap();
+        assert_eq!(back.len(), values.len());
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -182,14 +182,18 @@ impl RunState {
     fn from_checkpoint(config: &SystemConfig, ck: Checkpoint) -> Result<Self, SimError> {
         let n = config.num_data_centers();
         let j_count = config.num_job_classes();
-        if ck.queues_local.len() != n
-            || ck.queues_central.len() != j_count
-            || ck.series.account_shares.len() != config.num_accounts()
-            || ck.series.work_per_dc.len() != n
-        {
+        if ck.queues_local.len() != n || ck.queues_central.len() != j_count {
             return Err(SimError::Mismatch(
                 "checkpoint shape mismatches the configuration".to_string(),
             ));
+        }
+        if let Some(problem) = ck
+            .series
+            .shape_error(ck.slot as usize, n, config.num_accounts())
+        {
+            return Err(SimError::Mismatch(format!(
+                "checkpoint series mismatch the configuration: {problem}"
+            )));
         }
         let mut local = Grid::zeros(n, j_count);
         for (i, row) in ck.queues_local.iter().enumerate() {
@@ -285,7 +289,7 @@ impl RunState {
     fn into_report(self, scheduler: String, horizon: usize) -> SimulationReport {
         let n = self.dc_delay.len();
         let dc_delay_quantiles = (0..n)
-            .map(|i| grefar_obs::Quantiles::from_samples(self.tracker.dc_delay_samples(i)))
+            .map(|i| grefar_obs::Quantiles::from_counts(self.tracker.dc_delay_counts(i)))
             .collect();
         SimulationReport {
             scheduler,
@@ -1397,6 +1401,45 @@ mod tests {
             Err(SimError::Mismatch(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_rejects_series_that_disagree_with_the_cut() {
+        let make = || {
+            let scenario = crate::PaperScenario::default();
+            let config = scenario.config().clone();
+            let g = GreFar::new(&config, GreFarParams::new(7.5, 0.0)).unwrap();
+            Simulation::new(config, scenario.into_inputs(48), Box::new(g))
+        };
+        let mut run = SteppedRun::new(make());
+        for _ in 0..24 {
+            assert!(run.step(&mut NullObserver));
+        }
+        let ck = run.checkpoint();
+        assert!(SteppedRun::resume(make(), ck.clone()).is_ok());
+
+        // Every per-slot series must hold one value per executed slot.
+        let mut short = ck.clone();
+        for row in &mut short.series.prices {
+            row.pop();
+        }
+        short.series.queue_max.pop();
+        assert!(matches!(
+            Checkpoint::parse(&short.to_jsonl()),
+            Err(SimError::CheckpointFormat { line: 1, .. })
+        ));
+        assert!(matches!(
+            SteppedRun::resume(make(), short),
+            Err(SimError::Mismatch(_))
+        ));
+
+        // Every per-DC family must have one row per data center.
+        let mut missing = ck;
+        missing.series.prices.pop();
+        assert!(matches!(
+            SteppedRun::resume(make(), missing),
+            Err(SimError::Mismatch(_))
+        ));
     }
 
     #[test]

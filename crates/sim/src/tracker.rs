@@ -12,6 +12,13 @@
 //! slot `w` has data-center delay `w − (u+1) + 1 = w − u` and total sojourn
 //! `w − t`. The "Always" baseline therefore yields a data-center delay of
 //! exactly 1, as §VI-B.3 expects.
+//!
+//! A data-center delay is a whole number of slots, so completed jobs are
+//! kept as exact per-(data center, delay) counts rather than one sample
+//! per job: memory follows the longest delay seen, not the number of jobs
+//! ever completed, and the report's delay quantiles
+//! ([`Quantiles::from_counts`](grefar_obs::Quantiles::from_counts)) are
+//! exact.
 
 use grefar_types::{Decision, Slot, SystemConfig};
 use std::collections::VecDeque;
@@ -53,8 +60,10 @@ pub struct JobTracker {
     local: Vec<Vec<VecDeque<LocalJob>>>,
     completed_per_dc: Vec<u64>,
     dc_delay_sum: Vec<f64>,
-    /// Every completed job's DC delay, per data center (for quantiles).
-    dc_delay_samples: Vec<Vec<f64>>,
+    /// `dc_delay_counts[i][d]`: jobs completed in data center `i` with a
+    /// DC delay of `d` slots (for quantiles). A row is as long as the
+    /// largest delay seen plus one.
+    dc_delay_counts: Vec<Vec<u64>>,
     completed_total: u64,
     sojourn_sum: f64,
 }
@@ -69,7 +78,7 @@ impl JobTracker {
             local: vec![vec![VecDeque::new(); j]; n],
             completed_per_dc: vec![0; n],
             dc_delay_sum: vec![0.0; n],
-            dc_delay_samples: vec![Vec::new(); n],
+            dc_delay_counts: vec![Vec::new(); n],
             completed_total: 0,
             sojourn_sum: 0.0,
         }
@@ -131,9 +140,13 @@ impl JobTracker {
                         self.completed_total += 1;
                         // DC delay: w − u where u is the routing slot
                         // (= serviceable_from − 1); sojourn: w − arrival.
-                        let delay = (t + 1 - job.serviceable_from) as f64;
-                        self.dc_delay_sum[i] += delay;
-                        self.dc_delay_samples[i].push(delay);
+                        let delay = (t + 1 - job.serviceable_from) as usize;
+                        self.dc_delay_sum[i] += delay as f64;
+                        let counts = &mut self.dc_delay_counts[i];
+                        if counts.len() <= delay {
+                            counts.resize(delay + 1, 0);
+                        }
+                        counts[delay] += 1;
                         self.sojourn_sum += t.saturating_sub(job.arrival) as f64;
                     }
                 }
@@ -204,13 +217,14 @@ impl JobTracker {
         (self.completed_per_dc[i], self.dc_delay_sum[i])
     }
 
-    /// Every completed job's data-center delay for data center `i`
-    /// (for tail-latency quantiles).
+    /// The data-center delays of data center `i`'s completed jobs as
+    /// counts: element `d` is the number of jobs that completed with a
+    /// delay of `d` slots (for tail-latency quantiles).
     ///
     /// # Panics
     /// Panics if `i` is out of range.
-    pub fn dc_delay_samples(&self, i: usize) -> &[f64] {
-        &self.dc_delay_samples[i]
+    pub fn dc_delay_counts(&self, i: usize) -> &[u64] {
+        &self.dc_delay_counts[i]
     }
 
     /// Captures the tracker's complete job-level state for a checkpoint.
@@ -236,7 +250,7 @@ impl JobTracker {
                 .collect(),
             completed_per_dc: self.completed_per_dc.clone(),
             dc_delay_sum: self.dc_delay_sum.clone(),
-            dc_delay_samples: self.dc_delay_samples.clone(),
+            dc_delay_counts: self.dc_delay_counts.clone(),
             completed_total: self.completed_total,
             sojourn_sum: self.sojourn_sum,
         }
@@ -257,7 +271,7 @@ impl JobTracker {
             || snap.local.iter().any(|row| row.len() != j_count)
             || snap.completed_per_dc.len() != n
             || snap.dc_delay_sum.len() != n
-            || snap.dc_delay_samples.len() != n
+            || snap.dc_delay_counts.len() != n
         {
             return Err("tracker snapshot shape mismatches the configuration".to_string());
         }
@@ -301,7 +315,7 @@ impl JobTracker {
                 .collect(),
             completed_per_dc: snap.completed_per_dc,
             dc_delay_sum: snap.dc_delay_sum,
-            dc_delay_samples: snap.dc_delay_samples,
+            dc_delay_counts: snap.dc_delay_counts,
             completed_total: snap.completed_total,
             sojourn_sum: snap.sojourn_sum,
         })
@@ -321,8 +335,9 @@ pub struct TrackerSnapshot {
     pub completed_per_dc: Vec<u64>,
     /// Cumulative data-center delay per data center.
     pub dc_delay_sum: Vec<f64>,
-    /// Every completed job's delay, per data center.
-    pub dc_delay_samples: Vec<Vec<f64>>,
+    /// Completed jobs per data center and delay: `[dc][delay in slots]`
+    /// counts, as [`JobTracker::dc_delay_counts`] returns them.
+    pub dc_delay_counts: Vec<Vec<u64>>,
     /// Total completions.
     pub completed_total: u64,
     /// Cumulative sojourn time over all completed jobs.
@@ -365,6 +380,7 @@ mod tests {
         assert_eq!(stats.completed_total, 2);
         assert_eq!(stats.mean_dc_delay[0], 1.0);
         assert_eq!(stats.mean_sojourn, 2.0);
+        assert_eq!(tr.dc_delay_counts(0), [0, 2]);
     }
 
     #[test]
@@ -399,6 +415,7 @@ mod tests {
         assert_eq!(tr.step(3, &z), vec![1]);
         // DC delay: routed at 1, finished at 3 → 2 slots.
         assert_eq!(tr.stats().mean_dc_delay[0], 2.0);
+        assert_eq!(tr.dc_delay_counts(0), [0, 0, 1]);
     }
 
     #[test]

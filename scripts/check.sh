@@ -243,11 +243,13 @@ echo "benchmark smoke ok"
 # fresh numbers must stay within a loose envelope of the committed
 # baselines in perf/ (loose: baselines were recorded on different
 # hardware; the gate catches order-of-magnitude regressions only).
-cargo bench -q -p grefar-bench --bench trace --offline -- --json "$report_tmp" > /dev/null
-./target/release/grefar-report bench-gate \
-    "$report_tmp/BENCH_trace.json" "$report_tmp/BENCH_trace.json" --threshold 10% > /dev/null
-./target/release/grefar-report bench-gate \
-    perf/BENCH_trace.json "$report_tmp/BENCH_trace.json" --threshold 300% > /dev/null
+for bench in trace checkpoint; do
+    cargo bench -q -p grefar-bench --bench "$bench" --offline -- --json "$report_tmp" > /dev/null
+    ./target/release/grefar-report bench-gate \
+        "$report_tmp/BENCH_$bench.json" "$report_tmp/BENCH_$bench.json" --threshold 10% > /dev/null
+    ./target/release/grefar-report bench-gate \
+        "perf/BENCH_$bench.json" "$report_tmp/BENCH_$bench.json" --threshold 300% > /dev/null
+done
 echo "report tooling ok"
 
 # Sanitizers (best effort — both stages need optional toolchain pieces,

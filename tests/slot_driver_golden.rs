@@ -7,7 +7,10 @@
 //!
 //! The fixtures in `tests/fixtures/slot_driver/` were recorded from the
 //! simulator's former batch loop (`Simulation::run_resumable` /
-//! `Simulation::resume`), which [`SteppedRun`] replaced.
+//! `Simulation::resume`), which [`SteppedRun`] replaced. In the two
+//! checkpoint fixtures, the `ckpt.tracker_dc` lines were since rewritten
+//! from one `delay_samples` entry per completed job to `delay_counts`;
+//! `killed.samples.ckpt.jsonl` keeps the slot-60 cut in the older form.
 
 use grefar::faults::FaultPlan;
 use grefar::ingest::FeedProfile;
@@ -24,6 +27,7 @@ const ADMISSION_CAP: f64 = 40.0;
 
 const EVENTS: &str = include_str!("fixtures/slot_driver/events.jsonl");
 const KILLED_CKPT: &str = include_str!("fixtures/slot_driver/killed.ckpt.jsonl");
+const KILLED_SAMPLES_CKPT: &str = include_str!("fixtures/slot_driver/killed.samples.ckpt.jsonl");
 const FINAL_CKPT: &str = include_str!("fixtures/slot_driver/final.ckpt.jsonl");
 const REPORT: &str = include_str!("fixtures/slot_driver/report.txt");
 
@@ -162,6 +166,33 @@ fn killed_and_resumed_run_reproduces_the_golden_run() {
         &(prefix.to_owned() + &tail.0),
         EVENTS,
     );
+    assert_same("final checkpoint", &read(&ck), FINAL_CKPT);
+    assert_same("resumed report", &format!("{report:#?}\n"), REPORT);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkpoint_with_legacy_delay_samples_resumes_into_the_golden_run() {
+    let legacy = Checkpoint::parse(KILLED_SAMPLES_CKPT).expect("legacy checkpoint parses");
+    assert_eq!(
+        legacy,
+        Checkpoint::parse(KILLED_CKPT).expect("checkpoint parses"),
+        "delay samples must fold into the recorded delay counts"
+    );
+
+    let dir = scratch("legacy");
+    let ck = dir.join("run.ckpt.jsonl");
+    let mut tail = Recorder::default();
+    let report = SteppedRun::resume(build(), legacy)
+        .and_then(|run| run.complete(&mut tail, Some(&RunPolicy::new(&ck, 25))))
+        .expect("resume completes");
+    // The golden stream from the first event of slot 60 on.
+    let slot_60 = EVENTS
+        .find("\"t\":60,")
+        .and_then(|at| EVENTS[..at].rfind('\n'))
+        .expect("the golden run reaches slot 60")
+        + 1;
+    assert_same("resumed event stream", &tail.0, &EVENTS[slot_60..]);
     assert_same("final checkpoint", &read(&ck), FINAL_CKPT);
     assert_same("resumed report", &format!("{report:#?}\n"), REPORT);
     std::fs::remove_dir_all(&dir).ok();
