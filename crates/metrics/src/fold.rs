@@ -368,14 +368,6 @@ impl MetricsFold {
                     1.0,
                 );
             }
-            E::CheckpointTruncated => {
-                self.registry.counter_add(
-                    "grefar_checkpoint_truncations_total",
-                    "Checkpoint loads that recovered past a corrupt trailing record.",
-                    &[],
-                    1.0,
-                );
-            }
             E::AlertFire(rule) => {
                 self.alerts_firing.insert(rule.clone(), true);
                 self.registry.counter_add(

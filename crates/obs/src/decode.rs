@@ -246,8 +246,6 @@ pub enum TelemetryEvent {
     AlertFire(String),
     /// `alert.resolve`, with the rule that cleared.
     AlertResolve(String),
-    /// `checkpoint.truncated`.
-    CheckpointTruncated,
     /// `checkpoint.write`, with the slot the checkpoint was cut at.
     CheckpointWrite(u64),
     /// `decision.explain`.
@@ -354,7 +352,6 @@ impl TelemetryEvent {
             TelemetryEvent::AdmissionReject(_) => "admission.reject",
             TelemetryEvent::AlertFire(_) => "alert.fire",
             TelemetryEvent::AlertResolve(_) => "alert.resolve",
-            TelemetryEvent::CheckpointTruncated => "checkpoint.truncated",
             TelemetryEvent::CheckpointWrite(_) => "checkpoint.write",
             TelemetryEvent::DecisionExplain(_) => "decision.explain",
             TelemetryEvent::DegradedMode(_) => "degraded.mode",
@@ -509,7 +506,6 @@ fn decode<'a>(name: &str, src: &mut impl Source<'a>) -> Result<Option<TelemetryE
         "admission.reject" => E::AdmissionReject(src.str("reason")?),
         "alert.fire" => E::AlertFire(src.str("rule")?),
         "alert.resolve" => E::AlertResolve(src.str("rule")?),
-        "checkpoint.truncated" => E::CheckpointTruncated,
         "checkpoint.write" => E::CheckpointWrite(src.u64("t")?),
         "decision.explain" => E::DecisionExplain(ExplainSample {
             t: src.u64("t")?,

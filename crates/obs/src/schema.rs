@@ -16,7 +16,10 @@
 //! * [`decode`](crate::decode) has one variant per telemetry entry, so
 //!   the fold and the report stream consume the same typed events; its
 //!   registry test decodes every entry, built by [`synthesize`], live and
-//!   from JSONL.
+//!   from JSONL;
+//! * [`is_service_event`] names the entries outside the deterministic
+//!   slot stream, for `grefar-report diff` and the daemon's resume
+//!   truncation.
 //!
 //! Keep entries sorted by name within each channel; the registry's own
 //! unit tests enforce the structural invariants (unique sorted names,
@@ -126,13 +129,6 @@ pub const EVENTS: &[EventSchema] = &[
         channel: Channel::Telemetry,
         doc: "A previously fired alert rule's condition cleared.",
         required: &[u("t"), s("rule"), f("value"), u("fired_at")],
-        optional: &[],
-    },
-    EventSchema {
-        name: "checkpoint.truncated",
-        channel: Channel::Telemetry,
-        doc: "A checkpoint load recovered past a truncated/corrupt trailing record.",
-        required: &[u("t"), u("kept_lines"), u("dropped_bytes")],
         optional: &[],
     },
     EventSchema {
@@ -482,6 +478,32 @@ pub fn names(channel: Channel) -> impl Iterator<Item = &'static str> {
         .map(|schema| schema.name)
 }
 
+/// Telemetry events outside the deterministic slot stream: the
+/// daemon's service plane (lifecycle, admission, supervision) and events
+/// emitted on a policy cadence (checkpoint cuts, health snapshots,
+/// profiler trailers, alert transitions). See [`is_service_event`].
+const SERVICE_EVENTS: &[&str] = &[
+    "admission.accept",
+    "admission.reject",
+    "alert.fire",
+    "alert.resolve",
+    "checkpoint.write",
+    "health.snapshot",
+    "profile.span",
+    "served.restart",
+    "served.start",
+    "served.stop",
+];
+
+/// Whether `name` is an event outside the deterministic slot stream: one
+/// that depends on run policy or the daemon's service plane rather than
+/// on the schedule. A resumed run does not re-emit these (so the resume
+/// truncation keeps them), and two runs of one schedule may differ in
+/// them (so `grefar-report diff` skips them).
+pub fn is_service_event(name: &str) -> bool {
+    SERVICE_EVENTS.contains(&name)
+}
+
 fn placeholder(field: &FieldSpec) -> Value {
     match field.kind {
         FieldKind::U64 => Value::U64(1),
@@ -562,6 +584,27 @@ mod tests {
             assert_eq!(lookup(schema.name).map(|s| s.name), Some(schema.name));
         }
         assert!(lookup("no.such.event").is_none());
+    }
+
+    #[test]
+    fn service_events_are_registered_telemetry_events() {
+        for name in SERVICE_EVENTS {
+            assert_eq!(
+                lookup(name).map(|s| s.channel),
+                Some(Channel::Telemetry),
+                "{name}"
+            );
+            assert!(is_service_event(name));
+        }
+        for name in [
+            "slot",
+            "run.start",
+            "run.end",
+            "grefar.decide",
+            "ckpt.header",
+        ] {
+            assert!(!is_service_event(name), "{name}");
+        }
     }
 
     #[test]

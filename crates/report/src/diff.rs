@@ -1,16 +1,22 @@
 //! Structural + numeric comparison of two telemetry streams.
 //!
 //! Timing fields (keys ending in `_us`) are never compared — they vary
-//! between machines and runs. Side-channel events (`checkpoint.write`,
-//! `health.snapshot`) are skipped entirely: they depend on run policy
-//! (checkpoint interval, snapshot cadence) rather than on the schedule,
-//! so a checkpointed run must still diff clean against an uninterrupted
-//! one. Everything else in the event schema is deterministic per seed, so
+//! between machines and runs. Service events
+//! ([`is_service_event`](grefar_obs::schema::is_service_event):
+//! `checkpoint.write`, `health.snapshot`, `profile.span`, alert
+//! transitions, the daemon's lifecycle and admission events) are skipped
+//! entirely: they depend on run policy (checkpoint interval, snapshot
+//! cadence, profiling flags, alert rules) or the daemon's service plane
+//! rather than on the schedule, so a checkpointed, profiled or
+//! alert-monitored run, or a `grefar-served` session that was `kill -9`'d
+//! and resumed, must still diff clean against a bare batch run of the same
+//! seed. Everything else in the event schema is deterministic per seed, so
 //! two runs of the same binary with the same seed must compare equal, and
 //! two runs with different seeds must not.
 
 use crate::stream::{parse_versioned_lines, JsonObject};
 use grefar_obs::json::JsonValue;
+use grefar_obs::schema;
 use std::fmt::Write as _;
 
 /// Knobs for [`diff_streams`].
@@ -89,23 +95,6 @@ fn is_timing_key(key: &str) -> bool {
     key.ends_with("_us")
 }
 
-/// Events excluded from comparison: emitted on policy cadences
-/// (checkpoint interval, snapshot interval, profiling flags, alert
-/// rules) or by the daemon's service plane (admission acks, supervision,
-/// resume bookkeeping), not by the schedule itself. A profiled run under
-/// `--profile wall`, an alert-monitored run, or a `grefar-served` session
-/// that was `kill -9`'d and resumed must still diff clean against a bare
-/// batch run of the same seed and submissions.
-fn is_policy_event(event: &JsonObject) -> bool {
-    let name = event_name(event);
-    matches!(
-        name,
-        "checkpoint.write" | "checkpoint.truncated" | "health.snapshot" | "profile.span"
-    ) || name.starts_with("alert.")
-        || name.starts_with("admission.")
-        || name.starts_with("served.")
-}
-
 fn numbers_match(x: f64, y: f64, tolerance: f64) -> bool {
     if x.is_nan() && y.is_nan() {
         return true;
@@ -146,8 +135,8 @@ fn event_name(event: &JsonObject) -> &str {
 pub fn diff_streams(a: &str, b: &str, opts: &DiffOptions) -> Result<StreamDiff, String> {
     let mut events_a = parse_versioned_lines(a).map_err(|e| format!("first stream: {e}"))?;
     let mut events_b = parse_versioned_lines(b).map_err(|e| format!("second stream: {e}"))?;
-    events_a.retain(|e| !is_policy_event(e));
-    events_b.retain(|e| !is_policy_event(e));
+    events_a.retain(|e| !schema::is_service_event(event_name(e)));
+    events_b.retain(|e| !schema::is_service_event(event_name(e)));
     let mut diff = StreamDiff {
         events_a: events_a.len(),
         events_b: events_b.len(),
@@ -278,7 +267,6 @@ mod tests {
              {\"schema\":1,\"event\":\"served.start\",\"addr\":\"127.0.0.1:1\",\"slot\":0,\"clock\":\"manual\"}\n\
              {\"schema\":1,\"event\":\"served.restart\",\"t\":1,\"actor\":\"feeds\",\"restarts\":1,\"backoff_ms\":50}\n\
              {\"schema\":1,\"event\":\"admission.accept\",\"t\":1,\"job\":0,\"count\":1,\"seq\":0}\n\
-             {\"schema\":1,\"event\":\"checkpoint.truncated\",\"t\":1,\"kept_lines\":4,\"dropped_bytes\":0}\n\
              {\"schema\":1,\"event\":\"slot\",\"t\":1",
         );
         let diff = diff_streams(BASE, &checkpointed, &DiffOptions::default()).unwrap();

@@ -143,17 +143,16 @@ impl TelemetryStream {
                 // the metrics fold instead.
                 E::ProfileSpan | E::HealthSnapshot | E::AlertFire(_) | E::AlertResolve(_) => {}
                 // The daemon's service plane: lifecycle brackets, supervisor
-                // restarts, admission decisions and checkpoint-recovery
-                // notes all land outside any run (before `run.start`, after
-                // `run.end`, or between resumed segments). The analytics
-                // don't consume them — `grefar-report diff` filters them as
-                // policy events, and the metrics fold counts them.
+                // restarts and admission decisions all land outside any run
+                // (before `run.start`, after `run.end`, or between resumed
+                // segments). The analytics don't consume them —
+                // `grefar-report diff` filters them as service events, and
+                // the metrics fold counts them.
                 E::ServedStart
                 | E::ServedStop
                 | E::ServedRestart(_)
                 | E::AdmissionAccept
-                | E::AdmissionReject(_)
-                | E::CheckpointTruncated => {}
+                | E::AdmissionReject(_) => {}
                 // Samples that belong to the open run.
                 E::Slot(sample) => run.ok_or_else(outside)?.slots.push(sample),
                 E::GrefarDecide(mut sample) => {

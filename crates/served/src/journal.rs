@@ -100,12 +100,12 @@ impl Journal {
 
     /// Atomically rewrites the journal to hold only `keep` (entries a
     /// resume still needs), bounding growth at checkpoint boundaries.
-    /// Same durability dance as the checkpoint writer: serialize to
-    /// `<path>.rot`, `fsync` it, rename over the journal, `fsync` the
-    /// directory, then reopen the append handle on the new file. A crash
-    /// at any byte leaves either the complete old journal or the complete
-    /// new one — [`load`] accepts both because `keep` preserves original
-    /// `seq` numbers (contiguous from a now-nonzero base).
+    /// The replacement goes through the checkpoint writer's routine
+    /// ([`grefar_sim::replace_durably`]), then the append handle is
+    /// reopened on the new file. A crash at any byte leaves either the
+    /// complete old journal or the complete new one — [`load`] accepts
+    /// both because `keep` preserves original `seq` numbers (contiguous
+    /// from a now-nonzero base).
     ///
     /// # Errors
     /// Any I/O error. Callers treat this as fatal (the state keeper
@@ -114,23 +114,12 @@ impl Journal {
     /// match the live file, so continuing could silently drop the
     /// durability barrier.
     pub fn rotate(&mut self, keep: &[JournalEntry]) -> std::io::Result<()> {
-        let tmp = self.path.with_extension("rot");
         let mut text = String::new();
         for entry in keep {
             text.push_str(&entry.to_line());
             text.push('\n');
         }
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                File::open(parent)?.sync_all()?;
-            }
-        }
+        grefar_sim::replace_durably(&self.path, text.as_bytes())?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         Ok(())
     }
@@ -355,7 +344,7 @@ mod tests {
 
     #[test]
     fn torn_rotation_leaves_a_loadable_journal_at_every_byte() {
-        // A crash can strike anywhere inside rotate(): while the `.rot`
+        // A crash can strike anywhere inside rotate(): while the `.tmp`
         // temp file is being written (the journal itself is untouched),
         // or after the rename (the journal is the complete new file).
         // Model both at byte granularity.
@@ -373,7 +362,7 @@ mod tests {
 
         // Phase 1: temp-file write torn at every prefix. The journal file
         // itself must load untouched.
-        let tmp = path.with_extension("rot");
+        let tmp = dir.join("torn.journal.tmp");
         for cut in 0..=new_text.len() {
             std::fs::write(&path, &old_text).unwrap();
             std::fs::write(&tmp, &new_text.as_bytes()[..cut]).unwrap();

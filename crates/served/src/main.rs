@@ -18,10 +18,11 @@
 //! `grefar_served::protocol`): `{"op":"submit","job":J,"count":C}`,
 //! `{"op":"advance","slots":N}` (manual clock), `{"op":"status"}` and
 //! `{"op":"drain"}`. `--checkpoint FILE` makes the daemon crash-safe: the
-//! admission journal lands in `FILE.journal`, checkpoints are cut every
-//! `--checkpoint-every` slots, and after a `kill -9` the same command line
-//! plus `--resume` continues bit-identically — the merged `--telemetry`
-//! stream is diff-clean against an uninterrupted run.
+//! admission journal lands in `FILE.journal`, every `--checkpoint-every`
+//! slots `FILE` is atomically replaced by a new cut, and after a `kill -9`
+//! the same command line plus `--resume` continues bit-identically — the
+//! merged `--telemetry` stream is diff-clean against an uninterrupted run.
+//! A start without `--resume` discards `FILE` and `FILE.journal` first.
 //!
 //! `--chaos PLAN` schedules deterministic actor failures (`kill:actor=…`,
 //! `stall:actor=…,ms=…`, `sockdrop:…` windows keyed to slots); data faults

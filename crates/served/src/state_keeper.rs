@@ -197,7 +197,7 @@ pub struct SkConfig {
     pub clock: Clock,
     /// The chaos schedule, if any.
     pub chaos: Option<ChaosPlan>,
-    /// Checkpoint journal path (None: no persistence).
+    /// Checkpoint path (None: no persistence).
     pub checkpoint: Option<PathBuf>,
     /// Checkpoint every N slots (and always at drain/horizon).
     pub checkpoint_every: u64,
@@ -546,7 +546,9 @@ impl StateKeeper {
         }
     }
 
-    /// Appends a checkpoint cut when the cadence (or `force`) says so.
+    /// Cuts a checkpoint when the cadence (or `force`) says so: the file
+    /// is replaced by the new cut, then the journal is rotated down to the
+    /// suffix that cut still needs.
     fn maybe_checkpoint(&mut self, force: bool) {
         let Some(path) = &self.checkpoint_path else {
             return;
@@ -559,15 +561,18 @@ impl StateKeeper {
         if !due {
             return;
         }
-        let checkpoint = self.run.checkpoint();
-        checkpoint
-            .append(path)
+        self.run
+            .checkpoint()
+            .write(path)
             .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
         self.last_checkpoint_slot = Some(slot);
         if let Some(journal) = &mut self.journal {
             // The cut is durable: entries for executed slots are baked
             // into it, so the journal only needs the suffix a resume
             // would replay (plus the newest entry as the seq watermark).
+            // A kill before this rotation leaves a superset of that
+            // suffix: its entries for slots before the cut only touch
+            // inputs the resumed run never reads.
             let accepted = self.shared.lock_accepted();
             let from = accepted
                 .iter()
@@ -858,9 +863,13 @@ mod tests {
             reply_of(&rig, 100 + conn);
         }
 
-        // Three slots executed, a checkpoint after each: the journal has
-        // been rotated down to the seq watermark (every admitted slot is
-        // behind the cut), not grown to all three entries.
+        // Three slots executed, a checkpoint after each: the checkpoint
+        // file holds only the newest cut, and the journal has been rotated
+        // down to the seq watermark (every admitted slot is behind the
+        // cut), not grown to all three entries.
+        let text = std::fs::read_to_string(&ck_path).unwrap();
+        assert_eq!(text.matches("\"event\":\"ckpt.header\"").count(), 1);
+        assert_eq!(grefar_sim::Checkpoint::load(&ck_path).unwrap().slot, 3);
         let recovered = crate::journal::load(&jn_path).unwrap();
         assert_eq!(recovered.entries.len(), 1, "{:?}", recovered.entries);
         assert_eq!(recovered.entries[0].seq, 2);
@@ -883,9 +892,7 @@ mod tests {
         // The rotated journal plus the newest checkpoint still rebuild a
         // runnable engine (the resume path's exact inputs).
         let recovered = crate::journal::load(&jn_path).unwrap();
-        let ck = grefar_sim::Checkpoint::load_latest(&ck_path)
-            .unwrap()
-            .checkpoint;
+        let ck = grefar_sim::Checkpoint::load(&ck_path).unwrap();
         let resumed = spec(8).build(&recovered.entries, Some(ck));
         assert!(resumed.is_ok(), "{:?}", resumed.err());
         std::fs::remove_dir_all(&dir).ok();

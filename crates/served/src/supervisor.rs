@@ -115,11 +115,12 @@ pub struct DaemonOptions {
     pub engine: EngineSpec,
     /// Deterministic chaos schedule.
     pub chaos: Option<ChaosPlan>,
-    /// Checkpoint journal path.
+    /// Checkpoint path (the admission journal rides next to it).
     pub checkpoint: Option<PathBuf>,
     /// Checkpoint cadence in slots.
     pub checkpoint_every: u64,
-    /// Resume from the checkpoint + admission journal on disk.
+    /// Resume from the checkpoint + admission journal on disk (without
+    /// it, a fresh start removes both files).
     pub resume: bool,
     /// JSONL telemetry stream path.
     pub telemetry: Option<PathBuf>,
@@ -149,8 +150,9 @@ pub fn journal_path_for(checkpoint: &std::path::Path) -> PathBuf {
 /// restart budget or unrecoverable state.
 ///
 /// # Errors
-/// Startup failures (bad listen address, unreadable resume state,
-/// invalid engine build) — the caller prints and exits 2.
+/// Startup failures (bad listen address, unreadable resume state, an
+/// earlier session's state files that cannot be removed, invalid engine
+/// build) — the caller prints and exits 2.
 pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
     signal::reset();
     signal::install();
@@ -160,18 +162,15 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
     // --- Resume state -------------------------------------------------
     let mut accepted: Vec<JournalEntry> = Vec::new();
     let mut disk_checkpoint: Option<Checkpoint> = None;
-    let mut checkpoint_truncation: Option<(u64, u64)> = None; // kept, dropped
     if options.resume {
         let ck_path = options
             .checkpoint
             .as_ref()
             .ok_or("--resume requires --checkpoint")?;
-        let recovery = Checkpoint::load_latest(ck_path)
-            .map_err(|e| format!("cannot resume from {}: {e}", ck_path.display()))?;
-        if recovery.was_truncated() {
-            checkpoint_truncation = Some((recovery.kept_lines, recovery.dropped_bytes));
-        }
-        disk_checkpoint = Some(recovery.checkpoint);
+        disk_checkpoint = Some(
+            Checkpoint::load(ck_path)
+                .map_err(|e| format!("cannot resume from {}: {e}", ck_path.display()))?,
+        );
         if let Some(path) = &journal_path {
             let recovered = journal::load(path)?;
             if recovered.dropped_bytes > 0 {
@@ -182,6 +181,19 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
                 );
             }
             accepted = recovered.entries;
+        }
+    } else {
+        // A fresh start owns its state files from the first slot: an
+        // earlier session's checkpoint and journal would otherwise feed a
+        // state-keeper restart (or a later --resume) before the first cut
+        // replaces them.
+        for path in options.checkpoint.iter().chain(&journal_path) {
+            match std::fs::remove_file(path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(format!("cannot remove {}: {e}", path.display()))
+                }
+                _ => {}
+            }
         }
     }
     let resume_slot = disk_checkpoint.as_ref().map_or(0, |ck| ck.slot);
@@ -206,18 +218,6 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         let config = tele_config.clone();
         std::thread::spawn(move || run_telemetry(config, tele_rx))
     };
-    if let Some((kept_lines, dropped_bytes)) = checkpoint_truncation {
-        send_reliable(
-            &tele,
-            TelemetryMsg::Event(
-                Event::new("checkpoint.truncated")
-                    .field("t", resume_slot)
-                    .field("kept_lines", kept_lines)
-                    .field("dropped_bytes", dropped_bytes),
-            ),
-        );
-    }
-
     // --- Listener ------------------------------------------------------
     let listener = TcpListener::bind(&options.listen)
         .map_err(|e| format!("cannot bind {}: {e}", options.listen))?;
@@ -615,10 +615,9 @@ fn reload_checkpoint(path: Option<&std::path::Path>) -> Result<Option<Checkpoint
     if !path.exists() {
         return Ok(None);
     }
-    match Checkpoint::load_latest(path) {
-        Ok(recovery) => Ok(Some(recovery.checkpoint)),
-        Err(e) => Err(format!("cannot reload checkpoint {}: {e}", path.display())),
-    }
+    Checkpoint::load(path)
+        .map(Some)
+        .map_err(|e| format!("cannot reload checkpoint {}: {e}", path.display()))
 }
 
 fn emit_restart(

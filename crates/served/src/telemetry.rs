@@ -16,7 +16,7 @@
 use crate::port::Swap;
 use grefar_metrics::{AlertRule, MetricsConfig, MetricsLayer, SharedHandle, SnapshotSink};
 use grefar_obs::json::{parse_object, JsonValue};
-use grefar_obs::{Event, JsonlSink, MemoryObserver, Observer};
+use grefar_obs::{schema, Event, JsonlSink, MemoryObserver, Observer};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender};
@@ -252,23 +252,6 @@ impl Observer for PortObserver {
     }
 }
 
-/// Events the daemon itself appends to the stream (lifecycle, admission,
-/// supervision) — they are *not* part of the deterministic slot stream the
-/// engine re-emits after a resume, so the resume truncation keeps them.
-const DAEMON_STREAM_EVENTS: &[&str] = &[
-    "admission.accept",
-    "admission.reject",
-    "alert.fire",
-    "alert.resolve",
-    "checkpoint.truncated",
-    "checkpoint.write",
-    "health.snapshot",
-    "profile.span",
-    "served.restart",
-    "served.start",
-    "served.stop",
-];
-
 /// What [`truncate_for_resume`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TruncateOutcome {
@@ -281,14 +264,17 @@ pub struct TruncateOutcome {
 /// Prepares an interrupted run's telemetry stream for appending: cuts the
 /// file back to the last event *before* the engine stream re-enters at
 /// `resume_slot`, so the resumed daemon's re-emitted slots extend a clean
-/// prefix instead of duplicating their own telemetry. Also cuts a torn
-/// trailing line (the `kill -9` case) and anything from `run.end` on (a
-/// drained run being resumed).
+/// prefix instead of duplicating their own telemetry. Service events
+/// ([`schema::is_service_event`]: lifecycle, admission, supervision) are
+/// not part of the slot stream the engine re-emits, so they do not end
+/// the prefix. Also cuts a torn trailing line (the `kill -9` case) and
+/// anything from `run.end` on (a drained run being resumed).
 ///
-/// A missing file is left missing (nothing to truncate).
+/// The tail is cut in place (`set_len`), so a kill mid-truncation never
+/// loses the prefix. A missing file is left missing (nothing to truncate).
 ///
 /// # Errors
-/// I/O errors reading or rewriting the file.
+/// I/O errors reading or truncating the file.
 pub fn truncate_for_resume(path: &Path, resume_slot: u64) -> Result<TruncateOutcome, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -320,7 +306,7 @@ pub fn truncate_for_resume(path: &Path, resume_slot: u64) -> Result<TruncateOutc
                 break;
             }
             let slot = object.get("t").and_then(JsonValue::as_f64);
-            if !DAEMON_STREAM_EVENTS.contains(&name) {
+            if !schema::is_service_event(name) {
                 if let Some(t) = slot {
                     if t >= resume_slot as f64 {
                         break;
@@ -333,8 +319,11 @@ pub fn truncate_for_resume(path: &Path, resume_slot: u64) -> Result<TruncateOutc
     }
     let dropped = (text.len() - keep) as u64;
     if dropped > 0 {
-        std::fs::write(path, &text.as_bytes()[..keep])
-            .map_err(|e| format!("cannot rewrite {}: {e}", path.display()))?;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .and_then(|file| file.set_len(keep as u64))
+            .map_err(|e| format!("cannot truncate {}: {e}", path.display()))?;
     }
     Ok(TruncateOutcome {
         kept_lines,

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `grefar-served` binary: the wire protocol, the
-//! `kill -9` → `--resume` continuation, chaos-driven actor restarts, and
-//! the supervisor's give-up escalation.
+//! `kill -9` → `--resume` continuation, a fresh start over an earlier
+//! session's state files, chaos-driven actor restarts, and the
+//! supervisor's give-up escalation.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -220,6 +221,58 @@ fn kill_nine_then_resume_continues_bit_identically() {
     let merged = schedule_events(&interrupted_tele);
     assert_eq!(reference.len(), 10, "run.start + 8 slots + run.end");
     assert_eq!(reference, merged, "resume must continue bit-identically");
+}
+
+#[test]
+fn fresh_start_discards_an_earlier_sessions_checkpoint_and_journal() {
+    let dir = scratch("stale");
+    let session = |seed: &str, checkpoint: &Path, extra: &[&str], telemetry: Option<&Path>| {
+        let port_file = dir.join("port");
+        let _ = std::fs::remove_file(&port_file);
+        let mut cmd = Command::new(bin());
+        cmd.args(["--hours", "12", "--clock", "turbo", "--seed", seed])
+            .arg("--checkpoint")
+            .arg(checkpoint)
+            .args(extra)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null());
+        if let Some(path) = telemetry {
+            cmd.arg("--telemetry").arg(path);
+        }
+        let mut daemon = cmd.spawn().unwrap();
+        wait_addr(&port_file);
+        assert_eq!(wait_exit(&mut daemon).code(), Some(0), "seed {seed}");
+    };
+    // The state keeper dies before the session's first cut, so its
+    // restart reloads whatever checkpoint the path holds.
+    let chaos = [
+        "--checkpoint-every",
+        "100",
+        "--backoff-ms",
+        "1",
+        "--chaos",
+        "kill:actor=state_keeper,start=3,end=4",
+    ];
+
+    // An earlier session on another seed leaves its checkpoint behind.
+    let stale = dir.join("stale.ck");
+    session("9", &stale, &["--checkpoint-every", "4"], None);
+    assert!(stale.exists());
+
+    let stale_tele = dir.join("stale.jsonl");
+    session("7", &stale, &chaos, Some(&stale_tele));
+    let clean_tele = dir.join("clean.jsonl");
+    session("7", &dir.join("clean.ck"), &chaos, Some(&clean_tele));
+
+    let clean = schedule_events(&clean_tele);
+    assert_eq!(clean.len(), 14, "run.start + 12 slots + run.end");
+    assert_eq!(
+        schedule_events(&stale_tele),
+        clean,
+        "a fresh start must not resume an earlier session's state"
+    );
 }
 
 #[test]

@@ -24,13 +24,16 @@
 //! (one whole-number delay per completed job) instead; the parser still
 //! reads it and folds it into counts.
 //!
-//! Files are written atomically (temp file + rename), and the final
-//! `ckpt.end` line carries the line count, so a crash mid-write leaves
-//! either the previous complete checkpoint or a detectably-truncated file —
-//! never a silently half-updated one.
+//! A checkpoint file holds exactly one record, and [`Checkpoint::write`]
+//! replaces it atomically ([`replace_durably`]: temp file, `fsync`,
+//! rename, directory `fsync`), so a crash at any byte leaves the previous
+//! complete checkpoint in place. [`Checkpoint::load`] is strict: the final
+//! `ckpt.end` line carries the line count, which catches a file damaged
+//! outside the program (or one holding more than one record) as a
+//! [`SimError::CheckpointFormat`] error instead of a half-read state.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use grefar_obs::json::{self, write_f64, write_u64, JsonValue};
 
@@ -168,35 +171,6 @@ pub struct Checkpoint {
     pub ledger: LedgerSnapshot,
 }
 
-/// The result of a tolerant checkpoint load: the recovered record plus
-/// how much trailing damage (if any) was skipped to reach it. Produced by
-/// [`Checkpoint::load_latest`] / [`Checkpoint::recover`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointRecovery {
-    /// The last complete, valid checkpoint record.
-    pub checkpoint: Checkpoint,
-    /// Physical lines retained, up to and including the record's
-    /// `ckpt.end`.
-    pub kept_lines: u64,
-    /// Bytes discarded after the recovered record (0 for a clean file).
-    pub dropped_bytes: u64,
-}
-
-impl CheckpointRecovery {
-    /// Whether trailing damage was skipped (callers emit a
-    /// `checkpoint.truncated` telemetry event when so).
-    pub fn was_truncated(&self) -> bool {
-        self.dropped_bytes > 0
-    }
-}
-
-/// Whether a physical line is a well-formed JSON object whose `event`
-/// field equals `name` (consistent with the strict parser's framing).
-fn is_event_line(line: &str, name: &str) -> bool {
-    !line.trim().is_empty()
-        && json::parse_object(line).ok().as_ref().and_then(event_name) == Some(name)
-}
-
 impl Checkpoint {
     /// Serializes to the JSONL checkpoint format, in one pass into one
     /// pre-sized buffer (see the [module docs](self)).
@@ -297,153 +271,19 @@ impl Checkpoint {
         w.out
     }
 
-    /// Writes the checkpoint atomically *and durably*: serialize to
-    /// `<path>.tmp`, `fsync` the temp file, rename over `path`, then
-    /// `fsync` the parent directory. An interrupted write never corrupts an
-    /// existing checkpoint, and once `write` returns the new checkpoint
-    /// survives power loss — without the data sync a rename can land before
-    /// the bytes do (leaving a valid name over empty content), and without
-    /// the directory sync the rename itself may not be on disk.
+    /// Replaces the checkpoint at `path` with this one, atomically and
+    /// durably ([`replace_durably`]). The file only ever holds one
+    /// complete record: a crash mid-write leaves the previous checkpoint in
+    /// place, and once `write` returns the new one survives power loss.
     ///
     /// # Errors
     /// [`SimError::CheckpointIo`] when the temp file cannot be written,
     /// synced or renamed, or the parent directory cannot be synced.
     pub fn write(&self, path: &Path) -> Result<(), SimError> {
-        use std::io::Write as _;
-        let tmp = path.with_extension("tmp");
-        let io_err = |source| SimError::CheckpointIo {
+        replace_durably(path, self.to_jsonl().as_bytes()).map_err(|source| SimError::CheckpointIo {
             path: path.to_path_buf(),
             source,
-        };
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        file.write_all(self.to_jsonl().as_bytes()).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(io_err)?;
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::File::open(parent)
-                .and_then(|dir| dir.sync_all())
-                .map_err(io_err)?;
-        }
-        Ok(())
-    }
-
-    /// Appends this checkpoint as one more record to a checkpoint
-    /// *journal* and syncs it to disk. Unlike [`write`](Self::write) the
-    /// journal keeps every prior record, so a crash mid-append damages at
-    /// most the trailing record — [`load_latest`](Self::load_latest)
-    /// recovers to the last complete one. This is how `grefar-served`
-    /// persists state: append-only, recoverable, no rename window.
-    ///
-    /// # Errors
-    /// [`SimError::CheckpointIo`] when the journal cannot be opened,
-    /// written or synced.
-    pub fn append(&self, path: &Path) -> Result<(), SimError> {
-        use std::io::Write as _;
-        let io_err = |source| SimError::CheckpointIo {
-            path: path.to_path_buf(),
-            source,
-        };
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(io_err)?;
-        file.write_all(self.to_jsonl().as_bytes()).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-        Ok(())
-    }
-
-    /// Reads the last complete checkpoint record from a file, tolerating
-    /// a truncated or corrupt trailing record (crash mid-append).
-    ///
-    /// Works on both a single [`write`](Self::write)-style checkpoint and
-    /// an [`append`](Self::append)-style journal: the text is scanned for
-    /// complete `ckpt.header … ckpt.end` blocks and the latest block that
-    /// parses cleanly wins. Everything after it — a half-written line, a
-    /// corrupt record, a block whose `ckpt.end` never made it to disk —
-    /// is reported via [`CheckpointRecovery::dropped_bytes`] so the
-    /// caller can emit a `checkpoint.truncated` telemetry event instead
-    /// of dying on a hard parse error.
-    ///
-    /// # Errors
-    /// [`SimError::CheckpointIo`] when the file cannot be read, and
-    /// [`SimError::CheckpointFormat`]/[`SimError::CheckpointSchema`] when
-    /// *no* complete record can be recovered (the strict error from the
-    /// most recent candidate block is surfaced).
-    pub fn load_latest(path: &Path) -> Result<CheckpointRecovery, SimError> {
-        let text = std::fs::read_to_string(path).map_err(|source| SimError::CheckpointIo {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        Self::recover(&text)
-    }
-
-    /// Parses the last complete record out of (possibly damaged)
-    /// checkpoint/journal text. See [`load_latest`](Self::load_latest).
-    ///
-    /// # Errors
-    /// As for [`load_latest`](Self::load_latest), minus the I/O case.
-    pub fn recover(text: &str) -> Result<CheckpointRecovery, SimError> {
-        // Physical lines with their byte extents (offset of the line start
-        // and of the character past its newline), so dropped trailing
-        // bytes can be counted exactly — including a final unterminated
-        // fragment.
-        let mut lines: Vec<(&str, usize, usize)> = Vec::new();
-        let mut offset = 0;
-        for raw in text.split_inclusive('\n') {
-            lines.push((
-                raw.trim_end_matches(['\n', '\r']),
-                offset,
-                offset + raw.len(),
-            ));
-            offset += raw.len();
-        }
-        let header_starts: Vec<usize> = lines
-            .iter()
-            .enumerate()
-            .filter(|(_, (line, _, _))| is_event_line(line, "ckpt.header"))
-            .map(|(idx, _)| idx)
-            .collect();
-        if header_starts.is_empty() {
-            // No recognizable record at all: surface the strict parser's
-            // precise diagnostic (it cannot succeed without a header).
-            return Err(Self::parse(text)
-                .err()
-                .unwrap_or_else(|| bad(1, "empty checkpoint")));
-        }
-        let mut last_err = None;
-        for &start in header_starts.iter().rev() {
-            // A record ends at the first ckpt.end after its header; a
-            // missing one means the record never finished landing.
-            let Some(end) = lines[start..]
-                .iter()
-                .position(|(line, _, _)| is_event_line(line, "ckpt.end"))
-                .map(|rel| start + rel)
-            else {
-                last_err = last_err.or(Some(bad(
-                    lines.len(),
-                    "checkpoint is truncated (no ckpt.end)",
-                )));
-                continue;
-            };
-            let block: String = lines[start..=end]
-                .iter()
-                .map(|(line, _, _)| *line)
-                .collect::<Vec<_>>()
-                .join("\n");
-            match Self::parse(&block) {
-                Ok(checkpoint) => {
-                    return Ok(CheckpointRecovery {
-                        checkpoint,
-                        kept_lines: (end + 1) as u64,
-                        dropped_bytes: (text.len() - lines[end].2) as u64,
-                    });
-                }
-                Err(err) => last_err = last_err.or(Some(err)),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| bad(1, "empty checkpoint")))
+        })
     }
 
     /// Reads a checkpoint file written by [`write`](Self::write).
@@ -672,6 +512,39 @@ impl Checkpoint {
         }
         Ok(out)
     }
+}
+
+/// Replaces the file at `path` with `bytes`, atomically and durably: write
+/// them to `<path>.tmp`, `fsync` it, rename it over `path`, then `fsync`
+/// the parent directory. A crash at any byte leaves either the
+/// complete old file or the complete new one. Without the data sync a
+/// rename can land before the bytes do (a valid name over empty content),
+/// and without the directory sync the rename itself may not be on disk.
+///
+/// # Errors
+/// Any I/O error writing, syncing or renaming the temp file, or syncing
+/// the parent directory.
+pub fn replace_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let tmp = temp_path(path);
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::File::open(parent)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// The file [`replace_durably`] stages `path` in: the full file name plus
+/// `.tmp`. Distinct targets get distinct temp files (`run.1` and `run.2`
+/// do not share a `run.tmp`), and no target is its own temp file.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 fn bad(line: usize, message: &str) -> SimError {
@@ -946,12 +819,30 @@ mod tests {
         let path = dir.join("run.ckpt.jsonl");
         let ck = sample();
         ck.write(&path).unwrap();
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file left behind"
-        );
+        assert!(!temp_path(&path).exists(), "temp file left behind");
         assert_eq!(Checkpoint::load(&path).unwrap(), ck);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn temp_paths_are_distinct_and_never_the_target() {
+        let targets = [
+            "run.1",
+            "run.2",
+            "run",
+            "run.tmp",
+            "x.tmp",
+            "dir/run.ckpt.jsonl",
+            "dir/run.ckpt.jsonl.journal",
+            "/abs/run.ckpt",
+        ]
+        .map(PathBuf::from);
+        for target in &targets {
+            assert_ne!(&temp_path(target), target, "{target:?}");
+        }
+        let temps: std::collections::BTreeSet<PathBuf> =
+            targets.iter().map(|target| temp_path(target)).collect();
+        assert_eq!(temps.len(), targets.len(), "{temps:?}");
     }
 
     #[test]
@@ -1104,69 +995,20 @@ mod tests {
     }
 
     #[test]
-    fn recovery_tolerates_truncation_at_every_offset_of_the_final_record() {
-        let ck1 = sample();
-        let mut ck2 = sample();
-        ck2.dropped = 2;
-        ck2.queues_central = vec![1.5, 0.25];
-        let block1 = ck1.to_jsonl();
-        let text = format!("{}{}", block1, ck2.to_jsonl());
-
-        // A clean journal recovers its newest record with nothing dropped.
-        let clean = Checkpoint::recover(&text).unwrap();
-        assert_eq!(clean.checkpoint, ck2);
-        assert!(!clean.was_truncated());
-        assert_eq!(clean.kept_lines as usize, text.lines().count());
-
-        // Byte-level truncation at every offset inside the final record:
-        // the loader falls back to the last complete record and counts
-        // the damage. (At text.len() - 1 only the trailing newline is
-        // missing, so the final record is still whole.)
-        for cut in block1.len()..text.len() {
-            let damaged = &text[..cut];
-            let recovered =
-                Checkpoint::recover(damaged).unwrap_or_else(|err| panic!("cut at {cut}: {err}"));
-            if cut < text.len() - 1 {
-                assert_eq!(recovered.checkpoint, ck1, "cut at {cut}");
-                assert_eq!(recovered.dropped_bytes as usize, cut - block1.len());
-                assert_eq!(recovered.was_truncated(), cut > block1.len());
-                assert_eq!(recovered.kept_lines as usize, block1.lines().count());
-            } else {
-                assert_eq!(recovered.checkpoint, ck2, "cut at {cut}");
-                assert!(!recovered.was_truncated());
-            }
-        }
-
-        // Corrupt trailing garbage (not just truncation) is skipped too.
-        let noisy = format!("{text}{{\"event\":\"ckpt.head");
-        let recovered = Checkpoint::recover(&noisy).unwrap();
-        assert_eq!(recovered.checkpoint, ck2);
-        assert!(recovered.was_truncated());
-        assert_eq!(recovered.dropped_bytes as usize, noisy.len() - text.len());
-
-        // With no complete record at all, the strict diagnostic surfaces.
-        let err = Checkpoint::recover(&block1[..block1.len() / 2]).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
-        assert!(Checkpoint::recover("").is_err());
-    }
-
-    #[test]
-    fn append_grows_a_recoverable_journal() {
-        let dir = std::env::temp_dir().join(format!("grefar-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("served.ckpt.jsonl");
-        let ck1 = sample();
-        let mut ck2 = sample();
-        ck2.dropped = 7;
-        ck1.write(&path).unwrap();
-        ck2.append(&path).unwrap();
-        let recovered = Checkpoint::load_latest(&path).unwrap();
-        assert_eq!(recovered.checkpoint, ck2);
-        assert!(!recovered.was_truncated());
-        // The journal still holds both records.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, format!("{}{}", ck1.to_jsonl(), ck2.to_jsonl()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn two_appended_records_are_refused() {
+        // A file holding two whole records, as older daemon builds appended
+        // them, is neither record: the trailer's line count rejects it.
+        let mut second = sample();
+        second.dropped = 2;
+        let first = sample().to_jsonl();
+        let text = format!("{first}{}", second.to_jsonl());
+        let (line, message) = format_error(&text);
+        let records = first.lines().count();
+        assert_eq!(line, 2 * records);
+        assert!(
+            message.contains(&format!("expected {records} lines, found {}", 2 * records)),
+            "{message}"
+        );
     }
 
     #[test]

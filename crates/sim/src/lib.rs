@@ -55,7 +55,7 @@ pub mod theory_obs;
 mod tracker;
 
 pub use checkpoint::{
-    Checkpoint, CheckpointRecovery, LedgerSnapshot, SeriesSnapshot, CHECKPOINT_SCHEMA,
+    replace_durably, Checkpoint, LedgerSnapshot, SeriesSnapshot, CHECKPOINT_SCHEMA,
 };
 pub use error::SimError;
 pub use inputs::SimulationInputs;

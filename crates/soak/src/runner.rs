@@ -251,9 +251,9 @@ fn crash_leg(
         }
         Err(e) => return Err(format!("crash leg: {e}")),
     }
-    let recovery = Checkpoint::load_latest(&ck_path).map_err(|e| format!("checkpoint: {e}"))?;
+    let checkpoint = Checkpoint::load(&ck_path).map_err(|e| format!("checkpoint: {e}"))?;
     let mut tail = JsonlSink::new(Vec::new());
-    SteppedRun::resume(build_simulation(scenario, false)?, recovery.checkpoint)
+    SteppedRun::resume(build_simulation(scenario, false)?, checkpoint)
         .and_then(|run| run.complete(&mut tail, None))
         .map_err(|e| format!("resume: {e}"))?;
     let mut combined = String::from_utf8(cut.into_inner()).map_err(|e| e.to_string())?;

@@ -136,10 +136,13 @@ echo "provenance, trace and alerts ok"
 # daemon" and DESIGN.md, "Service architecture & supervision"): a
 # grefar-served session killed with SIGKILL mid-run and restarted with
 # --resume must merge into a telemetry stream grefar-report diff
-# certifies as identical to an uninterrupted session; SIGTERM must drain
-# gracefully (exit 0, final checkpoint, metrics snapshot, served.stop
-# marker); and a chaos plan that kills the state_keeper must restart
-# within policy and still pass the Theorem 1(a) occupancy gate.
+# certifies as identical to an uninterrupted session, and the checkpoint
+# file must hold one record; SIGTERM must drain gracefully (exit 0, final
+# checkpoint, metrics snapshot, served.stop marker); a chaos plan that
+# kills the state_keeper must restart within policy and still pass the
+# Theorem 1(a) occupancy gate; and the same chaos session started fresh
+# over an earlier session's checkpoint must diff clean against one on an
+# empty path.
 served=./target/release/grefar-served
 wait_port() { # FILE -> prints the daemon's bound address
     local f=$1 i=0
@@ -161,6 +164,8 @@ served_pid=$!
 printf '%s\n%s\n' "$submit_head" '{"op":"advance","slots":5}' \
     | "$served" client "$(wait_port "$report_tmp/served_ref.port")" > /dev/null
 wait "$served_pid" || { echo "reference daemon session failed" >&2; exit 1; }
+[ "$(grep -c '"event":"ckpt.header"' "$report_tmp/served_ref.ck")" = 1 ] \
+    || { echo "daemon checkpoint must hold exactly one record" >&2; exit 1; }
 "$served" "${served_args[@]}" --telemetry "$report_tmp/served_cut.jsonl" \
     --checkpoint "$report_tmp/served_cut.ck" \
     --port-file "$report_tmp/served_cut.port" > /dev/null &
@@ -208,6 +213,29 @@ wait "$served_pid" || { echo "chaos run must ride out its kills (exit 0)" >&2; e
 grep -q '"event":"served.restart"' "$report_tmp/served_chaos.jsonl" \
     || { echo "chaos run recorded no restart" >&2; exit 1; }
 ./target/release/grefar-report analyze "$report_tmp/served_chaos.jsonl" --assert-bound > /dev/null
+# A fresh start (no --resume) must not inherit an earlier session's
+# checkpoint or journal: a state-keeper restart before the first cut
+# must replay this session, exactly as it does on an empty path.
+"$served" --hours 12 --clock turbo --seed 9 --checkpoint-every 4 \
+    --checkpoint "$report_tmp/served_stale.ck" \
+    --port-file "$report_tmp/served_stale.port" > /dev/null &
+served_pid=$!
+wait_port "$report_tmp/served_stale.port" > /dev/null
+wait "$served_pid" || { echo "stale-path seed session failed" >&2; exit 1; }
+stale_args=(--hours 12 --clock turbo --seed 7 --checkpoint-every 100 --backoff-ms 1
+    --chaos 'kill:actor=state_keeper,start=3,end=4')
+for path in served_stale served_fresh; do
+    rm -f "$report_tmp/$path.port"
+    "$served" "${stale_args[@]}" --telemetry "$report_tmp/$path.jsonl" \
+        --checkpoint "$report_tmp/$path.ck" \
+        --port-file "$report_tmp/$path.port" > /dev/null 2>&1 &
+    served_pid=$!
+    wait_port "$report_tmp/$path.port" > /dev/null
+    wait "$served_pid" || { echo "$path chaos session failed" >&2; exit 1; }
+done
+./target/release/grefar-report diff \
+    "$report_tmp/served_fresh.jsonl" "$report_tmp/served_stale.jsonl" > /dev/null \
+    || { echo "a fresh start resumed an earlier session's checkpoint" >&2; exit 1; }
 echo "daemon crash-safety ok"
 
 # Whole-system soak (see EXPERIMENTS.md, "Soak testing & replaying
