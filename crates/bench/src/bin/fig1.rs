@@ -32,17 +32,17 @@ fn main() {
         "{:>6} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8}",
         "hour", "price1", "price2", "price3", "org1", "org2", "org3", "org4"
     );
-    for t in 0..opts.hours {
+    for (t, org) in by_org.iter().enumerate().take(opts.hours) {
         println!(
             "{:>6} {:>8.3} {:>8.3} {:>8.3} | {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             t,
             price_trace.tariff(0, t as u64).base_rate(),
             price_trace.tariff(1, t as u64).base_rate(),
             price_trace.tariff(2, t as u64).base_rate(),
-            by_org[t][0],
-            by_org[t][1],
-            by_org[t][2],
-            by_org[t][3],
+            org[0],
+            org[1],
+            org[2],
+            org[3],
         );
     }
 

@@ -70,9 +70,9 @@ proptest! {
         // Right-hand side of (29) uses the *pre-update* queues.
         let bounds = TheoryBounds::new(&config, 1.0, 1.0, 0.0);
         let mut rhs = bounds.b_const();
-        for jj in 0..j {
+        for (jj, &arrived) in arrivals.iter().enumerate() {
             let routed: f64 = (0..n).map(|i| z.routed[(i, jj)]).sum();
-            rhs += queues.central(jj) * (arrivals[jj] - routed);
+            rhs += queues.central(jj) * (arrived - routed);
             for i in 0..n {
                 rhs += queues.local(i, jj) * (z.routed[(i, jj)] - z.processed[(i, jj)]);
             }

@@ -132,16 +132,17 @@ pub enum FaultKind {
     SocketDrop,
 }
 
-/// Which daemon actor a chaos clause targets (see `grefar-served`'s
-/// supervision tree).
+/// Which daemon actor a chaos clause targets: one of the three actors
+/// under `grefar-served`'s supervisor, spelled `admission`,
+/// `state_keeper` and `telemetry` in the DSL. The engine's feed harness
+/// runs inside the state keeper's slot step, so feeds are no target of
+/// their own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActorTarget {
     /// The admission (socket front-end) actor.
     Admission,
     /// The state-keeper actor owning `Θ(t)` and the slot loop.
     StateKeeper,
-    /// The feeds actor wrapping the ingest breakers.
-    Feeds,
     /// The telemetry actor owning the sink, fold, and alert engine.
     Telemetry,
 }
@@ -152,7 +153,6 @@ impl ActorTarget {
         match self {
             ActorTarget::Admission => "admission",
             ActorTarget::StateKeeper => "state_keeper",
-            ActorTarget::Feeds => "feeds",
             ActorTarget::Telemetry => "telemetry",
         }
     }
@@ -161,7 +161,6 @@ impl ActorTarget {
         match raw {
             "admission" => Some(ActorTarget::Admission),
             "state_keeper" => Some(ActorTarget::StateKeeper),
-            "feeds" => Some(ActorTarget::Feeds),
             "telemetry" => Some(ActorTarget::Telemetry),
             _ => None,
         }
@@ -482,12 +481,6 @@ impl FaultPlan {
             .min()
     }
 
-    /// The last slot any fault touches (`end − 1`), or `None` for an empty
-    /// plan.
-    pub fn last_slot(&self) -> Option<u64> {
-        self.faults.iter().map(|f| f.end - 1).max()
-    }
-
     /// Applies the plan's data faults to an explicit horizon in place, in
     /// plan order. `states[t]`/`arrivals[t]` describe slot `t`; windows past
     /// the horizon are silently clipped. [`FaultKind::SolverSqueeze`] has no
@@ -691,7 +684,7 @@ fn parse_clause(clause: &str) -> Result<Fault, FaultPlanError> {
         let raw = take("actor").ok_or_else(|| err("missing key `actor`".into()))?;
         ActorTarget::parse(raw).ok_or_else(|| {
             err(format!(
-                "key `actor`: expected one of admission, state_keeper, feeds, telemetry; got {raw:?}"
+                "key `actor`: expected one of admission, state_keeper, telemetry; got {raw:?}"
             ))
         })
     };
@@ -843,10 +836,11 @@ mod tests {
         for bad in [
             "kill:actor=reactor,start=1,end=2",
             "kill:start=1,end=2",
-            "stall:actor=feeds,ms=0,start=1,end=2",
-            "stall:actor=feeds,start=1,end=2",
-            "sockdrop:actor=feeds,start=1,end=2",
+            "stall:actor=admission,ms=0,start=1,end=2",
+            "stall:actor=admission,start=1,end=2",
+            "sockdrop:actor=admission,start=1,end=2",
             "kill:actor=state_keeper,start=2,end=2",
+            "kill:actor=feeds,start=1,end=2",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} parsed");
         }
@@ -857,10 +851,10 @@ mod tests {
         let (mut states, mut arrivals) = horizon(10, 2, 0.5);
         let plan = FaultPlan::parse("outage:dc=1,start=3,end=6").unwrap();
         plan.apply(&mut states, &mut arrivals).unwrap();
-        for t in 0..10 {
+        for (t, state) in states.iter().enumerate() {
             let expected = if (3..6).contains(&t) { 0.0 } else { 10.0 };
-            assert_eq!(states[t].data_center(1).available(0), expected, "slot {t}");
-            assert_eq!(states[t].data_center(0).available(0), 10.0, "slot {t}");
+            assert_eq!(state.data_center(1).available(0), expected, "slot {t}");
+            assert_eq!(state.data_center(0).available(0), 10.0, "slot {t}");
         }
     }
 
@@ -912,8 +906,6 @@ mod tests {
         assert_eq!(plan.fw_budget_at(16), Some(2));
         assert_eq!(plan.fw_budget_at(19), Some(5));
         assert_eq!(plan.starting_at(15).count(), 1);
-        assert_eq!(plan.last_slot(), Some(19));
-        assert_eq!(FaultPlan::empty().last_slot(), None);
     }
 
     #[test]

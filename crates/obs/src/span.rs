@@ -363,7 +363,7 @@ mod tests {
         let events = crate::json::parse_lines(&text).unwrap();
         assert_eq!(events.len(), 1);
         assert!(events[0]["total_us"].as_f64().is_some());
-        assert!(events[0].get("total_ticks").is_none());
+        assert!(!events[0].contains_key("total_ticks"));
     }
 
     #[test]

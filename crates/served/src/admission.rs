@@ -7,6 +7,9 @@
 //! surfaces as typed `queue_full` rejections at the edge — load shedding,
 //! not unbounded buffering. Replies route back by connection id.
 //!
+//! The actor has one inbox, [`AdmissionMsg`]: the state keeper's replies
+//! and the chaos controls share it, and one drain per poll serves both.
+//!
 //! The actor rejects locally (without bothering the state keeper) when the
 //! line does not parse, when the daemon is draining, or when the state
 //! keeper's current incarnation is dead (`unavailable` — the supervisor is
@@ -28,8 +31,10 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Control messages the supervisor/state keeper can route to this actor.
-pub enum ActorCtl {
+/// The admission actor's inbox: everything the state keeper routes to it.
+pub enum AdmissionMsg {
+    /// A reply line for connection `conn`.
+    Reply(u64, String),
     /// Chaos: die. The supervisor restarts the actor.
     Poison,
     /// Chaos: freeze the poll loop for this many milliseconds.
@@ -66,13 +71,12 @@ struct Conn {
 /// Runs one admission-actor incarnation until the stop flag is set.
 ///
 /// # Panics
-/// On [`ActorCtl::Poison`] (chaos).
+/// On [`AdmissionMsg::Poison`] (chaos).
 pub fn run_admission(
     listener: TcpListener,
     sk: Swap<SyncSender<SkMsg>>,
     shared: SkShared,
-    ctl: Receiver<ActorCtl>,
-    replies: Receiver<(u64, String)>,
+    inbox: Receiver<AdmissionMsg>,
     config: AdmissionConfig,
 ) {
     listener
@@ -82,55 +86,37 @@ pub fn run_admission(
     let mut next_conn = config.conn_base;
 
     while !config.stop.load(Ordering::SeqCst) {
-        while let Ok(msg) = ctl.try_recv() {
-            match msg {
-                ActorCtl::Poison => panic!("chaos kill: admission actor"),
-                ActorCtl::Stall(ms) => std::thread::sleep(Duration::from_millis(ms)),
-            }
-        }
-
         if shared.sockdrop.load(Ordering::SeqCst) {
             // Chaos window: sever everything, including fresh accepts.
             conns.clear();
             while let Ok((stream, _)) = listener.accept() {
                 drop(stream);
             }
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+        } else {
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        if stream.set_nonblocking(true).is_err() {
+                            continue;
+                        }
+                        conns.push(Conn {
+                            id: next_conn,
+                            stream,
+                            buf: Vec::new(),
+                            dead: false,
+                            discarding: false,
+                        });
+                        next_conn += 1;
                     }
-                    conns.push(Conn {
-                        id: next_conn,
-                        stream,
-                        buf: Vec::new(),
-                        dead: false,
-                        discarding: false,
-                    });
-                    next_conn += 1;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-
-        for conn in &mut conns {
-            pump_reads(conn, &sk, &shared);
-        }
-
-        while let Ok((conn_id, line)) = replies.try_recv() {
-            if let Some(conn) = conns.iter_mut().find(|c| c.id == conn_id) {
-                if write_line(&mut conn.stream, &line).is_err() {
-                    conn.dead = true;
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(_) => break,
                 }
             }
+            for conn in &mut conns {
+                pump_reads(conn, &sk, &shared);
+            }
         }
-
+        serve_inbox(&inbox, &mut conns);
         conns.retain(|c| !c.dead);
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -138,9 +124,30 @@ pub fn run_admission(
     // Teardown: the supervisor only sets `stop` after the state keeper has
     // exited, so every reply it will ever send is already queued — flush
     // them so the last client sees its final ack before the socket closes.
-    while let Ok((conn_id, line)) = replies.try_recv() {
-        if let Some(conn) = conns.iter_mut().find(|c| c.id == conn_id) {
-            let _ = write_line(&mut conn.stream, &line);
+    // Chaos controls left in the inbox have nothing left to act on.
+    while let Ok(msg) = inbox.try_recv() {
+        if let AdmissionMsg::Reply(conn_id, line) = msg {
+            if let Some(conn) = conns.iter_mut().find(|c| c.id == conn_id) {
+                let _ = write_line(&mut conn.stream, &line);
+            }
+        }
+    }
+}
+
+/// Drains the inbox in arrival order: writes each reply to its connection
+/// (if it is still open) and acts on chaos controls.
+fn serve_inbox(inbox: &Receiver<AdmissionMsg>, conns: &mut [Conn]) {
+    while let Ok(msg) = inbox.try_recv() {
+        match msg {
+            AdmissionMsg::Reply(conn_id, line) => {
+                if let Some(conn) = conns.iter_mut().find(|c| c.id == conn_id) {
+                    if write_line(&mut conn.stream, &line).is_err() {
+                        conn.dead = true;
+                    }
+                }
+            }
+            AdmissionMsg::Poison => panic!("chaos kill: admission actor"),
+            AdmissionMsg::Stall(ms) => std::thread::sleep(Duration::from_millis(ms)),
         }
     }
 }
@@ -294,7 +301,6 @@ fn reject_local(conn: &mut Conn, op: &str, reason: RejectReason, detail: &str, s
                 .field("reason", reason.as_str()),
         ),
     );
-    send_reliable(&shared.tele, TelemetryMsg::Counter("admission.rejected", 1));
     if write_line(&mut conn.stream, &protocol::reject(op, reason, detail)).is_err() {
         conn.dead = true;
     }
@@ -337,16 +343,12 @@ mod tests {
 
     fn shared_for_test() -> (SkShared, mpsc::Receiver<TelemetryMsg>) {
         let (tele_tx, tele_rx) = mpsc::channel();
-        let (reply_tx, _reply_rx) = mpsc::channel();
-        let (ctl_tx, _ctl_rx) = mpsc::channel();
-        let (feeds_tx, _feeds_rx) = mpsc::channel();
-        // The receivers for reply/ctl/feeds are dropped: these paths are
-        // not under test and sends to them are allowed to fail.
+        let (admission_tx, _admission_rx) = mpsc::channel();
+        // The admission receiver is dropped: the state keeper's side of
+        // the inbox is not under test and sends to it may fail.
         let shared = SkShared {
             tele: Swap::new(tele_tx),
-            reply: Swap::new(reply_tx),
-            admission_ctl: Swap::new(ctl_tx),
-            feeds: Swap::new(feeds_tx),
+            admission: Swap::new(admission_tx),
             draining: Arc::new(AtomicBool::new(false)),
             sockdrop: Arc::new(AtomicBool::new(false)),
             emitted_upto: Arc::new(AtomicU64::new(0)),
@@ -365,8 +367,7 @@ mod tests {
         let (sk_tx, sk_rx) = sync_channel::<SkMsg>(8);
         let sk = Swap::new(sk_tx);
         let (shared, _tele_rx) = shared_for_test();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let (_ctl_tx, ctl_rx) = mpsc::channel();
+        let (inbox_tx, inbox_rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let sk = sk.clone();
@@ -377,8 +378,7 @@ mod tests {
                     listener,
                     sk,
                     shared,
-                    ctl_rx,
-                    reply_rx,
+                    inbox_rx,
                     AdmissionConfig { conn_base: 0, stop },
                 )
             })
@@ -394,8 +394,8 @@ mod tests {
             _ => panic!("expected submit"),
         };
         assert_eq!(job, 1);
-        reply_tx
-            .send((conn, protocol::accept(0, 0, job, 2.0)))
+        inbox_tx
+            .send(AdmissionMsg::Reply(conn, protocol::accept(0, 0, job, 2.0)))
             .unwrap();
         let mut reader = BufReader::new(client.try_clone().unwrap());
         let mut line = String::new();
@@ -421,8 +421,7 @@ mod tests {
         let (sk_tx, _sk_rx) = sync_channel::<SkMsg>(8);
         let sk = Swap::new(sk_tx);
         let (shared, _tele_rx) = shared_for_test();
-        let (_reply_tx, reply_rx) = mpsc::channel();
-        let (_ctl_tx, ctl_rx) = mpsc::channel();
+        let (_inbox_tx, inbox_rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let sk = sk.clone();
@@ -433,8 +432,7 @@ mod tests {
                     listener,
                     sk,
                     shared,
-                    ctl_rx,
-                    reply_rx,
+                    inbox_rx,
                     AdmissionConfig { conn_base: 0, stop },
                 )
             })
@@ -476,8 +474,7 @@ mod tests {
         let (sk_tx, sk_rx) = sync_channel::<SkMsg>(1);
         let sk = Swap::new(sk_tx);
         let (shared, _tele_rx) = shared_for_test();
-        let (_reply_tx, reply_rx) = mpsc::channel();
-        let (_ctl_tx, ctl_rx) = mpsc::channel();
+        let (_inbox_tx, inbox_rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let sk = sk.clone();
@@ -488,8 +485,7 @@ mod tests {
                     listener,
                     sk,
                     shared,
-                    ctl_rx,
-                    reply_rx,
+                    inbox_rx,
                     AdmissionConfig {
                         conn_base: 1 << 32,
                         stop,

@@ -9,7 +9,7 @@
 //! window. Because windows are keyed to slots, a chaos run is exactly
 //! reproducible.
 
-use grefar_faults::{ActorTarget, Fault, FaultPlan};
+use grefar_faults::{Fault, FaultPlan};
 use grefar_obs::Event;
 
 /// A validated, chaos-only fault plan.
@@ -48,56 +48,21 @@ impl ChaosPlan {
         self.plan.spec()
     }
 
-    /// Actors to kill right before slot `slot` executes (windows opening
-    /// at that slot).
-    pub fn kills_starting_at(&self, slot: u64) -> Vec<ActorTarget> {
-        self.plan
-            .starting_at(slot)
-            .filter_map(|f| match f.actor() {
-                Some(actor) if f.label() == "kill" => Some(actor),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// `(actor, milliseconds)` stalls opening at `slot`.
-    pub fn stalls_starting_at(&self, slot: u64) -> Vec<(ActorTarget, u64)> {
-        self.plan
-            .starting_at(slot)
-            .filter_map(|f| match (f.actor(), f.magnitude()) {
-                (Some(actor), Some(ms)) if f.label() == "stall" => Some((actor, ms as u64)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Whether a socket-drop window covers `slot`.
     pub fn sockdrop_active(&self, slot: u64) -> bool {
         self.plan.active_at(slot).any(|f| f.label() == "sockdrop")
     }
 
-    /// `fault.inject` telemetry events for every chaos window opening at
-    /// `slot` — same shape as the engine's data-fault events, plus the
-    /// `actor` field.
-    pub fn inject_events(&self, slot: u64) -> Vec<Event> {
-        self.plan
-            .starting_at(slot)
-            .map(|fault| chaos_inject_event(fault, slot))
-            .collect()
-    }
-
-    /// The chaos windows opening at `slot` (faults are `Copy`).
+    /// The chaos windows opening at `slot` (faults are `Copy`). The state
+    /// keeper classifies them by [`Fault::label`], [`Fault::actor`] and
+    /// [`Fault::magnitude`].
     pub fn starting(&self, slot: u64) -> Vec<Fault> {
         self.plan.starting_at(slot).copied().collect()
     }
-
-    /// The last slot any window covers (to size turbo-mode runs in tests).
-    pub fn last_slot(&self) -> Option<u64> {
-        self.plan.last_slot()
-    }
 }
 
-/// The `fault.inject` event for one chaos window opening at slot `t`.
+/// The `fault.inject` event for one chaos window opening at slot `t` —
+/// same shape as the engine's data-fault events, plus the `actor` field.
 pub fn chaos_inject_event(fault: &Fault, t: u64) -> Event {
     let mut event = Event::new("fault.inject")
         .field("t", t)
@@ -116,6 +81,7 @@ pub fn chaos_inject_event(fault: &Fault, t: u64) -> Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grefar_faults::ActorTarget;
 
     #[test]
     fn parses_and_schedules_chaos_windows() {
@@ -124,17 +90,24 @@ mod tests {
              sockdrop:start=8,end=11",
         )
         .unwrap();
-        assert_eq!(chaos.kills_starting_at(3), vec![ActorTarget::Admission]);
-        assert!(chaos.kills_starting_at(4).is_empty());
-        assert_eq!(
-            chaos.stalls_starting_at(5),
-            vec![(ActorTarget::Telemetry, 20)]
-        );
+        let kill = chaos.starting(3);
+        assert_eq!(kill.len(), 1);
+        assert_eq!(kill[0].label(), "kill");
+        assert_eq!(kill[0].actor(), Some(ActorTarget::Admission));
+        assert!(chaos.starting(4).is_empty());
+        let stall = chaos.starting(5);
+        assert_eq!(stall.len(), 1);
+        assert_eq!(stall[0].label(), "stall");
+        assert_eq!(stall[0].actor(), Some(ActorTarget::Telemetry));
+        assert_eq!(stall[0].magnitude(), Some(20.0));
         assert!(!chaos.sockdrop_active(7));
         assert!(chaos.sockdrop_active(8));
         assert!(chaos.sockdrop_active(10));
         assert!(!chaos.sockdrop_active(11));
-        assert_eq!(chaos.last_slot(), Some(10));
+        // The sockdrop window opens at 8 and is the last one to close.
+        let sockdrop = chaos.starting(8);
+        assert_eq!(sockdrop.len(), 1);
+        assert_eq!((sockdrop[0].label(), sockdrop[0].end), ("sockdrop", 11));
     }
 
     #[test]
@@ -146,9 +119,9 @@ mod tests {
     #[test]
     fn inject_events_carry_the_actor() {
         let chaos = ChaosPlan::parse("kill:actor=state_keeper,start=2,end=3").unwrap();
-        let events = chaos.inject_events(2);
-        assert_eq!(events.len(), 1);
-        let line = events[0].to_json();
+        let opened = chaos.starting(2);
+        assert_eq!(opened.len(), 1);
+        let line = chaos_inject_event(&opened[0], 2).to_json();
         assert!(line.contains("\"actor\":\"state_keeper\""), "{line}");
         assert!(line.contains("\"kind\":\"kill\""), "{line}");
     }

@@ -8,6 +8,8 @@
 //!
 //! ## Actors
 //!
+//! Three actors, each with exactly one inbox:
+//!
 //! * **admission** ([`admission`]) — the TCP front door: line-delimited
 //!   JSON requests ([`protocol`]), bounded forwarding to the state keeper
 //!   (backpressure surfaces as typed `queue_full` rejections), reply
@@ -16,11 +18,12 @@
 //!   [`SteppedRun`](grefar_sim::SteppedRun) engine; drives the per-slot
 //!   GreFar decision on a manual/turbo/real-time clock, journals accepted
 //!   submissions *before* acking ([`journal`]), and cuts checkpoints on a
-//!   slot cadence.
-//! * **feeds** ([`feeds`]) — a shadow replica of the ingest layer's
-//!   breakers, folded into gauges.
+//!   slot cadence. With `--feeds`, the engine's own feed harness runs
+//!   inside the slot step on this thread.
 //! * **telemetry** ([`telemetry`]) — the single writer of the JSONL event
-//!   stream, the metrics fold, and the alert engine.
+//!   stream, the metrics fold, and the alert engine. Its channel carries
+//!   events and the actor's own controls; counters, gauges and histogram
+//!   samples never cross it.
 //!
 //! ## Crash safety
 //!
@@ -46,7 +49,6 @@
 pub mod admission;
 pub mod chaos;
 pub mod engine;
-pub mod feeds;
 pub mod journal;
 pub mod port;
 pub mod protocol;

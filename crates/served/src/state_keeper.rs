@@ -18,9 +18,8 @@
 //! horizon, `real:MS` pins each slot to a wall-clock deadline and serves
 //! admissions in the gaps.
 
-use crate::admission::ActorCtl;
+use crate::admission::AdmissionMsg;
 use crate::chaos::{chaos_inject_event, ChaosPlan};
-use crate::feeds::FeedsMsg;
 use crate::journal::{Journal, JournalEntry};
 use crate::port::Swap;
 use crate::protocol::{self, RejectReason};
@@ -136,12 +135,8 @@ pub enum SkExit {
 pub struct SkShared {
     /// The telemetry actor's swappable inbox.
     pub tele: TelemetryPort,
-    /// Reply lines routed back to the admission actor as `(conn, line)`.
-    pub reply: Swap<Sender<(u64, String)>>,
-    /// The admission actor's control inbox (chaos routing).
-    pub admission_ctl: Swap<Sender<ActorCtl>>,
-    /// The feeds actor's inbox.
-    pub feeds: Swap<Sender<FeedsMsg>>,
+    /// The admission actor's swappable inbox: reply lines and chaos.
+    pub admission: Swap<Sender<AdmissionMsg>>,
     /// Set once draining begins; the admission actor rejects locally too.
     pub draining: Arc<AtomicBool>,
     /// Chaos socket-drop window currently active.
@@ -153,8 +148,11 @@ pub struct SkShared {
     pub admitted: Arc<AtomicU64>,
     /// Requests rejected over the daemon's lifetime.
     pub rejected: Arc<AtomicU64>,
-    /// Every accepted submission, in order — the in-memory journal the
-    /// supervisor replays into a replacement engine.
+    /// The accepted submissions a replacement engine still needs, in
+    /// order — the in-memory journal the supervisor replays. With a
+    /// checkpoint path each cut trims it to the suffix the on-disk journal
+    /// keeps; without one it holds every submission, because a restart
+    /// rebuilds from slot 0.
     pub accepted: Arc<Mutex<Vec<JournalEntry>>>,
     /// Chaos windows (by spec) that already fired, so a restarted state
     /// keeper replaying past slots does not re-kill anyone.
@@ -163,17 +161,10 @@ pub struct SkShared {
 
 impl SkShared {
     /// Fresh shared state for a new daemon (all counters zero).
-    pub fn new(
-        tele: TelemetryPort,
-        reply: Swap<Sender<(u64, String)>>,
-        admission_ctl: Swap<Sender<ActorCtl>>,
-        feeds: Swap<Sender<FeedsMsg>>,
-    ) -> Self {
+    pub fn new(tele: TelemetryPort, admission: Swap<Sender<AdmissionMsg>>) -> Self {
         Self {
             tele,
-            reply,
-            admission_ctl,
-            feeds,
+            admission,
             draining: Arc::new(AtomicBool::new(false)),
             sockdrop: Arc::new(AtomicBool::new(false)),
             emitted_upto: Arc::new(AtomicU64::new(0)),
@@ -414,10 +405,6 @@ impl StateKeeper {
                     .field("seq", seq),
             ),
         );
-        send_reliable(
-            &self.shared.tele,
-            TelemetryMsg::Counter("admission.accepted", 1),
-        );
         self.reply(conn, protocol::accept(seq, t, job, count));
     }
 
@@ -468,8 +455,6 @@ impl StateKeeper {
         if !silent {
             self.maybe_checkpoint(false);
         }
-        let (_, feeds) = self.shared.feeds.get();
-        let _ = feeds.send(FeedsMsg::SlotDone(t));
     }
 
     /// Applies the chaos windows opening at slot `t`. Each window fires at
@@ -511,12 +496,8 @@ impl StateKeeper {
                     panic!("chaos kill: state_keeper")
                 }
                 ("kill", Some(ActorTarget::Admission)) => {
-                    let (_, ctl) = self.shared.admission_ctl.get();
-                    let _ = ctl.send(ActorCtl::Poison);
-                }
-                ("kill", Some(ActorTarget::Feeds)) => {
-                    let (_, feeds) = self.shared.feeds.get();
-                    let _ = feeds.send(FeedsMsg::Poison);
+                    let (_, admission) = self.shared.admission.get();
+                    let _ = admission.send(AdmissionMsg::Poison);
                 }
                 ("kill", Some(ActorTarget::Telemetry)) => {
                     let (generation, tx) = self.shared.tele.get();
@@ -531,12 +512,8 @@ impl StateKeeper {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 ("stall", Some(ActorTarget::Admission)) => {
-                    let (_, ctl) = self.shared.admission_ctl.get();
-                    let _ = ctl.send(ActorCtl::Stall(ms));
-                }
-                ("stall", Some(ActorTarget::Feeds)) => {
-                    let (_, feeds) = self.shared.feeds.get();
-                    let _ = feeds.send(FeedsMsg::Stall(ms));
+                    let (_, admission) = self.shared.admission.get();
+                    let _ = admission.send(AdmissionMsg::Stall(ms));
                 }
                 ("stall", Some(ActorTarget::Telemetry)) => {
                     send_reliable(&self.shared.tele, TelemetryMsg::Stall(ms));
@@ -547,8 +524,8 @@ impl StateKeeper {
     }
 
     /// Cuts a checkpoint when the cadence (or `force`) says so: the file
-    /// is replaced by the new cut, then the journal is rotated down to the
-    /// suffix that cut still needs.
+    /// is replaced by the new cut, then the journal — on disk and in
+    /// memory — is rotated down to the suffix that cut still needs.
     fn maybe_checkpoint(&mut self, force: bool) {
         let Some(path) = &self.checkpoint_path else {
             return;
@@ -557,7 +534,7 @@ impl StateKeeper {
         if self.last_checkpoint_slot == Some(slot) {
             return;
         }
-        let due = force || self.run.is_done() || slot % self.checkpoint_every == 0;
+        let due = force || self.run.is_done() || slot.is_multiple_of(self.checkpoint_every);
         if !due {
             return;
         }
@@ -566,30 +543,27 @@ impl StateKeeper {
             .write(path)
             .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
         self.last_checkpoint_slot = Some(slot);
+        // The cut is durable: entries for executed slots are baked into
+        // it, so both journals only need the suffix a resume or a restart
+        // would replay (plus the newest entry as the seq watermark). A
+        // kill before this rotation leaves a superset of that suffix: its
+        // entries for slots before the cut only touch inputs the resumed
+        // run never reads.
+        let mut accepted = self.shared.lock_accepted();
+        let from = accepted
+            .iter()
+            .position(|e| e.t >= slot)
+            .unwrap_or_else(|| accepted.len().saturating_sub(1));
+        accepted.drain(..from);
         if let Some(journal) = &mut self.journal {
-            // The cut is durable: entries for executed slots are baked
-            // into it, so the journal only needs the suffix a resume
-            // would replay (plus the newest entry as the seq watermark).
-            // A kill before this rotation leaves a superset of that
-            // suffix: its entries for slots before the cut only touch
-            // inputs the resumed run never reads.
-            let accepted = self.shared.lock_accepted();
-            let from = accepted
-                .iter()
-                .position(|e| e.t >= slot)
-                .unwrap_or_else(|| accepted.len().saturating_sub(1));
-            let keep = &accepted[from..];
             journal
-                .rotate(keep)
+                .rotate(&accepted)
                 .unwrap_or_else(|e| panic!("journal rotate failed: {e}"));
         }
+        drop(accepted);
         send_reliable(
             &self.shared.tele,
             TelemetryMsg::Event(Event::new("checkpoint.write").field("t", slot)),
-        );
-        send_reliable(
-            &self.shared.tele,
-            TelemetryMsg::Counter("checkpoint.writes", 1),
         );
     }
 
@@ -608,10 +582,6 @@ impl StateKeeper {
             event = event.field("job", job as u64).field("count", count);
         }
         send_reliable(&self.shared.tele, TelemetryMsg::Event(event));
-        send_reliable(
-            &self.shared.tele,
-            TelemetryMsg::Counter("admission.rejected", 1),
-        );
         self.shared.rejected.fetch_add(1, Ordering::SeqCst);
         self.reply(conn, protocol::reject(op, reason, detail));
     }
@@ -619,8 +589,8 @@ impl StateKeeper {
     fn reply(&self, conn: u64, line: String) {
         // A failed send means the admission incarnation died; its
         // connections died with it, so the reply has nowhere to go.
-        let (_, tx) = self.shared.reply.get();
-        let _ = tx.send((conn, line));
+        let (_, tx) = self.shared.admission.get();
+        let _ = tx.send(AdmissionMsg::Reply(conn, line));
     }
 
     /// Final cut, `run.end`, `served.stop` — in that order, so the stream
@@ -672,10 +642,8 @@ mod tests {
 
     struct Rig {
         sk: mpsc::Sender<SkMsg>,
-        replies: mpsc::Receiver<(u64, String)>,
+        replies: mpsc::Receiver<AdmissionMsg>,
         _tele_rx: mpsc::Receiver<TelemetryMsg>,
-        _feeds_rx: mpsc::Receiver<FeedsMsg>,
-        _ctl_rx: mpsc::Receiver<ActorCtl>,
         handle: std::thread::JoinHandle<SkExit>,
     }
 
@@ -685,14 +653,7 @@ mod tests {
         let run = engine.build(&[], None).unwrap();
         let (tele_tx, tele_rx) = mpsc::channel();
         let (reply_tx, replies) = mpsc::channel();
-        let (ctl_tx, ctl_rx) = mpsc::channel();
-        let (feeds_tx, feeds_rx) = mpsc::channel();
-        let shared = SkShared::new(
-            Swap::new(tele_tx),
-            Swap::new(reply_tx),
-            Swap::new(ctl_tx),
-            Swap::new(feeds_tx),
-        );
+        let shared = SkShared::new(Swap::new(tele_tx), Swap::new(reply_tx));
         let (sk_tx, sk_rx) = mpsc::channel();
         let config = SkConfig {
             clock,
@@ -707,17 +668,18 @@ mod tests {
             sk: sk_tx,
             replies,
             _tele_rx: tele_rx,
-            _feeds_rx: feeds_rx,
-            _ctl_rx: ctl_rx,
             handle,
         }
     }
 
     fn reply_of(rig: &Rig, conn: u64) -> std::collections::BTreeMap<String, JsonValue> {
-        let (got_conn, line) = rig
+        let msg = rig
             .replies
             .recv_timeout(Duration::from_secs(5))
             .expect("reply");
+        let AdmissionMsg::Reply(got_conn, line) = msg else {
+            panic!("expected a reply");
+        };
         assert_eq!(got_conn, conn);
         parse_object(&line).expect("flat json reply")
     }
@@ -814,14 +776,7 @@ mod tests {
         let run = engine.build(&[], None).unwrap();
         let (tele_tx, _tele_rx) = mpsc::channel();
         let (reply_tx, replies) = mpsc::channel();
-        let (ctl_tx, _ctl_rx) = mpsc::channel();
-        let (feeds_tx, _feeds_rx) = mpsc::channel();
-        let shared = SkShared::new(
-            Swap::new(tele_tx),
-            Swap::new(reply_tx),
-            Swap::new(ctl_tx),
-            Swap::new(feeds_tx),
-        );
+        let shared = SkShared::new(Swap::new(tele_tx), Swap::new(reply_tx));
         let (sk_tx, sk_rx) = mpsc::channel();
         let config = SkConfig {
             clock: Clock::Manual,
@@ -831,13 +786,14 @@ mod tests {
             journal: Some(jn_path.clone()),
             num_job_classes: classes,
         };
-        let handle = std::thread::spawn(move || run_state_keeper(run, config, shared, sk_rx));
+        let handle = {
+            let shared = shared.clone();
+            std::thread::spawn(move || run_state_keeper(run, config, shared, sk_rx))
+        };
         let rig = Rig {
             sk: sk_tx,
             replies,
             _tele_rx,
-            _feeds_rx,
-            _ctl_rx,
             handle,
         };
 
@@ -866,13 +822,14 @@ mod tests {
         // Three slots executed, a checkpoint after each: the checkpoint
         // file holds only the newest cut, and the journal has been rotated
         // down to the seq watermark (every admitted slot is behind the
-        // cut), not grown to all three entries.
+        // cut), not grown to all three entries — on disk and in memory.
         let text = std::fs::read_to_string(&ck_path).unwrap();
         assert_eq!(text.matches("\"event\":\"ckpt.header\"").count(), 1);
         assert_eq!(grefar_sim::Checkpoint::load(&ck_path).unwrap().slot, 3);
         let recovered = crate::journal::load(&jn_path).unwrap();
         assert_eq!(recovered.entries.len(), 1, "{:?}", recovered.entries);
         assert_eq!(recovered.entries[0].seq, 2);
+        assert_eq!(*shared.lock_accepted(), recovered.entries);
 
         // A fresh submission continues the seq sequence from the
         // watermark — exactly what a resumed daemon would do.

@@ -12,10 +12,9 @@
 //! supervision loop translates it into a graceful drain — stop admitting,
 //! checkpoint, finish the run, flush telemetry — and exits 0.
 
-use crate::admission::{run_admission, ActorCtl, AdmissionConfig};
+use crate::admission::{run_admission, AdmissionConfig, AdmissionMsg};
 use crate::chaos::ChaosPlan;
 use crate::engine::EngineSpec;
-use crate::feeds::{run_feeds, FeedsMsg, FeedsSetup};
 use crate::journal::{self, JournalEntry};
 use crate::port::Swap;
 use crate::signal;
@@ -102,6 +101,70 @@ impl RestartTracker {
         self.total += 1;
         let in_window = self.times.len() as u32;
         self.policy.backoff_for(in_window)
+    }
+}
+
+/// One supervised actor: its live thread and its restart budget.
+struct Supervised<T> {
+    actor: &'static str,
+    /// `None` from [`Supervised::reap`] until the replacement spawns, and
+    /// for good once the supervisor gives up.
+    thread: Option<JoinHandle<T>>,
+    tracker: RestartTracker,
+}
+
+impl<T> Supervised<T> {
+    fn new(actor: &'static str, thread: JoinHandle<T>, policy: RestartPolicy) -> Self {
+        Self {
+            actor,
+            thread: Some(thread),
+            tracker: RestartTracker::new(policy),
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        self.thread.as_ref().is_some_and(JoinHandle::is_finished)
+    }
+
+    /// The restart sequence every actor shares: join the finished thread,
+    /// label its death, charge the restart budget, sleep out the backoff.
+    /// `Ok` is the backoff slept; the caller rebuilds the actor. `Err` ends
+    /// supervision: `clean` turned the thread's return value into an exit,
+    /// or the budget is blown.
+    fn reap(&mut self, clean: impl FnOnce(T) -> Option<Exit>) -> Result<u64, Exit> {
+        let thread = self.thread.take().expect("reaped a live actor");
+        let detail = match thread.join() {
+            Ok(value) => match clean(value) {
+                Some(exit) => return Err(exit),
+                None => format!("{} loop exited unexpectedly", self.actor),
+            },
+            Err(panic) => panic_label(panic),
+        };
+        let Some(backoff_ms) = self.tracker.note() else {
+            return Err(Exit::GaveUp {
+                actor: self.actor,
+                detail,
+            });
+        };
+        std::thread::sleep(Duration::from_millis(backoff_ms));
+        Ok(backoff_ms)
+    }
+
+    /// Emits `served.restart` for the replacement about to spawn.
+    fn announce(&self, tele: &TelemetryPort, shared: &SkShared, backoff_ms: u64) {
+        let actor = self.actor;
+        let restarts = self.tracker.total;
+        eprintln!("note: restarted {actor} actor (restart #{restarts})");
+        send_reliable(
+            tele,
+            TelemetryMsg::Event(
+                Event::new("served.restart")
+                    .field("t", shared.emitted_upto.load(Ordering::SeqCst))
+                    .field("actor", actor)
+                    .field("restarts", restarts)
+                    .field("backoff_ms", backoff_ms),
+            ),
+        );
     }
 }
 
@@ -214,9 +277,10 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
     };
     let (tele_tx, tele_rx) = mpsc::channel();
     let tele: TelemetryPort = Swap::new(tele_tx);
-    let mut tele_handle = {
+    let mut telemetry = {
         let config = tele_config.clone();
-        std::thread::spawn(move || run_telemetry(config, tele_rx))
+        let thread = std::thread::spawn(move || run_telemetry(config, tele_rx));
+        Supervised::new("telemetry", thread, options.restart)
     };
     // --- Listener ------------------------------------------------------
     let listener = TcpListener::bind(&options.listen)
@@ -280,15 +344,8 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
     }
 
     // --- Shared wiring + actor spawn -----------------------------------
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let (ctl_tx, ctl_rx) = mpsc::channel();
-    let (feeds_tx, feeds_rx) = mpsc::channel();
-    let shared = SkShared::new(
-        tele.clone(),
-        Swap::new(reply_tx),
-        Swap::new(ctl_tx),
-        Swap::new(feeds_tx),
-    );
+    let (admission_tx, admission_rx) = mpsc::channel();
+    let shared = SkShared::new(tele.clone(), Swap::new(admission_tx));
     shared.emitted_upto.store(resume_slot, Ordering::SeqCst);
     *shared.accepted.lock().expect("fresh lock") = accepted;
 
@@ -303,39 +360,28 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         journal: journal_path.clone(),
         num_job_classes: engine.config.num_job_classes(),
     };
-    let mut sk_handle = spawn_sk(run, sk_config(), shared.clone(), sk_rx);
+    let mut keeper = Supervised::new(
+        "state_keeper",
+        spawn_sk(run, sk_config(), shared.clone(), sk_rx),
+        options.restart,
+    );
 
     let admission_stop = Arc::new(AtomicBool::new(false));
     let mut admission_incarnation: u64 = 0;
-    let mut admission_handle = spawn_admission(
-        &listener,
-        &sk,
-        &shared,
-        ctl_rx,
-        reply_rx,
-        admission_incarnation,
-        &admission_stop,
-    )?;
-
-    let feeds_setup = || FeedsSetup {
-        profile: engine.feeds.clone(),
-        inputs: engine.base_inputs.clone(),
-        num_dcs: engine.config.num_data_centers(),
-        start_upto: shared.emitted_upto.load(Ordering::SeqCst),
-    };
-    let mut feeds_handle = {
-        let tele = tele.clone();
-        let setup = feeds_setup();
-        std::thread::spawn(move || run_feeds(setup, tele, feeds_rx))
-    };
+    let mut admission = Supervised::new(
+        "admission",
+        spawn_admission(
+            &listener,
+            &sk,
+            &shared,
+            admission_rx,
+            admission_incarnation,
+            &admission_stop,
+        )?,
+        options.restart,
+    );
 
     // --- Supervision loop ----------------------------------------------
-    let mut trackers = [
-        RestartTracker::new(options.restart), // state keeper
-        RestartTracker::new(options.restart), // admission
-        RestartTracker::new(options.restart), // feeds
-        RestartTracker::new(options.restart), // telemetry
-    ];
     let mut drain_requested = false;
 
     let exit = loop {
@@ -349,168 +395,86 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
             }
         }
 
-        if sk_handle.is_finished() {
-            match sk_handle.join() {
-                Ok(SkExit::Finished { report, reason }) => break Exit::Clean { report, reason },
-                Err(panic) => {
-                    let detail = panic_label(panic);
-                    match trackers[0].note() {
-                        None => {
-                            break Exit::GaveUp {
-                                actor: "state_keeper",
-                                detail,
-                            }
-                        }
-                        Some(backoff_ms) => {
-                            std::thread::sleep(Duration::from_millis(backoff_ms));
-                            let snapshot: Vec<JournalEntry> = shared
-                                .accepted
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .clone();
-                            let ck = match reload_checkpoint(options.checkpoint.as_deref()) {
-                                Ok(ck) => ck,
-                                Err(e) => {
-                                    break Exit::GaveUp {
-                                        actor: "state_keeper",
-                                        detail: e,
-                                    }
-                                }
-                            };
-                            let run = match engine.build(&snapshot, ck) {
-                                Ok(run) => run,
-                                Err(e) => {
-                                    break Exit::GaveUp {
-                                        actor: "state_keeper",
-                                        detail: e,
-                                    }
-                                }
-                            };
-                            let (sk_tx, sk_rx) =
-                                mpsc::sync_channel::<SkMsg>(options.queue_cap.max(1));
-                            sk.swap(sk_tx);
-                            // Emit before spawning: the replacement's own
-                            // chaos plan must not be able to kill the
-                            // telemetry actor ahead of this event.
-                            emit_restart(&tele, &shared, "state_keeper", &trackers[0], backoff_ms);
-                            sk_handle = spawn_sk(run, sk_config(), shared.clone(), sk_rx);
-                            drain_requested = false; // re-deliver the drain if one was pending
-                        }
+        if keeper.is_finished() {
+            let backoff_ms = match keeper
+                .reap(|SkExit::Finished { report, reason }| Some(Exit::Clean { report, reason }))
+            {
+                Ok(backoff_ms) => backoff_ms,
+                Err(exit) => break exit,
+            };
+            let snapshot: Vec<JournalEntry> = shared
+                .accepted
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone();
+            let rebuilt = reload_checkpoint(options.checkpoint.as_deref())
+                .and_then(|ck| engine.build(&snapshot, ck));
+            let run = match rebuilt {
+                Ok(run) => run,
+                Err(detail) => {
+                    break Exit::GaveUp {
+                        actor: keeper.actor,
+                        detail,
+                    }
+                }
+            };
+            let (sk_tx, sk_rx) = mpsc::sync_channel::<SkMsg>(options.queue_cap.max(1));
+            sk.swap(sk_tx);
+            // Announce before spawning: the replacement's own chaos plan
+            // must not be able to kill the telemetry actor ahead of this
+            // event.
+            keeper.announce(&tele, &shared, backoff_ms);
+            keeper.thread = Some(spawn_sk(run, sk_config(), shared.clone(), sk_rx));
+            drain_requested = false; // re-deliver the drain if one was pending
+            continue;
+        }
+
+        if admission.is_finished() {
+            let backoff_ms = match admission.reap(|()| None) {
+                Ok(backoff_ms) => backoff_ms,
+                Err(exit) => break exit,
+            };
+            let (admission_tx, admission_rx) = mpsc::channel();
+            shared.admission.swap(admission_tx);
+            admission_incarnation += 1;
+            admission.announce(&tele, &shared, backoff_ms);
+            match spawn_admission(
+                &listener,
+                &sk,
+                &shared,
+                admission_rx,
+                admission_incarnation,
+                &admission_stop,
+            ) {
+                Ok(thread) => admission.thread = Some(thread),
+                Err(detail) => {
+                    break Exit::GaveUp {
+                        actor: admission.actor,
+                        detail,
                     }
                 }
             }
             continue;
         }
 
-        if admission_handle.is_finished() {
-            let outcome = admission_handle.join();
-            if admission_stop.load(Ordering::SeqCst) {
-                // Teardown path; unreachable here, but keep the handle sane.
-                admission_handle = std::thread::spawn(|| ());
-                continue;
-            }
-            let detail = match outcome {
-                Ok(()) => "admission loop exited unexpectedly".to_string(),
-                Err(panic) => panic_label(panic),
+        if telemetry.is_finished() {
+            let backoff_ms = match telemetry.reap(|()| None) {
+                Ok(backoff_ms) => backoff_ms,
+                Err(exit) => break exit,
             };
-            match trackers[1].note() {
-                None => {
-                    admission_handle = std::thread::spawn(|| ());
-                    break Exit::GaveUp {
-                        actor: "admission",
-                        detail,
-                    };
-                }
-                Some(backoff_ms) => {
-                    std::thread::sleep(Duration::from_millis(backoff_ms));
-                    let (ctl_tx, ctl_rx) = mpsc::channel();
-                    let (reply_tx, reply_rx) = mpsc::channel();
-                    shared.admission_ctl.swap(ctl_tx);
-                    shared.reply.swap(reply_tx);
-                    admission_incarnation += 1;
-                    emit_restart(&tele, &shared, "admission", &trackers[1], backoff_ms);
-                    match spawn_admission(
-                        &listener,
-                        &sk,
-                        &shared,
-                        ctl_rx,
-                        reply_rx,
-                        admission_incarnation,
-                        &admission_stop,
-                    ) {
-                        Ok(handle) => admission_handle = handle,
-                        Err(e) => {
-                            admission_handle = std::thread::spawn(|| ());
-                            break Exit::GaveUp {
-                                actor: "admission",
-                                detail: e,
-                            };
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-
-        if feeds_handle.is_finished() {
-            let outcome = feeds_handle.join();
-            let detail = match outcome {
-                Ok(()) => "feeds loop exited unexpectedly".to_string(),
-                Err(panic) => panic_label(panic),
+            let (tele_tx, tele_rx) = mpsc::channel();
+            tele.swap(tele_tx);
+            // The replacement appends and pre-folds whatever the dead
+            // incarnation already wrote.
+            let config = TelemetryConfig {
+                append: tele_config.jsonl.is_some(),
+                ..tele_config.clone()
             };
-            match trackers[2].note() {
-                None => {
-                    feeds_handle = std::thread::spawn(|| ());
-                    break Exit::GaveUp {
-                        actor: "feeds",
-                        detail,
-                    };
-                }
-                Some(backoff_ms) => {
-                    std::thread::sleep(Duration::from_millis(backoff_ms));
-                    let (feeds_tx, feeds_rx) = mpsc::channel();
-                    shared.feeds.swap(feeds_tx);
-                    let tele_for_feeds = tele.clone();
-                    let setup = feeds_setup();
-                    emit_restart(&tele, &shared, "feeds", &trackers[2], backoff_ms);
-                    feeds_handle =
-                        std::thread::spawn(move || run_feeds(setup, tele_for_feeds, feeds_rx));
-                }
-            }
-            continue;
-        }
-
-        if tele_handle.is_finished() {
-            let outcome = tele_handle.join();
-            let detail = match outcome {
-                Ok(()) => "telemetry loop exited unexpectedly".to_string(),
-                Err(panic) => panic_label(panic),
-            };
-            match trackers[3].note() {
-                None => {
-                    tele_handle = std::thread::spawn(|| ());
-                    break Exit::GaveUp {
-                        actor: "telemetry",
-                        detail,
-                    };
-                }
-                Some(backoff_ms) => {
-                    std::thread::sleep(Duration::from_millis(backoff_ms));
-                    let (tele_tx, tele_rx) = mpsc::channel();
-                    tele.swap(tele_tx);
-                    // The replacement appends and pre-folds whatever the
-                    // dead incarnation already wrote.
-                    let config = TelemetryConfig {
-                        append: tele_config.jsonl.is_some(),
-                        ..tele_config.clone()
-                    };
-                    // Enqueue the restart event into the replacement's
-                    // channel before it starts: it lands right after the
-                    // pre-fold, ahead of anything the other actors send.
-                    emit_restart(&tele, &shared, "telemetry", &trackers[3], backoff_ms);
-                    tele_handle = std::thread::spawn(move || run_telemetry(config, tele_rx));
-                }
-            }
+            // Enqueue the restart event into the replacement's channel
+            // before it starts: it lands right after the pre-fold, ahead of
+            // anything the other actors send.
+            telemetry.announce(&tele, &shared, backoff_ms);
+            telemetry.thread = Some(std::thread::spawn(move || run_telemetry(config, tele_rx)));
             continue;
         }
 
@@ -520,14 +484,8 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
     // --- Teardown -------------------------------------------------------
     let code = match exit {
         Exit::Clean { report, reason } => {
-            let final_tele = stop_support_actors(
-                &shared,
-                &tele,
-                &admission_stop,
-                admission_handle,
-                feeds_handle,
-                tele_handle,
-            );
+            let final_tele =
+                stop_support_actors(&tele, &admission_stop, admission.thread, telemetry.thread);
             print!("{}", summary(&report, &shared));
             println!("exit             : {reason}");
             if let Some(fin) = final_tele {
@@ -550,14 +508,7 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
                         .field("rejected", shared.rejected.load(Ordering::SeqCst)),
                 ),
             );
-            let _ = stop_support_actors(
-                &shared,
-                &tele,
-                &admission_stop,
-                admission_handle,
-                feeds_handle,
-                tele_handle,
-            );
+            let _ = stop_support_actors(&tele, &admission_stop, admission.thread, telemetry.thread);
             1
         }
     };
@@ -591,8 +542,7 @@ fn spawn_admission(
     listener: &TcpListener,
     sk: &Swap<SyncSender<SkMsg>>,
     shared: &SkShared,
-    ctl: Receiver<ActorCtl>,
-    replies: Receiver<(u64, String)>,
+    inbox: Receiver<AdmissionMsg>,
     incarnation: u64,
     stop: &Arc<AtomicBool>,
 ) -> Result<JoinHandle<()>, String> {
@@ -606,7 +556,7 @@ fn spawn_admission(
         stop: Arc::clone(stop),
     };
     Ok(std::thread::spawn(move || {
-        run_admission(listener, sk, shared, ctl, replies, config)
+        run_admission(listener, sk, shared, inbox, config)
     }))
 }
 
@@ -620,51 +570,26 @@ fn reload_checkpoint(path: Option<&std::path::Path>) -> Result<Option<Checkpoint
         .map_err(|e| format!("cannot reload checkpoint {}: {e}", path.display()))
 }
 
-fn emit_restart(
-    tele: &TelemetryPort,
-    shared: &SkShared,
-    actor: &'static str,
-    tracker: &RestartTracker,
-    backoff_ms: u64,
-) {
-    eprintln!("note: restarted {actor} actor (restart #{})", tracker.total);
-    send_reliable(
-        tele,
-        TelemetryMsg::Event(
-            Event::new("served.restart")
-                .field("t", shared.emitted_upto.load(Ordering::SeqCst))
-                .field("actor", actor)
-                .field("restarts", tracker.total)
-                .field("backoff_ms", backoff_ms),
-        ),
-    );
-    send_reliable(tele, TelemetryMsg::Counter("served.restarts", 1));
-}
-
-/// Stops admission, feeds and telemetry in order; the final telemetry
-/// snapshot lands *after* `served.stop`/`run.end` so the stream ends with
-/// the health trailer.
+/// Stops admission, then telemetry; the final telemetry snapshot lands
+/// *after* `served.stop`/`run.end` so the stream ends with the health
+/// trailer. A `None` thread is an actor the supervisor gave up on.
 fn stop_support_actors(
-    shared: &SkShared,
     tele: &TelemetryPort,
     admission_stop: &Arc<AtomicBool>,
-    admission_handle: JoinHandle<()>,
-    feeds_handle: JoinHandle<()>,
-    tele_handle: JoinHandle<()>,
+    admission: Option<JoinHandle<()>>,
+    telemetry: Option<JoinHandle<()>>,
 ) -> Option<TelemetryFinal> {
     admission_stop.store(true, Ordering::SeqCst);
-    let _ = admission_handle.join();
-    let (ack_tx, ack_rx) = mpsc::channel();
-    let (_, feeds) = shared.feeds.get();
-    if feeds.send(FeedsMsg::Stop(ack_tx)).is_ok() {
-        let _ = ack_rx.recv_timeout(Duration::from_secs(5));
+    if let Some(thread) = admission {
+        let _ = thread.join();
     }
-    let _ = feeds_handle.join();
     send_reliable(tele, TelemetryMsg::Snapshot);
     let (fin_tx, fin_rx) = mpsc::channel();
     send_reliable(tele, TelemetryMsg::Stop(fin_tx));
     let fin = fin_rx.recv_timeout(Duration::from_secs(10)).ok();
-    let _ = tele_handle.join();
+    if let Some(thread) = telemetry {
+        let _ = thread.join();
+    }
     fin
 }
 

@@ -16,7 +16,7 @@
 use crate::port::Swap;
 use grefar_metrics::{AlertRule, MetricsConfig, MetricsLayer, SharedHandle, SnapshotSink};
 use grefar_obs::json::{parse_object, JsonValue};
-use grefar_obs::{schema, Event, JsonlSink, MemoryObserver, Observer};
+use grefar_obs::{schema, Event, JsonlSink, Observer};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender};
@@ -30,12 +30,6 @@ const RESEND_TIMEOUT: Duration = Duration::from_secs(5);
 pub enum TelemetryMsg {
     /// A telemetry event (the JSONL + fold path).
     Event(Event),
-    /// Counter increment.
-    Counter(&'static str, u64),
-    /// Gauge set.
-    Gauge(&'static str, f64),
-    /// Histogram observation.
-    Value(&'static str, f64),
     /// Refresh the metrics snapshot / `/healthz` surface now.
     Snapshot,
     /// Chaos: freeze for this many milliseconds.
@@ -53,15 +47,12 @@ pub struct TelemetryFinal {
     pub events: u64,
     /// Final health verdict label.
     pub verdict: String,
-    /// The aggregate summary table (same shape as the experiment
-    /// binaries' telemetry trailer).
-    pub summary: String,
 }
 
 /// Configuration for one telemetry-actor incarnation.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// JSONL event stream path (`None`: aggregate in memory only).
+    /// JSONL event stream path (`None`: fold only, no file).
     pub jsonl: Option<PathBuf>,
     /// Open the stream in append mode and pre-fold its contents (resume
     /// and in-process restart).
@@ -74,30 +65,18 @@ pub struct TelemetryConfig {
     pub shared: Option<SharedHandle>,
 }
 
-/// The owned bottom of the stack: JSONL file + in-memory aggregation.
+/// The owned bottom of the stack: the JSONL file and an event count.
 struct DaemonSink {
     sink: Option<JsonlSink<File>>,
-    memory: MemoryObserver,
+    events: u64,
 }
 
 impl Observer for DaemonSink {
     fn record_event(&mut self, event: Event) {
+        self.events += 1;
         if let Some(sink) = &mut self.sink {
-            sink.record_event(event.clone());
+            sink.record_event(event);
         }
-        self.memory.record_event(event);
-    }
-
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
-        self.memory.add_counter(name, delta);
-    }
-
-    fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.memory.set_gauge(name, value);
-    }
-
-    fn record_value(&mut self, name: &'static str, value: f64) {
-        self.memory.record_value(name, value);
     }
 }
 
@@ -134,13 +113,7 @@ pub fn run_telemetry(config: TelemetryConfig, rx: Receiver<TelemetryMsg>) {
         rules: config.rules.clone(),
         ..MetricsConfig::default()
     };
-    let mut layer = MetricsLayer::new(
-        DaemonSink {
-            sink,
-            memory: MemoryObserver::new(),
-        },
-        metrics_config,
-    );
+    let mut layer = MetricsLayer::new(DaemonSink { sink, events: 0 }, metrics_config);
     if let Some(shared) = &config.shared {
         layer = layer.with_shared(shared.clone());
     }
@@ -161,9 +134,6 @@ pub fn run_telemetry(config: TelemetryConfig, rx: Receiver<TelemetryMsg>) {
     while let Ok(msg) = rx.recv() {
         match msg {
             TelemetryMsg::Event(event) => layer.record_event(event),
-            TelemetryMsg::Counter(name, delta) => layer.add_counter(name, delta),
-            TelemetryMsg::Gauge(name, value) => layer.set_gauge(name, value),
-            TelemetryMsg::Value(name, value) => layer.record_value(name, value),
             TelemetryMsg::Snapshot => layer.snapshot_now(),
             TelemetryMsg::Stall(ms) => std::thread::sleep(Duration::from_millis(ms)),
             TelemetryMsg::Poison => panic!("chaos kill: telemetry actor"),
@@ -191,9 +161,8 @@ pub fn run_telemetry(config: TelemetryConfig, rx: Receiver<TelemetryMsg>) {
     }
     if let Some(ack) = stop_ack {
         let _ = ack.send(TelemetryFinal {
-            events: sink.memory.total_events(),
+            events: sink.events,
             verdict,
-            summary: sink.memory.summary(),
         });
     }
 }
@@ -222,7 +191,9 @@ pub fn send_reliable(port: &TelemetryPort, mut msg: TelemetryMsg) {
 }
 
 /// An [`Observer`] facade over the telemetry port — what the state keeper
-/// hands to the simulation engine.
+/// hands to the simulation engine. Only events cross the port; the
+/// engine's counters, gauges and histogram samples fall to the trait's
+/// no-op defaults.
 pub struct PortObserver {
     port: TelemetryPort,
 }
@@ -237,18 +208,6 @@ impl PortObserver {
 impl Observer for PortObserver {
     fn record_event(&mut self, event: Event) {
         send_reliable(&self.port, TelemetryMsg::Event(event));
-    }
-
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
-        send_reliable(&self.port, TelemetryMsg::Counter(name, delta));
-    }
-
-    fn set_gauge(&mut self, name: &'static str, value: f64) {
-        send_reliable(&self.port, TelemetryMsg::Gauge(name, value));
-    }
-
-    fn record_value(&mut self, name: &'static str, value: f64) {
-        send_reliable(&self.port, TelemetryMsg::Value(name, value));
     }
 }
 
@@ -362,8 +321,6 @@ mod tests {
                 .field("clock", "manual"),
         ))
         .unwrap();
-        tx.send(TelemetryMsg::Counter("admission.accepted", 2))
-            .unwrap();
         let (ack_tx, ack_rx) = mpsc::channel();
         tx.send(TelemetryMsg::Stop(ack_tx)).unwrap();
         let fin = ack_rx.recv().unwrap();
@@ -385,7 +342,7 @@ mod tests {
         let waiter = {
             let port = port.clone();
             std::thread::spawn(move || {
-                send_reliable(&port, TelemetryMsg::Counter("x", 1));
+                send_reliable(&port, TelemetryMsg::Stall(7));
             })
         };
         std::thread::sleep(Duration::from_millis(20));
@@ -393,7 +350,7 @@ mod tests {
         port.swap(tx2);
         waiter.join().unwrap();
         match rx2.recv_timeout(Duration::from_secs(1)).unwrap() {
-            TelemetryMsg::Counter("x", 1) => {}
+            TelemetryMsg::Stall(7) => {}
             _ => panic!("wrong message after swap"),
         }
     }

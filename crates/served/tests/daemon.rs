@@ -1,9 +1,10 @@
 //! End-to-end tests of the `grefar-served` binary: the wire protocol, the
 //! `kill -9` → `--resume` continuation, a fresh start over an earlier
-//! session's state files, chaos-driven actor restarts, and the
-//! supervisor's give-up escalation.
+//! session's state files, chaos-driven actor restarts (the admission
+//! actor's under live connections too), and the supervisor's give-up
+//! escalation.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -289,7 +290,7 @@ fn chaos_kills_restart_actors_and_the_run_completes() {
         .args([
             "--chaos",
             "kill:actor=telemetry,start=2,end=3;\
-             kill:actor=feeds,start=4,end=5;\
+             kill:actor=admission,start=4,end=5;\
              kill:actor=state_keeper,start=6,end=7;\
              stall:actor=admission,ms=1,start=7,end=8",
         ])
@@ -308,7 +309,7 @@ fn chaos_kills_restart_actors_and_the_run_completes() {
         Some(0),
         "a supervised run rides out its chaos plan"
     );
-    for actor in ["telemetry", "feeds", "state_keeper"] {
+    for actor in ["telemetry", "admission", "state_keeper"] {
         assert_eq!(
             count_lines_with(
                 &telemetry,
@@ -321,6 +322,59 @@ fn chaos_kills_restart_actors_and_the_run_completes() {
             "the {actor} kill leaves exactly one served.restart"
         );
     }
+    assert_eq!(
+        count_lines_with(&telemetry, &["\"event\":\"run.end\""]),
+        1,
+        "the run still completes exactly once"
+    );
+}
+
+#[test]
+fn killed_admission_actor_comes_back_and_serves_new_connections() {
+    let dir = scratch("admission-kill");
+    let port_file = dir.join("port");
+    let telemetry = dir.join("tele.jsonl");
+    let mut daemon = Command::new(bin())
+        .args(["--hours", "6", "--clock", "manual", "--seed", "8"])
+        .args(["--backoff-ms", "1"])
+        .args(["--chaos", "kill:actor=admission,start=2,end=3"])
+        .arg("--telemetry")
+        .arg(&telemetry)
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let addr = wait_addr(&port_file);
+
+    // The kill lands inside this advance, so the connection dies with the
+    // incarnation that owns it; the reply may or may not get out first.
+    let mut first = Session::connect(&addr);
+    writeln!(first.writer, "{{\"op\":\"advance\",\"slots\":3}}").unwrap();
+    let mut rest = String::new();
+    first.reader.read_to_string(&mut rest).unwrap();
+    assert!(
+        rest.is_empty() || rest.contains("\"slot\":3"),
+        "only the advance reply may precede EOF: {rest}"
+    );
+
+    // The replacement owns the listener: a new connection is served.
+    let mut second = Session::connect(&addr);
+    let status = second.request("{\"op\":\"status\"}");
+    assert!(status.contains("\"slot\":3"), "{status}");
+    let drain = second.request("{\"op\":\"drain\"}");
+    assert!(drain.contains("\"draining\":true"), "{drain}");
+    assert_eq!(wait_exit(&mut daemon).code(), Some(0));
+
+    assert_eq!(
+        count_lines_with(
+            &telemetry,
+            &["\"event\":\"served.restart\"", "\"actor\":\"admission\""],
+        ),
+        1,
+        "the admission kill leaves exactly one served.restart"
+    );
     assert_eq!(
         count_lines_with(&telemetry, &["\"event\":\"run.end\""]),
         1,

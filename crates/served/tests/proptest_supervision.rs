@@ -4,14 +4,16 @@
 //!   [`RestartPolicy`] — deterministic, doubling, capped, and refused
 //!   exactly when the intensity budget is blown.
 //! * A seed-generated `stall:` chaos plan round-trips through the DSL and
-//!   schedules the same stalls on every parse — the stall timing the
-//!   supervisor sees is a function of the seed alone.
-//! * A feeds-actor restart (rebuild + fast-forward, the supervisor's
-//!   recovery move) reproduces the circuit breaker's half-open probe
-//!   schedule bit-for-bit: probes land on the same slots with the same
-//!   transitions as the incarnation that died.
+//!   opens the same stall on every parse, classified through
+//!   `ChaosPlan::starting` exactly as the state keeper classifies it — the
+//!   stall timing the supervisor sees is a function of the seed alone.
+//! * A feed harness rebuilt and fast-forwarded to a slot (the move a
+//!   checkpoint resume or a state-keeper restart makes) reproduces the
+//!   circuit breaker's half-open probe schedule bit-for-bit: probes land
+//!   on the same slots with the same transitions as the harness that ran
+//!   uninterrupted.
 
-use grefar_faults::splitmix64;
+use grefar_faults::{splitmix64, ActorTarget};
 use grefar_ingest::{FeedHarness, FeedProfile};
 use grefar_obs::json::parse_object;
 use grefar_obs::JsonlSink;
@@ -60,8 +62,8 @@ proptest! {
     #[test]
     fn stall_chaos_schedule_is_a_function_of_the_seed(seed in 0u64..10_000) {
         let mut state = seed;
-        let actors = ["state_keeper", "admission", "feeds", "telemetry"];
-        let actor = actors[(splitmix64(&mut state) % 4) as usize];
+        let actors = ["state_keeper", "admission", "telemetry"];
+        let actor = actors[(splitmix64(&mut state) % 3) as usize];
         let ms = 1 + splitmix64(&mut state) % 40;
         let start = splitmix64(&mut state) % 16;
         let end = start + 1 + splitmix64(&mut state) % 4;
@@ -71,18 +73,19 @@ proptest! {
         let second = ChaosPlan::parse(&spec).unwrap();
         prop_assert_eq!(first.spec(), second.spec(), "DSL round-trip must be canonical");
         for slot in 0..24u64 {
-            let stalls_a = first.stalls_starting_at(slot);
-            let stalls_b = second.stalls_starting_at(slot);
-            prop_assert_eq!(&stalls_a, &stalls_b, "slot {}", slot);
+            let opened_a = first.starting(slot);
+            let opened_b = second.starting(slot);
+            prop_assert_eq!(&opened_a, &opened_b, "slot {}", slot);
             if slot == start {
-                prop_assert_eq!(stalls_a.len(), 1, "the stall opens exactly once");
-                prop_assert_eq!(stalls_a[0].0.label(), actor);
-                prop_assert_eq!(stalls_a[0].1, ms);
+                prop_assert_eq!(opened_a.len(), 1, "the stall opens exactly once");
+                prop_assert_eq!(opened_a[0].label(), "stall");
+                prop_assert_eq!(opened_a[0].actor().map(ActorTarget::label), Some(actor));
+                prop_assert_eq!(opened_a[0].magnitude(), Some(ms as f64));
             } else {
-                prop_assert!(stalls_a.is_empty(), "no stall opens at slot {}", slot);
+                prop_assert!(opened_a.is_empty(), "no stall opens at slot {}", slot);
             }
             prop_assert!(
-                first.kills_starting_at(slot).is_empty(),
+                opened_a.iter().all(|fault| fault.label() != "kill"),
                 "a stall plan must never schedule kills"
             );
         }
@@ -135,9 +138,9 @@ proptest! {
             full.observe(t, inputs.states(), inputs.all_arrivals(), &mut full_sink);
         }
 
-        // The replacement after a chaos kill at `restart_at`: rebuilt from
-        // the profile and fast-forwarded to the watermark, exactly as
-        // `run_feeds` recovers.
+        // The replacement resumed at `restart_at`: rebuilt from the profile
+        // and fast-forwarded to that slot, exactly as checkpoint resume
+        // rebuilds the engine's harness.
         let profile = FeedProfile::parse(&spec).unwrap();
         let mut revived = FeedHarness::new(profile, num_dcs).unwrap();
         revived.fast_forward(inputs.states(), inputs.all_arrivals(), restart_at);

@@ -1041,7 +1041,7 @@ mod tests {
 
     #[test]
     fn float_encoding_roundtrips_extremes() {
-        let values = vec![
+        let values = [
             0.1 + 0.2,
             f64::MIN_POSITIVE,
             1.0 / 3.0,

@@ -304,7 +304,7 @@ mod tests {
         let mut r = rng();
         for t in 0..2000 {
             let a = w.sample(t, &mut r)[0];
-            assert!(a >= 0.0 && a <= 12.0, "slot {t}: {a}");
+            assert!((0.0..=12.0).contains(&a), "slot {t}: {a}");
             assert_eq!(a, a.trunc(), "arrivals must be whole jobs");
         }
     }
@@ -342,10 +342,10 @@ mod tests {
             CosmosLikeWorkload::new(vec![JobArrivalSpec::diurnal(10.0, 0.8, 14.0, 1e6)], 24.0);
         let mut r = rng();
         let days = 600;
-        let mut by_hour = vec![0.0f64; 24];
+        let mut by_hour = [0.0f64; 24];
         for d in 0..days {
-            for h in 0..24 {
-                by_hour[h] += w.sample((d * 24 + h) as Slot, &mut r)[0];
+            for (h, total) in by_hour.iter_mut().enumerate() {
+                *total += w.sample((d * 24 + h) as Slot, &mut r)[0];
             }
         }
         let peak = by_hour[14] / days as f64;

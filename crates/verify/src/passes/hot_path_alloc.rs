@@ -155,10 +155,7 @@ fn vec_macro_kind(lines: &[&str], mut line_idx: usize, mut col: usize) -> VecKin
     let mut depth = 1i32;
     let mut top_semicolon = false;
     let mut any_content = false;
-    loop {
-        let Some(line) = lines.get(line_idx) else {
-            break;
-        };
+    while let Some(line) = lines.get(line_idx) {
         let bytes = line.as_bytes();
         while col < bytes.len() {
             let b = bytes[col];
@@ -184,9 +181,6 @@ fn vec_macro_kind(lines: &[&str], mut line_idx: usize, mut col: usize) -> VecKin
         }
         line_idx += 1;
         col = 0;
-        if line_idx > lines.len() {
-            break;
-        }
     }
     VecKind::List
 }

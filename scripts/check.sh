@@ -311,6 +311,7 @@ else
     echo "asan skipped: nightly toolchain or $asan_target target missing" >&2
 fi
 
-cargo fmt --check
-cargo clippy --offline --all-targets -- -D warnings
+# Every workspace crate, not only the root `grefar` facade package.
+cargo fmt --all --check
+cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "all checks passed"
