@@ -1,4 +1,5 @@
-//! Simplex solve time vs problem size, plus lookahead-style frame LPs.
+//! Simplex solve time vs problem size, lookahead-style frame LPs, and one
+//! MPC horizon solve as the `mpc-lp` benchmark workload runs it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grefar_lp::{LpProblem, Relation};
@@ -85,5 +86,30 @@ fn bench_frame_lp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simplex, bench_frame_lp);
+/// One `MpcScheduler::decide` (H = 6, w = 0.02) on slot 24 of the seed-5
+/// paper scenario, after 24 warm-up slots. Its horizon LP prices far more
+/// columns per pivot than the covering LPs above, so it shows the
+/// simplex's pricing cost the way the MPC week sees it.
+fn bench_mpc_decide(c: &mut Criterion) {
+    use grefar_core::{QueueState, Scheduler};
+    use grefar_sim::{MpcScheduler, PaperScenario};
+
+    const WARM_UP: usize = 24;
+    let scenario = PaperScenario::default().with_seed(5);
+    let config = scenario.config().clone();
+    let inputs = scenario.into_inputs(168);
+    let mut mpc = MpcScheduler::new(&config, inputs.clone(), 6, 0.02);
+    let mut queues = QueueState::new(&config);
+    for t in 0..WARM_UP {
+        let decision = mpc.decide(inputs.state(t), &queues);
+        queues.apply(&decision, inputs.arrivals(t));
+    }
+    let state = inputs.state(WARM_UP);
+
+    let mut group = c.benchmark_group("mpc_decide");
+    group.bench_function("H6_slot24", |b| b.iter(|| mpc.decide(state, &queues)));
+    group.finish();
+}
+
+criterion_group!(benches, bench_simplex, bench_frame_lp, bench_mpc_decide);
 criterion_main!(benches);

@@ -16,9 +16,12 @@
 //! 3. **Phase 2** minimizes the true objective over non-artificial columns.
 //!
 //! Pivoting uses Dantzig's rule with a fallback to Bland's rule, which
-//! guarantees termination on degenerate instances. Correctness is enforced
-//! by the brute-force vertex-enumeration property tests in
-//! `tests/proptest_simplex.rs`.
+//! guarantees termination on degenerate instances. Each basis change
+//! prices every column in one row-major pass over the tableau; a bound
+//! flip changes neither the basis nor the tableau, so it reuses those
+//! reduced costs. Correctness is enforced by the brute-force
+//! vertex-enumeration property tests in `tests/proptest_simplex.rs`, and
+//! bit-identity of the pivot sequence by `tests/kernel_golden.rs`.
 
 use crate::problem::{Relation, Row};
 use crate::solution::{Solution, SolveError, SolveStats};
@@ -53,6 +56,9 @@ struct Tableau {
     m: usize,
     width: usize,
     basis: Vec<usize>,
+    /// `in_basis[j]` iff column `j` appears in `basis`; `pivot` and
+    /// `drop_row` keep the two in step.
+    in_basis: Vec<bool>,
     /// For nonbasic columns: resting at the upper bound? (Basic entries
     /// are ignored.)
     at_upper: Vec<bool>,
@@ -61,6 +67,9 @@ struct Tableau {
     /// Reusable copy of the pivot row, so elimination does not allocate
     /// on every pivot. Always `width` long.
     scratch: Vec<f64>,
+    /// Reduced costs of the current basis, written by [`Tableau::price`].
+    /// Always `width` long.
+    reduced: Vec<f64>,
 }
 
 impl Tableau {
@@ -73,27 +82,29 @@ impl Tableau {
     /// elsewhere. `xb` is NOT touched here — callers update it first.
     fn pivot(&mut self, row: usize, col: usize) {
         let w = self.width;
-        let pivot = self.data[row * w + col];
+        let pivot_row = &mut self.data[row * w..(row + 1) * w];
+        let pivot = pivot_row[col];
         debug_assert!(pivot.abs() > 0.0);
         let inv = 1.0 / pivot;
-        for c in 0..w {
-            self.data[row * w + c] *= inv;
+        for v in pivot_row.iter_mut() {
+            *v *= inv;
         }
-        self.scratch
-            .copy_from_slice(&self.data[row * w..(row + 1) * w]);
-        for r in 0..self.m {
+        self.scratch.copy_from_slice(pivot_row);
+        for (r, tableau_row) in self.data.chunks_exact_mut(w).enumerate() {
             if r == row {
                 continue;
             }
-            let factor = self.data[r * w + col];
+            let factor = tableau_row[col];
             // verify: allow(float-eq): exact-zero skip — elimination with a zero factor is a no-op
             if factor == 0.0 {
                 continue;
             }
-            for (c, &pv) in self.scratch.iter().enumerate() {
-                self.data[r * w + c] -= factor * pv;
+            for (v, &pv) in tableau_row.iter_mut().zip(&self.scratch) {
+                *v -= factor * pv;
             }
         }
+        self.in_basis[self.basis[row]] = false;
+        self.in_basis[col] = true;
         self.basis[row] = col;
     }
 
@@ -102,18 +113,39 @@ impl Tableau {
         let w = self.width;
         self.data.drain(row * w..(row + 1) * w);
         self.xb.remove(row);
-        self.basis.remove(row);
+        self.in_basis[self.basis.remove(row)] = false;
         self.m -= 1;
     }
 
     fn is_basic(&self, col: usize) -> bool {
-        self.basis.contains(&col)
+        self.in_basis[col]
+    }
+
+    /// Writes the reduced costs `cost_j − Σ_i c_B(i)·a_ij` of columns
+    /// `0..columns` into `reduced`, in one pass over the tableau's rows in
+    /// ascending order. Rows whose basic cost is zero contribute nothing
+    /// and are skipped, so each `reduced[j]` is the same floating-point sum
+    /// as a column-by-column evaluation.
+    fn price(&mut self, cost: &[f64], columns: usize) {
+        let reduced = &mut self.reduced[..columns];
+        reduced.copy_from_slice(&cost[..columns]);
+        for (i, &b) in self.basis.iter().enumerate() {
+            let cb = cost[b];
+            // verify: allow(float-eq): exact-zero skip — zero basic cost contributes nothing
+            if cb != 0.0 {
+                let row = &self.data[i * self.width..i * self.width + columns];
+                for (rc, &a) in reduced.iter_mut().zip(row) {
+                    *rc -= cb * a;
+                }
+            }
+        }
     }
 
     /// `strict-invariants` sanity sweep over the basis and bound-flip
-    /// bookkeeping: every basis column distinct and in range, every basic
-    /// value within `[0, upper]` (up to `tol`), and no nonbasic column
-    /// resting at a non-finite upper bound.
+    /// bookkeeping: every basis column distinct and in range, `in_basis`
+    /// marking exactly the basis columns, every basic value within
+    /// `[0, upper]` (up to `tol`), and no nonbasic column resting at a
+    /// non-finite upper bound.
     #[cfg(feature = "strict-invariants")]
     fn check_invariants(&self, tol: f64) -> Result<(), SolveError> {
         let mut seen = vec![false; self.width];
@@ -138,7 +170,12 @@ impl Tableau {
                 )));
             }
         }
-        for (j, &basic) in seen.iter().enumerate() {
+        for (j, (&basic, &marked)) in seen.iter().zip(&self.in_basis).enumerate() {
+            if basic != marked {
+                return Err(SolveError::InvariantViolation(format!(
+                    "in_basis[{j}] = {marked} disagrees with the basis"
+                )));
+            }
             if !basic && self.at_upper[j] && !self.upper[j].is_finite() {
                 return Err(SolveError::InvariantViolation(format!(
                     "nonbasic column {j} rests at a non-finite upper bound"
@@ -168,15 +205,18 @@ impl PivotCounters {
 }
 
 /// One phase of the bounded simplex: minimize `cost` over the current
-/// tableau, restricted to `allowed` entering columns.
+/// tableau, entering only columns `0..columns`.
 fn run_phase(
     t: &mut Tableau,
     cost: &[f64],
-    allowed: &dyn Fn(usize) -> bool,
+    columns: usize,
     opts: SimplexOptions,
     counters: &mut PivotCounters,
 ) -> Result<(), SolveError> {
     let tol = opts.tolerance;
+    // Priced again after every pivot; a bound flip changes neither the
+    // basis nor the tableau, so the reduced costs carry over.
+    t.price(cost, columns);
     loop {
         if counters.total() >= opts.max_pivots {
             return Err(SolveError::IterationLimit {
@@ -188,18 +228,11 @@ fn run_phase(
         // Entering column: improving reduced cost given its resting bound.
         let mut entering: Option<(usize, f64)> = None; // (col, direction s)
         let mut best = tol;
-        'cols: for j in 0..t.width {
-            if !allowed(j) || t.is_basic(j) {
+        for j in 0..columns {
+            if t.is_basic(j) {
                 continue;
             }
-            let mut rc = cost[j];
-            for i in 0..t.m {
-                let cb = cost[t.basis[i]];
-                // verify: allow(float-eq): exact-zero skip — zero basic cost contributes nothing
-                if cb != 0.0 {
-                    rc -= cb * t.at(i, j);
-                }
-            }
+            let rc = t.reduced[j];
             // From the lower bound, increasing x_j helps iff rc < 0;
             // from the upper bound, decreasing x_j helps iff rc > 0.
             let (improves, direction) = if t.at_upper[j] {
@@ -210,7 +243,7 @@ fn run_phase(
             if improves {
                 if use_bland {
                     entering = Some((j, direction));
-                    break 'cols;
+                    break;
                 } else if rc.abs() > best {
                     best = rc.abs();
                     entering = Some((j, direction));
@@ -291,6 +324,7 @@ fn run_phase(
                 t.pivot(row, col);
                 t.xb[row] = entering_value;
                 t.at_upper[col] = false; // basic now; flag meaningless but tidy
+                t.price(cost, columns);
                 counters.pivots += 1;
                 if step <= tol {
                     counters.degenerate += 1;
@@ -340,6 +374,7 @@ pub(crate) fn simplex(
     let mut data = vec![0.0; m * width];
     let mut xb = vec![0.0; m];
     let mut basis = vec![usize::MAX; m];
+    let mut in_basis = vec![false; width];
     let mut upper = vec![f64::INFINITY; width];
     for (j, ub) in upper_bounds.iter().enumerate() {
         if let Some(u) = ub {
@@ -378,6 +413,9 @@ pub(crate) fn simplex(
         }
     }
     let art_range = art_start..width;
+    for &b in &basis {
+        in_basis[b] = true;
+    }
 
     let mut t = Tableau {
         data,
@@ -385,9 +423,11 @@ pub(crate) fn simplex(
         m,
         width,
         basis,
+        in_basis,
         at_upper: vec![false; width],
         upper,
         scratch: vec![0.0; width],
+        reduced: vec![0.0; width],
     };
     let mut counters = PivotCounters::default();
 
@@ -395,7 +435,7 @@ pub(crate) fn simplex(
     if num_art > 0 {
         let mut phase1 = vec![0.0; width];
         phase1[art_start..width].fill(1.0);
-        run_phase(&mut t, &phase1, &|_| true, opts, &mut counters)?;
+        run_phase(&mut t, &phase1, width, opts, &mut counters)?;
         let infeas: f64 = (0..t.m)
             .filter(|&i| art_range.contains(&t.basis[i]))
             .map(|i| t.xb[i])
@@ -410,9 +450,13 @@ pub(crate) fn simplex(
                 let mut pivoted = false;
                 for j in 0..art_start {
                     if t.at(i, j).abs() > opts.tolerance.max(1e-8) && !t.is_basic(j) {
-                        let value = t.xb[i]; // ≈ 0
+                        // The artificial leaves at level ~0, so the step is
+                        // ~0 and column `j` enters where it rests: at its
+                        // upper bound, or at the artificial's ~0 level.
+                        let value = if t.at_upper[j] { t.upper[j] } else { t.xb[i] };
                         t.pivot(i, j);
                         t.xb[i] = value;
+                        t.at_upper[j] = false;
                         counters.pivots += 1;
                         counters.degenerate += 1;
                         pivoted = true;
@@ -435,7 +479,7 @@ pub(crate) fn simplex(
     // Phase 2: artificial columns are frozen out.
     let mut phase2 = vec![0.0; width];
     phase2[..num_vars].copy_from_slice(objective);
-    run_phase(&mut t, &phase2, &|j| j < art_start, opts, &mut counters)?;
+    run_phase(&mut t, &phase2, art_start, opts, &mut counters)?;
 
     // Extract the solution: basic value, or resting bound.
     let mut x = vec![0.0; num_vars];

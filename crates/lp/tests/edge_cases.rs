@@ -110,3 +110,42 @@ fn slot_dispatch_shape_lp() {
     let expected = -6.0 * 4.0 - 2.0 * 1.75 + 0.8 * 3.0 + 1.4 * 3.0;
     assert!((sol.objective() - expected).abs() < 1e-9);
 }
+
+// Phase 1 can end feasible through a bound flip, which leaves an
+// artificial basic at level 0. Driving it out pivots in a column that may
+// rest at its upper bound; the column must enter at that bound, not at
+// the artificial's ~0.
+
+#[test]
+fn drive_out_keeps_a_flipped_column_at_its_upper_bound() {
+    // min 0 s.t. x0 = 1, x0 ≤ 1.
+    let mut p = LpProblem::minimize(1);
+    p.set_upper_bound(0, 1.0);
+    p.add_constraint(&[(0, 1.0)], Relation::Eq, 1.0);
+    let sol = p.solve().unwrap();
+    assert_eq!(sol.x(), &[1.0]);
+}
+
+#[test]
+fn drive_out_keeps_the_objective_of_a_tight_lower_bound() {
+    // min x0 + 2x1 s.t. x0 ≥ 3, x0 ≤ 3: the optimum is x = (3, 0), cost 3.
+    let mut p = LpProblem::minimize(2);
+    p.set_objective(0, 1.0);
+    p.set_objective(1, 2.0);
+    p.set_upper_bound(0, 3.0);
+    p.add_constraint(&[(0, 1.0)], Relation::Ge, 3.0);
+    let sol = p.solve().unwrap();
+    assert_eq!(sol.x(), &[3.0, 0.0]);
+    assert_eq!(sol.objective(), 3.0);
+}
+
+#[test]
+fn drive_out_returns_the_only_feasible_point() {
+    // x0 + 2x1 = 4, x0 ≤ 2, x1 ≤ 1: the feasible set is the point (2, 1).
+    let mut p = LpProblem::minimize(2);
+    p.set_upper_bound(0, 2.0);
+    p.set_upper_bound(1, 1.0);
+    p.add_constraint(&[(0, 1.0), (1, 2.0)], Relation::Eq, 4.0);
+    let sol = p.solve().unwrap();
+    assert_eq!(sol.x(), &[2.0, 1.0]);
+}

@@ -125,33 +125,90 @@ fn random_lp() -> impl Strategy<Value = RandomLp> {
     })
 }
 
+/// LPs whose every row is tight at one random corner of the box `[0, 4]ⁿ`:
+/// always feasible, and phase 1 often becomes feasible through a bound
+/// flip that leaves an artificial basic at level 0.
+fn corner_tight_lp() -> impl Strategy<Value = RandomLp> {
+    (1usize..=3).prop_flat_map(|n| {
+        let objective = proptest::collection::vec(-3.0f64..3.0, n);
+        let corner = proptest::collection::vec(any::<bool>(), n);
+        let row = (
+            proptest::collection::vec(-2.0f64..2.0, n),
+            relation_strategy(),
+        );
+        let rows = proptest::collection::vec(row, 1..=4);
+        (objective, corner, rows).prop_map(move |(objective, corner, rows)| {
+            let upper = 4.0;
+            let at: Vec<f64> = corner
+                .iter()
+                .map(|&hi| if hi { upper } else { 0.0 })
+                .collect();
+            let rows = rows
+                .into_iter()
+                .map(|(coeffs, rel)| {
+                    let rhs = linalg::dot(&coeffs, &at);
+                    (coeffs, rel, rhs)
+                })
+                .collect();
+            RandomLp {
+                num_vars: n,
+                objective,
+                rows,
+                upper,
+            }
+        })
+    })
+}
+
+/// The simplex optimum matches brute-force vertex enumeration, and
+/// infeasibility verdicts agree.
+fn matches_vertex_enumeration(lp: &RandomLp) -> Result<(), TestCaseError> {
+    let problem = lp.to_problem();
+    let brute = lp.brute_force();
+    match problem.solve() {
+        Ok(sol) => {
+            prop_assert!(
+                problem.is_feasible(sol.x(), 1e-6),
+                "simplex returned infeasible point {:?}",
+                sol.x()
+            );
+            let brute = brute.expect("simplex found a solution but brute force found none");
+            prop_assert!(
+                (sol.objective() - brute).abs() <= 1e-5 * (1.0 + brute.abs()),
+                "objective mismatch: simplex {} vs brute {}",
+                sol.objective(),
+                brute
+            );
+        }
+        Err(SolveError::Infeasible) => {
+            prop_assert!(
+                brute.is_none(),
+                "simplex says infeasible but brute force found optimum {:?}",
+                brute
+            );
+        }
+        Err(SolveError::Unbounded) => {
+            // Impossible: all variables are boxed in [0, upper].
+            prop_assert!(false, "bounded LP reported unbounded");
+        }
+        Err(e) => prop_assert!(false, "unexpected solver error: {e}"),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// The simplex optimum matches brute-force vertex enumeration, and
-    /// infeasibility verdicts agree.
     #[test]
     fn simplex_matches_vertex_enumeration(lp in random_lp()) {
-        let problem = lp.to_problem();
-        let brute = lp.brute_force();
-        match problem.solve() {
-            Ok(sol) => {
-                prop_assert!(problem.is_feasible(sol.x(), 1e-6),
-                    "simplex returned infeasible point {:?}", sol.x());
-                let brute = brute.expect("simplex found a solution but brute force found none");
-                prop_assert!((sol.objective() - brute).abs() <= 1e-5 * (1.0 + brute.abs()),
-                    "objective mismatch: simplex {} vs brute {}", sol.objective(), brute);
-            }
-            Err(SolveError::Infeasible) => {
-                prop_assert!(brute.is_none(),
-                    "simplex says infeasible but brute force found optimum {:?}", brute);
-            }
-            Err(SolveError::Unbounded) => {
-                // Impossible: all variables are boxed in [0, upper].
-                prop_assert!(false, "bounded LP reported unbounded");
-            }
-            Err(e) => prop_assert!(false, "unexpected solver error: {e}"),
-        }
+        matches_vertex_enumeration(&lp)?;
+    }
+
+    /// Corner-tight LPs are feasible by construction, so every solve must
+    /// return a feasible optimal point.
+    #[test]
+    fn corner_tight_lps_solve_to_a_feasible_optimum(lp in corner_tight_lp()) {
+        matches_vertex_enumeration(&lp)?;
     }
 
     /// Solving is deterministic: two runs of the same model agree exactly.
