@@ -93,17 +93,6 @@ impl LpProblem {
         self
     }
 
-    /// Adds `delta` to the objective coefficient of variable `var`.
-    ///
-    /// # Panics
-    /// Panics if `var` is out of range or `delta` is non-finite.
-    pub fn add_objective(&mut self, var: usize, delta: f64) -> &mut Self {
-        assert!(var < self.num_vars, "variable {var} out of range");
-        assert!(delta.is_finite(), "objective coefficient must be finite");
-        self.objective[var] += delta;
-        self
-    }
-
     /// Adds the constraint `Σ coeffs · x  relation  rhs`.
     ///
     /// Repeated variable indices in `coeffs` are summed.
@@ -328,8 +317,7 @@ mod tests {
     #[test]
     fn objective_at_and_feasibility_helpers() {
         let mut p = LpProblem::minimize(2);
-        p.set_objective(0, 1.0);
-        p.add_objective(0, 1.0);
+        p.set_objective(0, 2.0);
         p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Le, 2.0);
         assert_eq!(p.objective_at(&[1.5, 0.0]), 3.0);
         assert!(p.is_feasible(&[1.0, 1.0], 1e-9));

@@ -75,11 +75,6 @@ impl Solution {
     pub fn stats(&self) -> SolveStats {
         self.stats
     }
-
-    /// Consumes the solution, returning the variable assignment.
-    pub fn into_x(self) -> Vec<f64> {
-        self.x
-    }
 }
 
 /// Why a linear program could not be solved to optimality.
@@ -141,7 +136,6 @@ mod tests {
         assert_eq!(s.objective(), 3.5);
         assert_eq!(s.iterations(), 7);
         assert_eq!(s.stats(), stats);
-        assert_eq!(s.into_x(), vec![1.0, 2.0]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! A minimal blocking HTTP listener for `GET /metrics` and
 //! `GET /healthz`.
 //!
-//! Deliberately tiny: std `TcpListener` only, one service thread, a
-//! non-blocking accept loop polling an atomic shutdown flag. It serves
+//! Deliberately tiny: std `TcpListener` only, one service thread blocked
+//! in `accept`. [`MetricsServer::shutdown`] sets a flag and connects once
+//! to the bound address, which returns that `accept`. It serves
 //! whatever the [`MetricsLayer`](crate::MetricsLayer) last published into
 //! the [`SharedHandle`](crate::SharedHandle) — the listener itself never
 //! touches fold state, so it cannot race the run thread.
@@ -20,8 +21,6 @@ use std::time::Duration;
 
 use crate::layer::SharedHandle;
 
-/// How long the accept loop sleeps between polls of the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Per-connection read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
@@ -42,7 +41,6 @@ impl MetricsServer {
     /// Bind failures (address in use, bad address, permissions).
     pub fn spawn(addr: &str, shared: SharedHandle) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
@@ -61,9 +59,14 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Signals the service thread and joins it.
+    /// Signals the service thread, wakes its `accept` and joins it.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
+        // Without the wake the thread stays parked in `accept`: skip the
+        // join rather than hang on it.
+        if TcpStream::connect(self.addr).is_err() {
+            return;
+        }
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -71,17 +74,14 @@ impl MetricsServer {
 }
 
 fn serve(listener: TcpListener, shared: SharedHandle, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Serve inline: the endpoints are tiny and the snapshot is
-                // pre-rendered, so one connection at a time is plenty.
-                let _ = handle_connection(stream, &shared);
-            }
-            Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        // Serve inline: the endpoints are tiny and the snapshot is
+        // pre-rendered, so one connection at a time is plenty.
+        if let Ok(stream) = stream {
+            let _ = handle_connection(stream, &shared);
         }
     }
 }

@@ -13,7 +13,9 @@
 //! * **admission** ([`admission`]) — the TCP front door: line-delimited
 //!   JSON requests ([`protocol`]), bounded forwarding to the state keeper
 //!   (backpressure surfaces as typed `queue_full` rejections), reply
-//!   routing by connection id.
+//!   routing by connection id. Every one of its threads blocks on I/O: a
+//!   writer on the inbox, an acceptor in `accept` and one reader per
+//!   connection in `read`.
 //! * **state keeper** ([`state_keeper`]) — sole owner of Θ(t) and the
 //!   [`SteppedRun`](grefar_sim::SteppedRun) engine; drives the per-slot
 //!   GreFar decision on a manual/turbo/real-time clock, journals accepted

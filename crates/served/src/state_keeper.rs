@@ -135,11 +135,13 @@ pub enum SkExit {
 pub struct SkShared {
     /// The telemetry actor's swappable inbox.
     pub tele: TelemetryPort,
-    /// The admission actor's swappable inbox: reply lines and chaos.
+    /// The admission actor's swappable inbox: reply lines, chaos and the
+    /// supervisor's stop.
     pub admission: Swap<Sender<AdmissionMsg>>,
     /// Set once draining begins; the admission actor rejects locally too.
     pub draining: Arc<AtomicBool>,
-    /// Chaos socket-drop window currently active.
+    /// Chaos socket-drop window currently active: the admission acceptor
+    /// refuses connections while it is set.
     pub sockdrop: Arc<AtomicBool>,
     /// Telemetry watermark: slots whose events have been streamed. A
     /// replacement state keeper catches up to here silently.
@@ -518,7 +520,13 @@ impl StateKeeper {
                 ("stall", Some(ActorTarget::Telemetry)) => {
                     send_reliable(&self.shared.tele, TelemetryMsg::Stall(ms));
                 }
-                _ => {} // sockdrop: window flag handled above
+                ("sockdrop", _) => {
+                    // The flag above keeps the acceptor refusing until the
+                    // window closes; this closes what is already open.
+                    let (_, admission) = self.shared.admission.get();
+                    let _ = admission.send(AdmissionMsg::Sever);
+                }
+                _ => {}
             }
         }
     }

@@ -12,7 +12,7 @@
 //! supervision loop translates it into a graceful drain — stop admitting,
 //! checkpoint, finish the run, flush telemetry — and exits 0.
 
-use crate::admission::{run_admission, AdmissionConfig, AdmissionMsg};
+use crate::admission::{run_admission, AdmissionMsg};
 use crate::chaos::ChaosPlan;
 use crate::engine::EngineSpec;
 use crate::journal::{self, JournalEntry};
@@ -28,9 +28,8 @@ use grefar_obs::Event;
 use grefar_sim::Checkpoint;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -366,18 +365,10 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         options.restart,
     );
 
-    let admission_stop = Arc::new(AtomicBool::new(false));
     let mut admission_incarnation: u64 = 0;
     let mut admission = Supervised::new(
         "admission",
-        spawn_admission(
-            &listener,
-            &sk,
-            &shared,
-            admission_rx,
-            admission_incarnation,
-            &admission_stop,
-        )?,
+        spawn_admission(&listener, &sk, &shared, admission_rx, admission_incarnation)?,
         options.restart,
     );
 
@@ -438,14 +429,7 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
             shared.admission.swap(admission_tx);
             admission_incarnation += 1;
             admission.announce(&tele, &shared, backoff_ms);
-            match spawn_admission(
-                &listener,
-                &sk,
-                &shared,
-                admission_rx,
-                admission_incarnation,
-                &admission_stop,
-            ) {
+            match spawn_admission(&listener, &sk, &shared, admission_rx, admission_incarnation) {
                 Ok(thread) => admission.thread = Some(thread),
                 Err(detail) => {
                     break Exit::GaveUp {
@@ -485,7 +469,7 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
     let code = match exit {
         Exit::Clean { report, reason } => {
             let final_tele =
-                stop_support_actors(&tele, &admission_stop, admission.thread, telemetry.thread);
+                stop_support_actors(&tele, &shared.admission, admission.thread, telemetry.thread);
             print!("{}", summary(&report, &shared));
             println!("exit             : {reason}");
             if let Some(fin) = final_tele {
@@ -508,7 +492,8 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
                         .field("rejected", shared.rejected.load(Ordering::SeqCst)),
                 ),
             );
-            let _ = stop_support_actors(&tele, &admission_stop, admission.thread, telemetry.thread);
+            let _ =
+                stop_support_actors(&tele, &shared.admission, admission.thread, telemetry.thread);
             1
         }
     };
@@ -544,19 +529,14 @@ fn spawn_admission(
     shared: &SkShared,
     inbox: Receiver<AdmissionMsg>,
     incarnation: u64,
-    stop: &Arc<AtomicBool>,
 ) -> Result<JoinHandle<()>, String> {
     let listener = listener
         .try_clone()
         .map_err(|e| format!("cannot clone listener: {e}"))?;
     let sk = sk.clone();
     let shared = shared.clone();
-    let config = AdmissionConfig {
-        conn_base: incarnation << 32,
-        stop: Arc::clone(stop),
-    };
     Ok(std::thread::spawn(move || {
-        run_admission(listener, sk, shared, inbox, config)
+        run_admission(listener, sk, shared, inbox, incarnation << 32)
     }))
 }
 
@@ -573,13 +553,19 @@ fn reload_checkpoint(path: Option<&std::path::Path>) -> Result<Option<Checkpoint
 /// Stops admission, then telemetry; the final telemetry snapshot lands
 /// *after* `served.stop`/`run.end` so the stream ends with the health
 /// trailer. A `None` thread is an actor the supervisor gave up on.
+///
+/// After a clean exit the state keeper is gone, so every reply it sent is
+/// queued ahead of `Stop`: admission writes them all, then closes its
+/// connections. A failed send means the incarnation already died, and
+/// its connections with it.
 fn stop_support_actors(
     tele: &TelemetryPort,
-    admission_stop: &Arc<AtomicBool>,
+    admission_port: &Swap<Sender<AdmissionMsg>>,
     admission: Option<JoinHandle<()>>,
     telemetry: Option<JoinHandle<()>>,
 ) -> Option<TelemetryFinal> {
-    admission_stop.store(true, Ordering::SeqCst);
+    let (_, admission_tx) = admission_port.get();
+    let _ = admission_tx.send(AdmissionMsg::Stop);
     if let Some(thread) = admission {
         let _ = thread.join();
     }

@@ -1,8 +1,9 @@
 //! End-to-end tests of the `grefar-served` binary: the wire protocol, the
-//! `kill -9` → `--resume` continuation, a fresh start over an earlier
-//! session's state files, chaos-driven actor restarts (the admission
-//! actor's under live connections too), and the supervisor's give-up
-//! escalation.
+//! `kill -9` → `--resume` continuation (after every ack of a scripted
+//! session, too), a fresh start over an earlier session's state files,
+//! chaos-driven actor restarts (the admission actor's under live
+//! connections too), socket-drop windows, teardown with idle clients
+//! connected, and the supervisor's give-up escalation.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -111,6 +112,22 @@ fn schedule_events(path: &Path) -> Vec<String> {
             }
         })
         .collect()
+}
+
+/// The unsigned integer field `key` of a flat JSON reply line.
+fn field(reply: &str, key: &str) -> u64 {
+    let tag = format!("\"{key}\":");
+    let start = reply
+        .find(&tag)
+        .unwrap_or_else(|| panic!("no {key} in {reply}"))
+        + tag.len();
+    let digits: String = reply[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("bad {key} in {reply}"))
 }
 
 fn count_lines_with(path: &Path, needles: &[&str]) -> usize {
@@ -222,6 +239,105 @@ fn kill_nine_then_resume_continues_bit_identically() {
     let merged = schedule_events(&interrupted_tele);
     assert_eq!(reference.len(), 10, "run.start + 8 slots + run.end");
     assert_eq!(reference, merged, "resume must continue bit-identically");
+}
+
+/// The scripted session of the kill-anywhere oracle: submits before,
+/// between and after the checkpoint cuts at slots 2, 4 and 6.
+const ACK_SCRIPT: [&str; 10] = [
+    "{\"op\":\"submit\",\"job\":0,\"count\":2}",
+    "{\"op\":\"advance\",\"slots\":2}",
+    "{\"op\":\"submit\",\"job\":1,\"count\":3}",
+    "{\"op\":\"submit\",\"job\":5,\"count\":1}",
+    "{\"op\":\"advance\",\"slots\":1}",
+    "{\"op\":\"submit\",\"job\":2,\"count\":2}",
+    "{\"op\":\"advance\",\"slots\":1}",
+    "{\"op\":\"submit\",\"job\":7,\"count\":4}",
+    "{\"op\":\"advance\",\"slots\":2}",
+    "{\"op\":\"submit\",\"job\":3,\"count\":1}",
+];
+/// `ACK_SCRIPT[FIRST_CUT]`'s ack is the first one sent after a cut.
+const FIRST_CUT: usize = 1;
+const ACK_HORIZON: u64 = 10;
+
+#[test]
+fn kill_nine_after_any_ack_loses_no_acked_submit() {
+    let dir = scratch("every-ack");
+    let daemon = |tag: &str, resume: bool| {
+        let port_file = dir.join(format!("{tag}.port"));
+        let _ = std::fs::remove_file(&port_file);
+        let telemetry = dir.join(format!("{tag}.jsonl"));
+        let mut cmd = Command::new(bin());
+        cmd.arg("--hours")
+            .arg(ACK_HORIZON.to_string())
+            .args([
+                "--clock",
+                "manual",
+                "--seed",
+                "11",
+                "--checkpoint-every",
+                "2",
+            ])
+            .arg("--checkpoint")
+            .arg(dir.join(format!("{tag}.ck")))
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null());
+        if resume {
+            cmd.arg("--resume");
+        }
+        let child = cmd.spawn().unwrap();
+        let session = Session::connect(&wait_addr(&port_file));
+        (child, session, telemetry)
+    };
+    // Plays a script prefix, checking that every submit is acked.
+    let play = |session: &mut Session, prefix: &[&str]| {
+        for line in prefix {
+            let reply = session.request(line);
+            assert!(reply.contains("\"ok\":true"), "{line} -> {reply}");
+        }
+    };
+    let finish = |mut child: Child, session: &mut Session, from: u64| {
+        let advance = format!("{{\"op\":\"advance\",\"slots\":{}}}", ACK_HORIZON - from);
+        let reply = session.request(&advance);
+        assert!(reply.contains("\"done\":true"), "{reply}");
+        assert_eq!(wait_exit(&mut child).code(), Some(0));
+    };
+
+    for last in FIRST_CUT..ACK_SCRIPT.len() {
+        let prefix = &ACK_SCRIPT[..=last];
+        let slot: u64 = prefix
+            .iter()
+            .filter(|line| line.contains("advance"))
+            .map(|line| field(line, "slots"))
+            .sum();
+
+        let (child, mut session, reference) = daemon(&format!("ref{last}"), false);
+        play(&mut session, prefix);
+        finish(child, &mut session, slot);
+
+        // SIGKILL right after the ack: no drain, no flush.
+        let tag = format!("cut{last}");
+        let (mut child, mut session, merged) = daemon(&tag, false);
+        play(&mut session, prefix);
+        child.kill().unwrap();
+        child.wait().unwrap();
+        let (child, mut session, _) = daemon(&tag, true);
+        let resumed = field(&session.request("{\"op\":\"status\"}"), "slot");
+        assert!(resumed <= slot, "resumed at {resumed}, killed at {slot}");
+        finish(child, &mut session, resumed);
+
+        let reference = schedule_events(&reference);
+        let slots = ACK_HORIZON as usize;
+        assert_eq!(reference.len(), slots + 2, "run.start + slots + run.end");
+        assert_eq!(
+            schedule_events(&merged),
+            reference,
+            "a kill -9 after the ack of {:?} lost acknowledged work",
+            ACK_SCRIPT[last]
+        );
+    }
 }
 
 #[test]
@@ -380,6 +496,91 @@ fn killed_admission_actor_comes_back_and_serves_new_connections() {
         1,
         "the run still completes exactly once"
     );
+}
+
+#[test]
+fn sockdrop_window_severs_open_connections_and_refuses_new_ones() {
+    // On the manual clock a window would never close: its flag clears
+    // only when the next slot runs, and a severed client cannot ask for
+    // that slot. The real clock runs it.
+    let dir = scratch("sockdrop");
+    let port_file = dir.join("port");
+    let mut daemon = Command::new(bin())
+        .args(["--hours", "400", "--clock", "real:20", "--seed", "6"])
+        .args(["--chaos", "sockdrop:start=25,end=30"])
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdout(Stdio::null())
+        .spawn()
+        .unwrap();
+    let addr = wait_addr(&port_file);
+
+    // An idle connection opened (and served) before the window reads EOF
+    // once the window opens.
+    let mut idle = Session::connect(&addr);
+    let status = idle.request("{\"op\":\"status\"}");
+    assert!(field(&status, "slot") < 25, "opened too late: {status}");
+    let mut rest = String::new();
+    idle.reader.read_to_string(&mut rest).unwrap();
+    assert!(rest.is_empty(), "a severed connection reads EOF: {rest}");
+
+    // Connections made inside the window close unanswered; the first one
+    // served runs after it.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        let mut probe = Session::connect(&addr);
+        let _ = writeln!(probe.writer, "{{\"op\":\"status\"}}");
+        let mut reply = String::new();
+        if probe.reader.read_line(&mut reply).is_ok_and(|n| n > 0) {
+            break reply;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no connection served after the window"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        field(&status, "slot") >= 30,
+        "served inside the window: {status}"
+    );
+
+    let mut client = Session::connect(&addr);
+    let drain = client.request("{\"op\":\"drain\"}");
+    assert!(drain.contains("\"draining\":true"), "{drain}");
+    assert_eq!(wait_exit(&mut daemon).code(), Some(0));
+}
+
+#[test]
+fn drain_with_an_idle_client_connected_exits_promptly() {
+    let dir = scratch("idle-drain");
+    let port_file = dir.join("port");
+    let mut daemon = Command::new(bin())
+        .args(["--hours", "6", "--clock", "manual", "--seed", "5"])
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdout(Stdio::null())
+        .spawn()
+        .unwrap();
+    let addr = wait_addr(&port_file);
+    let mut idle = Session::connect(&addr);
+    idle.request("{\"op\":\"status\"}");
+
+    let mut client = Session::connect(&addr);
+    let drain = client.request("{\"op\":\"drain\"}");
+    assert!(drain.contains("\"draining\":true"), "{drain}");
+    // Teardown must not hang on the idle client's blocked reader or on
+    // the blocked acceptor.
+    let asked = Instant::now();
+    assert_eq!(wait_exit(&mut daemon).code(), Some(0));
+    assert!(
+        asked.elapsed() < Duration::from_secs(10),
+        "drain took {:?}",
+        asked.elapsed()
+    );
+    let mut rest = String::new();
+    idle.reader.read_to_string(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the idle client reads EOF: {rest}");
 }
 
 #[test]

@@ -32,6 +32,10 @@ const WEEKEND_FACTOR: f64 = 0.8;
 /// Weekly mean of the weekday/weekend modulation.
 const WEEKLY_MEAN: f64 = (5.0 + 2.0 * WEEKEND_FACTOR) / 7.0;
 
+/// Worst-case availability fraction: each data center's availability is
+/// uniform in `[MIN_AVAILABILITY, 1]` every slot.
+const MIN_AVAILABILITY: f64 = 0.92;
+
 /// Daily peak hour of each organization's submissions.
 const ORG_PEAKS: [f64; 4] = [14.0, 15.0, 13.0, 16.0];
 
@@ -57,7 +61,6 @@ pub struct PaperScenario {
     config: SystemConfig,
     seed: u64,
     load_scale: f64,
-    min_availability: f64,
 }
 
 impl Default for PaperScenario {
@@ -74,7 +77,6 @@ impl PaperScenario {
             config,
             seed: 2012, // the paper's year — any fixed value works
             load_scale: 1.0,
-            min_availability: 0.92,
         }
     }
 
@@ -99,22 +101,6 @@ impl PaperScenario {
         self
     }
 
-    /// Returns a copy with a different worst-case availability fraction
-    /// (default 0.92; availability each slot is uniform in
-    /// `[min_availability, 1]`).
-    ///
-    /// # Panics
-    /// Panics if the fraction is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_min_availability(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "availability fraction must lie in (0, 1]"
-        );
-        self.min_availability = fraction;
-        self
-    }
-
     /// The system configuration (Table I).
     pub fn config(&self) -> &SystemConfig {
         &self.config
@@ -136,7 +122,7 @@ impl PaperScenario {
     pub fn availability_processes(&self) -> Vec<Box<dyn AvailabilityProcess + Send>> {
         (0..3)
             .map(|_| {
-                Box::new(UniformAvailability::new(self.min_availability, 1.0))
+                Box::new(UniformAvailability::new(MIN_AVAILABILITY, 1.0))
                     as Box<dyn AvailabilityProcess + Send>
             })
             .collect()

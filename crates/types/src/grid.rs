@@ -107,12 +107,6 @@ impl Grid {
         &self.data
     }
 
-    /// The underlying row-major data, mutably.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Sets every entry to zero, keeping the shape.
     pub fn clear(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
