@@ -743,26 +743,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<f64>]) {
     print!("{}", format_table(headers, rows));
 }
 
-/// Downsamples a series to at most `points` evenly spaced samples,
-/// returning `(slot, value)` pairs. Always includes the final slot.
-pub fn downsample(series: &[f64], points: usize) -> Vec<(usize, f64)> {
-    assert!(points >= 2, "need at least two sample points");
-    if series.is_empty() {
-        return Vec::new();
-    }
-    if series.len() <= points {
-        return series.iter().copied().enumerate().collect();
-    }
-    let mut out = Vec::with_capacity(points);
-    let last = series.len() - 1;
-    for p in 0..points {
-        let idx = p * last / (points - 1);
-        out.push((idx, series[idx]));
-    }
-    out.dedup_by_key(|(i, _)| *i);
-    out
-}
-
 /// Writes labeled series (columns) to a CSV file if a path is given.
 /// Column 0 is the slot index.
 ///
@@ -791,34 +771,9 @@ pub fn maybe_write_csv(path: Option<PathBuf>, labels: &[&str], columns: &[&[f64]
     println!("(wrote {})", path.display());
 }
 
-/// Prints a downsampled running-average series as an aligned two-column
-/// block with a title.
-pub fn print_series(title: &str, series: &[f64], points: usize) {
-    println!("\n{title}");
-    println!("{:>8} {:>12}", "hour", "value");
-    for (slot, value) in downsample(series, points) {
-        println!("{slot:>8} {value:>12.4}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn downsample_includes_endpoints() {
-        let series: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let sampled = downsample(&series, 5);
-        assert_eq!(sampled.first().unwrap().0, 0);
-        assert_eq!(sampled.last().unwrap().0, 99);
-        assert!(sampled.len() <= 5);
-    }
-
-    #[test]
-    fn downsample_short_series_is_identity() {
-        let series = vec![1.0, 2.0];
-        assert_eq!(downsample(&series, 10), vec![(0, 1.0), (1, 2.0)]);
-    }
 
     #[test]
     fn csv_path_composition() {

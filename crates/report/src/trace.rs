@@ -18,6 +18,7 @@
 
 use crate::profile::ProfileReport;
 use crate::stream::{Run, TelemetryStream};
+use grefar_obs::json::write_string;
 
 /// Fixed first line of every export.
 pub const TRACE_HEADER: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -34,19 +35,6 @@ const TID_DEGRADED: u64 = 3;
 const TID_FEED: u64 = 4;
 const TID_STALE: u64 = 5;
 
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats an `f64` as a JSON number (non-finite values are not valid
 /// JSON, so they render as 0 — the stream never carries them in the
 /// fields exported here).
@@ -59,19 +47,22 @@ fn num(value: f64) -> String {
 }
 
 fn metadata(kind: &str, label: &str, pid: usize, tid: u64) -> String {
-    format!(
+    let mut line = format!(
         "{{\"name\":\"{kind}\",\"ph\":\"M\",\"ts\":0,\"pid\":{pid},\"tid\":{tid},\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(label)
-    )
+         \"args\":{{\"name\":"
+    );
+    write_string(&mut line, label);
+    line.push_str("}}");
+    line
 }
 
 fn instant(name: &str, ts: u64, pid: usize, tid: u64, args: &str) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\
-         \"s\":\"t\",\"args\":{{{args}}}}}",
-        escape(name)
-    )
+    let mut line = String::from("{\"name\":");
+    write_string(&mut line, name);
+    line.push_str(&format!(
+        ",\"ph\":\"i\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"s\":\"t\",\"args\":{{{args}}}}}"
+    ));
+    line
 }
 
 fn run_events(run: &Run, pid: usize, lines: &mut Vec<String>) {
@@ -202,12 +193,14 @@ fn profile_events(profile: &ProfileReport, lines: &mut Vec<String>) {
         if let Some(parent_path) = parent {
             args += &format!(",\"parent_id\":{}", grefar_obs::span_id(parent_path));
         }
-        lines.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":0,\
-             \"tid\":{TID_SLOTS},\"args\":{{{args}}}}}",
-            escape(leaf),
+        let mut line = String::from("{\"name\":");
+        write_string(&mut line, leaf);
+        line.push_str(&format!(
+            ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":0,\"tid\":{TID_SLOTS},\
+             \"args\":{{{args}}}}}",
             span.total
         ));
+        lines.push(line);
         stack.push((span.path.clone(), ts, 0));
     }
 }

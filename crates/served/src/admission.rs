@@ -14,12 +14,13 @@
 //! buffering. Replies route back through the writer by connection id.
 //!
 //! A reader rejects locally (without bothering the state keeper) when the
-//! line does not parse, when the daemon is draining, or when the state
-//! keeper's current incarnation is dead (`unavailable` — the supervisor is
-//! already restarting it, clients should retry). It writes those
-//! rejections itself, under the connection's write lock. Every accepted
-//! socket has Nagle off and a [`WRITE_TIMEOUT`], so a peer that stops
-//! reading is dropped instead of stalling everyone else's replies.
+//! line does not parse, when the daemon is draining, or when supervision
+//! has ended and the state keeper's inbox is gone (`unavailable`). A
+//! request sent while the state keeper restarts waits in its inbox, which
+//! outlives every incarnation, and the replacement answers it. A reader
+//! writes its rejections itself, under the connection's write lock. Every
+//! accepted socket has Nagle off and a [`WRITE_TIMEOUT`], so a peer that
+//! stops reading is dropped instead of stalling everyone else's replies.
 //!
 //! Closing: [`AdmissionMsg::Stop`] (the supervisor's teardown),
 //! [`AdmissionMsg::Sever`] (a chaos `sockdrop` window opening) and
@@ -33,12 +34,13 @@
 //! closes the connections, so a replacement incarnation is the only thread
 //! in `accept`, and the incarnation returns or unwinds only after every
 //! reader has ended. During a `sockdrop` window the acceptor refuses every
-//! new connection.
+//! new connection. The inbox outlives the incarnation: a replacement
+//! applies the controls its predecessor left queued, and drops the replies
+//! for connections that died with it.
 
-use crate::port::Swap;
 use crate::protocol::{self, parse_request, RejectReason, Request};
 use crate::state_keeper::{SkMsg, SkShared};
-use crate::telemetry::{send_reliable, TelemetryMsg};
+use crate::telemetry::TelemetryMsg;
 use grefar_obs::Event;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -118,9 +120,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// ending the acceptor; and when a reader thread panicked.
 pub fn run_admission(
     listener: TcpListener,
-    sk: Swap<SyncSender<SkMsg>>,
+    sk: SyncSender<SkMsg>,
     shared: SkShared,
-    inbox: Receiver<AdmissionMsg>,
+    inbox: &Receiver<AdmissionMsg>,
     conn_base: u64,
 ) {
     let addr = listener.local_addr().expect("admission listener address");
@@ -184,7 +186,7 @@ fn accept_loop<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     listener: &'env TcpListener,
     registry: &'env Mutex<Registry>,
-    sk: &'env Swap<SyncSender<SkMsg>>,
+    sk: &'env SyncSender<SkMsg>,
     shared: &'env SkShared,
     conn_base: u64,
 ) {
@@ -241,7 +243,7 @@ fn read_loop(
     conn: &Conn,
     mut stream: TcpStream,
     registry: &Mutex<Registry>,
-    sk: &Swap<SyncSender<SkMsg>>,
+    sk: &SyncSender<SkMsg>,
     shared: &SkShared,
 ) {
     let _ = serve_reads(conn, &mut stream, sk, shared);
@@ -253,7 +255,7 @@ fn read_loop(
 fn serve_reads(
     conn: &Conn,
     stream: &mut TcpStream,
-    sk: &Swap<SyncSender<SkMsg>>,
+    sk: &SyncSender<SkMsg>,
     shared: &SkShared,
 ) -> std::io::Result<()> {
     let mut buf: Vec<u8> = Vec::new();
@@ -318,7 +320,7 @@ fn reject_line_too_long(conn: &Conn, shared: &SkShared) -> std::io::Result<()> {
 fn handle_line(
     conn: &Conn,
     line: &str,
-    sk: &Swap<SyncSender<SkMsg>>,
+    sk: &SyncSender<SkMsg>,
     shared: &SkShared,
 ) -> std::io::Result<()> {
     let request = match parse_request(line) {
@@ -362,8 +364,7 @@ fn handle_line(
             },
         ),
     };
-    let (_, tx) = sk.get();
-    match tx.try_send(msg) {
+    match sk.try_send(msg) {
         Ok(()) => Ok(()),
         Err(TrySendError::Full(_)) => reject_local(
             conn,
@@ -376,7 +377,7 @@ fn handle_line(
             conn,
             op,
             RejectReason::Unavailable,
-            "state keeper restarting; retry shortly",
+            "the daemon is shutting down",
             shared,
         ),
     }
@@ -393,14 +394,11 @@ fn reject_local(
     shared: &SkShared,
 ) -> std::io::Result<()> {
     shared.rejected.fetch_add(1, Ordering::SeqCst);
-    send_reliable(
-        &shared.tele,
-        TelemetryMsg::Event(
-            Event::new("admission.reject")
-                .field("t", shared.emitted_upto.load(Ordering::SeqCst))
-                .field("reason", reason.as_str()),
-        ),
-    );
+    let _ = shared.tele.send(TelemetryMsg::Event(
+        Event::new("admission.reject")
+            .field("t", shared.emitted_upto.load(Ordering::SeqCst))
+            .field("reason", reason.as_str()),
+    ));
     write_line(&conn.out, &protocol::reject(op, reason, detail))
 }
 
@@ -428,8 +426,8 @@ mod tests {
         // The admission receiver is dropped: the state keeper's side of
         // the inbox is not under test and sends to it may fail.
         let shared = SkShared {
-            tele: Swap::new(tele_tx),
-            admission: Swap::new(admission_tx),
+            tele: tele_tx,
+            admission: admission_tx,
             draining: Arc::new(AtomicBool::new(false)),
             sockdrop: Arc::new(AtomicBool::new(false)),
             emitted_upto: Arc::new(AtomicU64::new(0)),
@@ -445,14 +443,13 @@ mod tests {
     fn forwards_requests_and_routes_replies() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (sk_tx, sk_rx) = sync_channel::<SkMsg>(8);
-        let sk = Swap::new(sk_tx);
+        let (sk, sk_rx) = sync_channel::<SkMsg>(8);
         let (shared, _tele_rx) = shared_for_test();
         let (inbox_tx, inbox_rx) = mpsc::channel();
         let handle = {
             let sk = sk.clone();
             let shared = shared.clone();
-            std::thread::spawn(move || run_admission(listener, sk, shared, inbox_rx, 0))
+            std::thread::spawn(move || run_admission(listener, sk, shared, &inbox_rx, 0))
         };
 
         let mut client = TcpStream::connect(addr).unwrap();
@@ -489,14 +486,13 @@ mod tests {
     fn multi_megabyte_line_is_rejected_typed_and_framing_resyncs() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (sk_tx, _sk_rx) = sync_channel::<SkMsg>(8);
-        let sk = Swap::new(sk_tx);
+        let (sk, _sk_rx) = sync_channel::<SkMsg>(8);
         let (shared, _tele_rx) = shared_for_test();
         let (inbox_tx, inbox_rx) = mpsc::channel();
         let handle = {
             let sk = sk.clone();
             let shared = shared.clone();
-            std::thread::spawn(move || run_admission(listener, sk, shared, inbox_rx, 0))
+            std::thread::spawn(move || run_admission(listener, sk, shared, &inbox_rx, 0))
         };
 
         // A 4 MiB "line": exactly one typed rejection as soon as the cap
@@ -532,14 +528,13 @@ mod tests {
     fn backpressure_and_dead_keeper_reject_typed() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (sk_tx, sk_rx) = sync_channel::<SkMsg>(1);
-        let sk = Swap::new(sk_tx);
+        let (sk, sk_rx) = sync_channel::<SkMsg>(1);
         let (shared, _tele_rx) = shared_for_test();
         let (inbox_tx, inbox_rx) = mpsc::channel();
         let handle = {
             let sk = sk.clone();
             let shared = shared.clone();
-            std::thread::spawn(move || run_admission(listener, sk, shared, inbox_rx, 1 << 32))
+            std::thread::spawn(move || run_admission(listener, sk, shared, &inbox_rx, 1 << 32))
         };
 
         let mut client = TcpStream::connect(addr).unwrap();

@@ -8,7 +8,9 @@
 //!
 //! ## Actors
 //!
-//! Three actors, each with exactly one inbox:
+//! Three actors, each with exactly one inbox. The supervisor creates each
+//! inbox once and it outlives every incarnation of its actor: peers hold
+//! plain senders, and a replacement inherits whatever was still queued.
 //!
 //! * **admission** ([`admission`]) — the TCP front door: line-delimited
 //!   JSON requests ([`protocol`]), bounded forwarding to the state keeper
@@ -25,16 +27,17 @@
 //! * **telemetry** ([`telemetry`]) — the single writer of the JSONL event
 //!   stream, the metrics fold, and the alert engine. Its channel carries
 //!   events and the actor's own controls; counters, gauges and histogram
-//!   samples never cross it.
+//!   samples never cross it. Events sent while it restarts wait in its
+//!   inbox, and the replacement writes them.
 //!
 //! ## Crash safety
 //!
-//! The supervisor ([`supervisor`]) restarts a panicked actor with
-//! exponential backoff under a restart-intensity budget, rebuilding it
-//! from shared state: the engine is reconstructed from the frozen base
-//! inputs + admission journal + last checkpoint ([`engine`]), then caught
-//! up silently to the telemetry watermark, so the event stream carries
-//! every slot exactly once. A `kill -9` of the whole process loses nothing
+//! The supervisor ([`supervisor`]) blocks until an actor thread reports
+//! its end, and restarts a panicked actor with exponential backoff under a
+//! restart-intensity budget, rebuilding it from shared state: the engine
+//! is reconstructed from the frozen base inputs + admission journal + last
+//! checkpoint ([`engine`]), then caught up silently to the telemetry
+//! watermark, so the event stream carries every slot exactly once. A `kill -9` of the whole process loses nothing
 //! acknowledged: restart with `--resume` and the merged stream is
 //! diff-clean against an uninterrupted run.
 //!
@@ -52,7 +55,6 @@ pub mod admission;
 pub mod chaos;
 pub mod engine;
 pub mod journal;
-pub mod port;
 pub mod protocol;
 pub mod signal;
 pub mod state_keeper;
@@ -62,7 +64,6 @@ pub mod telemetry;
 pub use chaos::ChaosPlan;
 pub use engine::{EngineSpec, SchedulerSpec};
 pub use journal::{Journal, JournalEntry};
-pub use port::Swap;
 pub use state_keeper::{Clock, SkExit};
 pub use supervisor::{run_daemon, DaemonOptions, RestartPolicy};
 pub use telemetry::{truncate_for_resume, TruncateOutcome};

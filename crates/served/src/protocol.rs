@@ -23,7 +23,7 @@
 //! [`grefar_obs::json`] parser (the same one the telemetry tooling trusts)
 //! instead of growing a second, nested JSON dialect.
 
-use grefar_obs::json::{parse_object, JsonValue};
+use grefar_obs::json::{parse_object, write_string, JsonValue};
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +59,9 @@ pub enum RejectReason {
     QueueFull,
     /// The daemon is draining and no longer admits work.
     Draining,
-    /// The state keeper is (re)starting; retry shortly.
+    /// Supervision has ended: the daemon is shutting down and the state
+    /// keeper's inbox is gone. (A request sent while the state keeper
+    /// restarts waits in its inbox and is answered by the replacement.)
     Unavailable,
     /// The submission itself is invalid (job class range, horizon, count).
     Invalid,
@@ -156,23 +158,6 @@ pub fn parse_request(line: &str) -> Result<Request, (RejectReason, String)> {
     }
 }
 
-/// Escapes a string for embedding in a JSON response line.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The acceptance response for a submission: its journal sequence number
 /// and the slot it will arrive in.
 pub fn accept(seq: u64, slot: u64, job: usize, count: f64) -> String {
@@ -181,12 +166,14 @@ pub fn accept(seq: u64, slot: u64, job: usize, count: f64) -> String {
 
 /// A rejection response for any verb.
 pub fn reject(op: &str, reason: RejectReason, detail: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"op\":\"{}\",\"error\":\"{}\",\"detail\":\"{}\"}}",
-        escape(op),
-        reason.as_str(),
-        escape(detail)
-    )
+    let mut out = String::from("{\"ok\":false,\"op\":");
+    write_string(&mut out, op);
+    out.push_str(",\"error\":\"");
+    out.push_str(reason.as_str());
+    out.push_str("\",\"detail\":");
+    write_string(&mut out, detail);
+    out.push('}');
+    out
 }
 
 /// The response to a completed `advance`.

@@ -21,22 +21,17 @@
 use crate::admission::AdmissionMsg;
 use crate::chaos::{chaos_inject_event, ChaosPlan};
 use crate::journal::{Journal, JournalEntry};
-use crate::port::Swap;
 use crate::protocol::{self, RejectReason};
-use crate::telemetry::{send_reliable, PortObserver, TelemetryMsg, TelemetryPort};
+use crate::telemetry::{PortObserver, TelemetryMsg};
 use grefar_faults::ActorTarget;
 use grefar_obs::{Event, NullObserver};
 use grefar_sim::{SimulationReport, SteppedRun};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long the state keeper waits for a replacement telemetry actor
-/// after poisoning it (chaos) before streaming further events.
-const TELEMETRY_RESTART_WAIT: Duration = Duration::from_secs(5);
 
 /// The slot clock the state keeper runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,10 +106,6 @@ pub enum SkMsg {
         /// Originating connection, if any.
         conn: Option<u64>,
     },
-    /// Chaos: die. The supervisor restarts the actor.
-    Poison,
-    /// Chaos: freeze for this many milliseconds mid-loop.
-    Stall(u64),
 }
 
 /// Why (and with what) the state keeper exited cleanly.
@@ -133,11 +124,11 @@ pub enum SkExit {
 /// actor.
 #[derive(Clone)]
 pub struct SkShared {
-    /// The telemetry actor's swappable inbox.
-    pub tele: TelemetryPort,
-    /// The admission actor's swappable inbox: reply lines, chaos and the
+    /// The telemetry actor's inbox.
+    pub tele: Sender<TelemetryMsg>,
+    /// The admission actor's inbox: reply lines, chaos and the
     /// supervisor's stop.
-    pub admission: Swap<Sender<AdmissionMsg>>,
+    pub admission: Sender<AdmissionMsg>,
     /// Set once draining begins; the admission actor rejects locally too.
     pub draining: Arc<AtomicBool>,
     /// Chaos socket-drop window currently active: the admission acceptor
@@ -163,7 +154,7 @@ pub struct SkShared {
 
 impl SkShared {
     /// Fresh shared state for a new daemon (all counters zero).
-    pub fn new(tele: TelemetryPort, admission: Swap<Sender<AdmissionMsg>>) -> Self {
+    pub fn new(tele: Sender<TelemetryMsg>, admission: Sender<AdmissionMsg>) -> Self {
         Self {
             tele,
             admission,
@@ -207,14 +198,14 @@ pub struct SkConfig {
 /// engine, the gap is stepped silently first.
 ///
 /// # Panics
-/// On chaos poison ([`SkMsg::Poison`] or a `kill:actor=state_keeper`
-/// window), and on journal/checkpoint write failures — an un-acked,
-/// un-persisted daemon must escalate to its supervisor, not limp on.
+/// On a `kill:actor=state_keeper` chaos window, and on journal/checkpoint
+/// write failures — an un-acked, un-persisted daemon must escalate to its
+/// supervisor, not limp on.
 pub fn run_state_keeper(
     run: SteppedRun,
     config: SkConfig,
     shared: SkShared,
-    rx: Receiver<SkMsg>,
+    rx: &Receiver<SkMsg>,
 ) -> SkExit {
     let journal = config.journal.as_ref().map(|path| {
         Journal::open(path)
@@ -341,11 +332,6 @@ impl StateKeeper {
                 }
                 Flow::Finish("drain")
             }
-            SkMsg::Poison => panic!("chaos kill: state_keeper"),
-            SkMsg::Stall(ms) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                Flow::Continue
-            }
         }
     }
 
@@ -397,15 +383,12 @@ impl StateKeeper {
             .expect("submit validated against the engine");
         self.shared.lock_accepted().push(entry);
         self.shared.admitted.fetch_add(1, Ordering::SeqCst);
-        send_reliable(
-            &self.shared.tele,
-            TelemetryMsg::Event(
-                Event::new("admission.accept")
-                    .field("t", t)
-                    .field("job", job as u64)
-                    .field("count", count)
-                    .field("seq", seq),
-            ),
+        self.emit(
+            Event::new("admission.accept")
+                .field("t", t)
+                .field("job", job as u64)
+                .field("count", count)
+                .field("seq", seq),
         );
         self.reply(conn, protocol::accept(seq, t, job, count));
     }
@@ -487,10 +470,7 @@ impl StateKeeper {
         }
         for fault in to_fire {
             if !silent {
-                send_reliable(
-                    &self.shared.tele,
-                    TelemetryMsg::Event(chaos_inject_event(&fault, t)),
-                );
+                self.emit(chaos_inject_event(&fault, t));
             }
             let ms = fault.magnitude().unwrap_or(0.0).max(0.0) as u64;
             match (fault.label(), fault.actor()) {
@@ -498,33 +478,31 @@ impl StateKeeper {
                     panic!("chaos kill: state_keeper")
                 }
                 ("kill", Some(ActorTarget::Admission)) => {
-                    let (_, admission) = self.shared.admission.get();
-                    let _ = admission.send(AdmissionMsg::Poison);
+                    let _ = self.shared.admission.send(AdmissionMsg::Poison);
                 }
                 ("kill", Some(ActorTarget::Telemetry)) => {
-                    let (generation, tx) = self.shared.tele.get();
-                    if tx.send(TelemetryMsg::Poison).is_ok() {
-                        // Hold further events until the replacement is in.
-                        self.shared
-                            .tele
-                            .await_generation_past(generation, TELEMETRY_RESTART_WAIT);
-                    }
+                    // Only the replacement answers the sync queued behind
+                    // the poison, after its pre-fold: waiting for it keeps
+                    // this slot's events behind `served.restart` and the
+                    // run from finishing while telemetry is down.
+                    let (ack_tx, ack_rx) = mpsc::channel();
+                    let _ = self.shared.tele.send(TelemetryMsg::Poison);
+                    let _ = self.shared.tele.send(TelemetryMsg::Sync(ack_tx));
+                    let _ = ack_rx.recv();
                 }
                 ("stall", Some(ActorTarget::StateKeeper)) => {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 ("stall", Some(ActorTarget::Admission)) => {
-                    let (_, admission) = self.shared.admission.get();
-                    let _ = admission.send(AdmissionMsg::Stall(ms));
+                    let _ = self.shared.admission.send(AdmissionMsg::Stall(ms));
                 }
                 ("stall", Some(ActorTarget::Telemetry)) => {
-                    send_reliable(&self.shared.tele, TelemetryMsg::Stall(ms));
+                    let _ = self.shared.tele.send(TelemetryMsg::Stall(ms));
                 }
                 ("sockdrop", _) => {
                     // The flag above keeps the acceptor refusing until the
                     // window closes; this closes what is already open.
-                    let (_, admission) = self.shared.admission.get();
-                    let _ = admission.send(AdmissionMsg::Sever);
+                    let _ = self.shared.admission.send(AdmissionMsg::Sever);
                 }
                 _ => {}
             }
@@ -569,10 +547,7 @@ impl StateKeeper {
                 .unwrap_or_else(|e| panic!("journal rotate failed: {e}"));
         }
         drop(accepted);
-        send_reliable(
-            &self.shared.tele,
-            TelemetryMsg::Event(Event::new("checkpoint.write").field("t", slot)),
-        );
+        self.emit(Event::new("checkpoint.write").field("t", slot));
     }
 
     fn reject(
@@ -589,16 +564,19 @@ impl StateKeeper {
         if let Some((job, count)) = submit {
             event = event.field("job", job as u64).field("count", count);
         }
-        send_reliable(&self.shared.tele, TelemetryMsg::Event(event));
+        self.emit(event);
         self.shared.rejected.fetch_add(1, Ordering::SeqCst);
         self.reply(conn, protocol::reject(op, reason, detail));
     }
 
     fn reply(&self, conn: u64, line: String) {
-        // A failed send means the admission incarnation died; its
-        // connections died with it, so the reply has nowhere to go.
-        let (_, tx) = self.shared.admission.get();
-        let _ = tx.send(AdmissionMsg::Reply(conn, line));
+        // A reply queued for a connection of an incarnation that died is
+        // dropped by the replacement: the connection died with it.
+        let _ = self.shared.admission.send(AdmissionMsg::Reply(conn, line));
+    }
+
+    fn emit(&self, event: Event) {
+        let _ = self.shared.tele.send(TelemetryMsg::Event(event));
     }
 
     /// Final cut, `run.end`, `served.stop` — in that order, so the stream
@@ -608,16 +586,13 @@ impl StateKeeper {
         let watermark = self.run.next_slot();
         let mut obs = PortObserver::new(self.shared.tele.clone());
         let report = self.run.finish(&mut obs);
-        send_reliable(
-            &self.shared.tele,
-            TelemetryMsg::Event(
-                Event::new("served.stop")
-                    .field("t", watermark)
-                    .field("reason", reason)
-                    .field("admitted", self.shared.admitted.load(Ordering::SeqCst))
-                    .field("rejected", self.shared.rejected.load(Ordering::SeqCst)),
-            ),
-        );
+        let _ = self.shared.tele.send(TelemetryMsg::Event(
+            Event::new("served.stop")
+                .field("t", watermark)
+                .field("reason", reason)
+                .field("admitted", self.shared.admitted.load(Ordering::SeqCst))
+                .field("rejected", self.shared.rejected.load(Ordering::SeqCst)),
+        ));
         SkExit::Finished {
             report: Box::new(report),
             reason,
@@ -661,7 +636,7 @@ mod tests {
         let run = engine.build(&[], None).unwrap();
         let (tele_tx, tele_rx) = mpsc::channel();
         let (reply_tx, replies) = mpsc::channel();
-        let shared = SkShared::new(Swap::new(tele_tx), Swap::new(reply_tx));
+        let shared = SkShared::new(tele_tx, reply_tx);
         let (sk_tx, sk_rx) = mpsc::channel();
         let config = SkConfig {
             clock,
@@ -671,7 +646,7 @@ mod tests {
             journal: None,
             num_job_classes: classes,
         };
-        let handle = std::thread::spawn(move || run_state_keeper(run, config, shared, sk_rx));
+        let handle = std::thread::spawn(move || run_state_keeper(run, config, shared, &sk_rx));
         Rig {
             sk: sk_tx,
             replies,
@@ -784,7 +759,7 @@ mod tests {
         let run = engine.build(&[], None).unwrap();
         let (tele_tx, _tele_rx) = mpsc::channel();
         let (reply_tx, replies) = mpsc::channel();
-        let shared = SkShared::new(Swap::new(tele_tx), Swap::new(reply_tx));
+        let shared = SkShared::new(tele_tx, reply_tx);
         let (sk_tx, sk_rx) = mpsc::channel();
         let config = SkConfig {
             clock: Clock::Manual,
@@ -796,7 +771,7 @@ mod tests {
         };
         let handle = {
             let shared = shared.clone();
-            std::thread::spawn(move || run_state_keeper(run, config, shared, sk_rx))
+            std::thread::spawn(move || run_state_keeper(run, config, shared, &sk_rx))
         };
         let rig = Rig {
             sk: sk_tx,

@@ -1,28 +1,31 @@
 //! The supervision tree: spawn, watch, restart, drain.
 //!
-//! The supervisor owns every join handle, every swappable port
-//! ([`crate::port::Swap`]) and the restart budget. Its loop is the only
-//! place actor death is observed: a panicked actor is rebuilt from shared
-//! state (journal + checkpoint + telemetry watermark) after an exponential
-//! backoff, and more than [`RestartPolicy::max_restarts`] restarts of one
-//! actor inside [`RestartPolicy::window`] turns the daemon off (exit 1) —
-//! crash loops should page, not spin.
+//! The supervisor owns every join handle, every actor's inbox and the
+//! restart budget. Each inbox is created once and outlives every
+//! incarnation of its actor: an incarnation locks it for its whole life,
+//! and a replacement inherits whatever its predecessor left queued. The
+//! supervision loop is the only place actor death is observed: each actor
+//! thread reports its end on one channel, a panicked actor is rebuilt from
+//! shared state (journal + checkpoint + telemetry watermark) after an
+//! exponential backoff, and more than [`RestartPolicy::max_restarts`]
+//! restarts of one actor inside [`RestartPolicy::window`] turns the daemon
+//! off (exit 1) — crash loops should page, not spin.
 //!
 //! Signals: SIGTERM/SIGINT latch a flag ([`crate::signal`]); the
-//! supervision loop translates it into a graceful drain — stop admitting,
-//! checkpoint, finish the run, flush telemetry — and exits 0.
+//! supervision loop reads it every `SIGNAL_POLL` (100 ms) and translates
+//! it into a graceful drain — stop admitting, checkpoint, finish the run,
+//! flush telemetry — and exits 0.
 
 use crate::admission::{run_admission, AdmissionMsg};
 use crate::chaos::ChaosPlan;
 use crate::engine::EngineSpec;
 use crate::journal::{self, JournalEntry};
-use crate::port::Swap;
 use crate::signal;
 use crate::state_keeper::{run_state_keeper, Clock, SkConfig, SkExit, SkMsg, SkShared};
 use crate::telemetry::{
-    run_telemetry, send_reliable, truncate_for_resume, TelemetryConfig, TelemetryFinal,
-    TelemetryMsg, TelemetryPort,
+    run_telemetry, truncate_for_resume, TelemetryConfig, TelemetryFinal, TelemetryMsg,
 };
+use grefar_faults::ActorTarget;
 use grefar_metrics::{shared_handle, AlertRule, MetricsServer};
 use grefar_obs::Event;
 use grefar_sim::Checkpoint;
@@ -30,8 +33,14 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long the supervision loop waits for an actor's end before it reads
+/// the signal latch again (and retries a drain the state keeper's full
+/// inbox refused).
+const SIGNAL_POLL: Duration = Duration::from_millis(100);
 
 /// Restart discipline for one actor.
 #[derive(Debug, Clone, Copy)]
@@ -103,26 +112,51 @@ impl RestartTracker {
     }
 }
 
-/// One supervised actor: its live thread and its restart budget.
-struct Supervised<T> {
-    actor: &'static str,
+/// One supervised actor: its inbox, its live thread and its restart
+/// budget.
+struct Supervised<M, T> {
+    actor: ActorTarget,
+    /// Created once; every incarnation holds its lock while it runs.
+    inbox: Arc<Mutex<Receiver<M>>>,
+    /// Where each incarnation reports its end.
+    exits: Sender<ActorTarget>,
     /// `None` from [`Supervised::reap`] until the replacement spawns, and
     /// for good once the supervisor gives up.
     thread: Option<JoinHandle<T>>,
     tracker: RestartTracker,
 }
 
-impl<T> Supervised<T> {
-    fn new(actor: &'static str, thread: JoinHandle<T>, policy: RestartPolicy) -> Self {
+impl<M: Send + 'static, T: Send + 'static> Supervised<M, T> {
+    fn new(
+        actor: ActorTarget,
+        inbox: Receiver<M>,
+        exits: &Sender<ActorTarget>,
+        policy: RestartPolicy,
+    ) -> Self {
         Self {
             actor,
-            thread: Some(thread),
+            inbox: Arc::new(Mutex::new(inbox)),
+            exits: exits.clone(),
+            thread: None,
             tracker: RestartTracker::new(policy),
         }
     }
 
-    fn is_finished(&self) -> bool {
-        self.thread.as_ref().is_some_and(JoinHandle::is_finished)
+    /// Spawns an incarnation on the actor's inbox. The thread holds the
+    /// inbox lock for its whole life (a predecessor's panic poisons it
+    /// without harming the queue) and reports its end, returned or
+    /// unwound, on `exits`.
+    fn spawn(&mut self, body: impl FnOnce(&Receiver<M>) -> T + Send + 'static) {
+        let inbox = Arc::clone(&self.inbox);
+        let notice = ExitNotice {
+            actor: self.actor,
+            exits: self.exits.clone(),
+        };
+        self.thread = Some(std::thread::spawn(move || {
+            let _notice = notice;
+            let inbox = inbox.lock().unwrap_or_else(PoisonError::into_inner);
+            body(&inbox)
+        }));
     }
 
     /// The restart sequence every actor shares: join the finished thread,
@@ -135,35 +169,49 @@ impl<T> Supervised<T> {
         let detail = match thread.join() {
             Ok(value) => match clean(value) {
                 Some(exit) => return Err(exit),
-                None => format!("{} loop exited unexpectedly", self.actor),
+                None => format!("{} loop exited unexpectedly", self.actor.label()),
             },
             Err(panic) => panic_label(panic),
         };
         let Some(backoff_ms) = self.tracker.note() else {
-            return Err(Exit::GaveUp {
-                actor: self.actor,
-                detail,
-            });
+            return Err(self.gave_up(detail));
         };
         std::thread::sleep(Duration::from_millis(backoff_ms));
         Ok(backoff_ms)
     }
 
+    fn gave_up(&self, detail: String) -> Exit {
+        Exit::GaveUp {
+            actor: self.actor.label(),
+            detail,
+        }
+    }
+
     /// Emits `served.restart` for the replacement about to spawn.
-    fn announce(&self, tele: &TelemetryPort, shared: &SkShared, backoff_ms: u64) {
-        let actor = self.actor;
+    fn announce(&self, shared: &SkShared, backoff_ms: u64) {
+        let actor = self.actor.label();
         let restarts = self.tracker.total;
         eprintln!("note: restarted {actor} actor (restart #{restarts})");
-        send_reliable(
-            tele,
-            TelemetryMsg::Event(
-                Event::new("served.restart")
-                    .field("t", shared.emitted_upto.load(Ordering::SeqCst))
-                    .field("actor", actor)
-                    .field("restarts", restarts)
-                    .field("backoff_ms", backoff_ms),
-            ),
-        );
+        let _ = shared.tele.send(TelemetryMsg::Event(
+            Event::new("served.restart")
+                .field("t", shared.emitted_upto.load(Ordering::SeqCst))
+                .field("actor", actor)
+                .field("restarts", restarts)
+                .field("backoff_ms", backoff_ms),
+        ));
+    }
+}
+
+/// Reports its actor's end on the supervisor's `exits` channel when the
+/// incarnation's thread returns or unwinds.
+struct ExitNotice {
+    actor: ActorTarget,
+    exits: Sender<ActorTarget>,
+}
+
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        let _ = self.exits.send(self.actor);
     }
 }
 
@@ -265,6 +313,16 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         }
     }
 
+    // --- Inboxes --------------------------------------------------------
+    // Each is created once and outlives every incarnation of its actor:
+    // peers hold plain senders, and a replacement inherits the queue.
+    let (exit_tx, exits) = mpsc::channel();
+    let (tele_tx, tele_rx) = mpsc::channel();
+    let (admission_tx, admission_rx) = mpsc::channel();
+    let (sk, sk_rx) = mpsc::sync_channel::<SkMsg>(options.queue_cap.max(1));
+    let shared = SkShared::new(tele_tx, admission_tx);
+    shared.emitted_upto.store(resume_slot, Ordering::SeqCst);
+
     // --- Telemetry actor ----------------------------------------------
     let shared_metrics = shared_handle();
     let tele_config = TelemetryConfig {
@@ -274,13 +332,9 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         rules: options.alerts.clone(),
         shared: Some(shared_metrics.clone()),
     };
-    let (tele_tx, tele_rx) = mpsc::channel();
-    let tele: TelemetryPort = Swap::new(tele_tx);
-    let mut telemetry = {
-        let config = tele_config.clone();
-        let thread = std::thread::spawn(move || run_telemetry(config, tele_rx));
-        Supervised::new("telemetry", thread, options.restart)
-    };
+    let mut telemetry = Supervised::new(ActorTarget::Telemetry, tele_rx, &exit_tx, options.restart);
+    let config = tele_config.clone();
+    telemetry.spawn(move |inbox| run_telemetry(config, inbox));
     // --- Listener ------------------------------------------------------
     let listener = TcpListener::bind(&options.listen)
         .map_err(|e| format!("cannot bind {}: {e}", options.listen))?;
@@ -292,15 +346,12 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     println!("grefar-served listening on {addr}");
-    send_reliable(
-        &tele,
-        TelemetryMsg::Event(
-            Event::new("served.start")
-                .field("addr", addr.to_string())
-                .field("slot", resume_slot)
-                .field("clock", options.clock.label()),
-        ),
-    );
+    let _ = shared.tele.send(TelemetryMsg::Event(
+        Event::new("served.start")
+            .field("addr", addr.to_string())
+            .field("slot", resume_slot)
+            .field("clock", options.clock.label()),
+    ));
 
     let metrics_server = match &options.metrics_listen {
         None => None,
@@ -331,7 +382,7 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
                 .feeds
                 .as_ref()
                 .map_or(0, |p| p.staleness_bound(engine.config.num_data_centers()));
-            let mut obs = crate::telemetry::PortObserver::new(tele.clone());
+            let mut obs = crate::telemetry::PortObserver::new(shared.tele.clone());
             grefar_sim::theory_obs::emit_theory_bounds_stale(
                 &engine.config,
                 &faulted,
@@ -342,15 +393,8 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         }
     }
 
-    // --- Shared wiring + actor spawn -----------------------------------
-    let (admission_tx, admission_rx) = mpsc::channel();
-    let shared = SkShared::new(tele.clone(), Swap::new(admission_tx));
-    shared.emitted_upto.store(resume_slot, Ordering::SeqCst);
+    // --- Actor spawn ---------------------------------------------------
     *shared.accepted.lock().expect("fresh lock") = accepted;
-
-    let (sk_tx, sk_rx) = mpsc::sync_channel::<SkMsg>(options.queue_cap.max(1));
-    let sk: Swap<SyncSender<SkMsg>> = Swap::new(sk_tx);
-
     let sk_config = || SkConfig {
         clock: options.clock,
         chaos: options.chaos.clone(),
@@ -359,18 +403,19 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         journal: journal_path.clone(),
         num_job_classes: engine.config.num_job_classes(),
     };
-    let mut keeper = Supervised::new(
-        "state_keeper",
-        spawn_sk(run, sk_config(), shared.clone(), sk_rx),
-        options.restart,
-    );
-
-    let mut admission_incarnation: u64 = 0;
+    let spawn_keeper = |keeper: &mut Supervised<SkMsg, SkExit>, run| {
+        let (config, shared) = (sk_config(), shared.clone());
+        keeper.spawn(move |inbox| run_state_keeper(run, config, shared, inbox));
+    };
+    let mut keeper = Supervised::new(ActorTarget::StateKeeper, sk_rx, &exit_tx, options.restart);
+    spawn_keeper(&mut keeper, run);
     let mut admission = Supervised::new(
-        "admission",
-        spawn_admission(&listener, &sk, &shared, admission_rx, admission_incarnation)?,
+        ActorTarget::Admission,
+        admission_rx,
+        &exit_tx,
         options.restart,
     );
+    spawn_admission(&mut admission, &listener, &sk, &shared)?;
 
     // --- Supervision loop ----------------------------------------------
     let mut drain_requested = false;
@@ -378,98 +423,78 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
     let exit = loop {
         if signal::triggered() && !drain_requested {
             shared.draining.store(true, Ordering::SeqCst);
-            let (_, tx) = sk.get();
-            // try_send: a wedged/dead keeper must not wedge the supervisor;
-            // retried on the next tick until it lands.
-            if tx.try_send(SkMsg::Drain { conn: None }).is_ok() {
-                drain_requested = true;
-            }
+            // try_send: a wedged keeper must not wedge the supervisor;
+            // retried on the next poll until it lands.
+            drain_requested = sk.try_send(SkMsg::Drain { conn: None }).is_ok();
         }
-
-        if keeper.is_finished() {
-            let backoff_ms = match keeper
-                .reap(|SkExit::Finished { report, reason }| Some(Exit::Clean { report, reason }))
-            {
-                Ok(backoff_ms) => backoff_ms,
-                Err(exit) => break exit,
-            };
-            let snapshot: Vec<JournalEntry> = shared
-                .accepted
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone();
-            let rebuilt = reload_checkpoint(options.checkpoint.as_deref())
-                .and_then(|ck| engine.build(&snapshot, ck));
-            let run = match rebuilt {
-                Ok(run) => run,
-                Err(detail) => {
-                    break Exit::GaveUp {
-                        actor: keeper.actor,
-                        detail,
-                    }
-                }
-            };
-            let (sk_tx, sk_rx) = mpsc::sync_channel::<SkMsg>(options.queue_cap.max(1));
-            sk.swap(sk_tx);
-            // Announce before spawning: the replacement's own chaos plan
-            // must not be able to kill the telemetry actor ahead of this
-            // event.
-            keeper.announce(&tele, &shared, backoff_ms);
-            keeper.thread = Some(spawn_sk(run, sk_config(), shared.clone(), sk_rx));
-            drain_requested = false; // re-deliver the drain if one was pending
+        // `exit_tx` lives as long as this loop, so this only times out.
+        let Ok(actor) = exits.recv_timeout(SIGNAL_POLL) else {
             continue;
-        }
-
-        if admission.is_finished() {
-            let backoff_ms = match admission.reap(|()| None) {
-                Ok(backoff_ms) => backoff_ms,
-                Err(exit) => break exit,
-            };
-            let (admission_tx, admission_rx) = mpsc::channel();
-            shared.admission.swap(admission_tx);
-            admission_incarnation += 1;
-            admission.announce(&tele, &shared, backoff_ms);
-            match spawn_admission(&listener, &sk, &shared, admission_rx, admission_incarnation) {
-                Ok(thread) => admission.thread = Some(thread),
-                Err(detail) => {
-                    break Exit::GaveUp {
-                        actor: admission.actor,
-                        detail,
-                    }
+        };
+        match actor {
+            ActorTarget::StateKeeper => {
+                let backoff_ms = match keeper.reap(|SkExit::Finished { report, reason }| {
+                    Some(Exit::Clean { report, reason })
+                }) {
+                    Ok(backoff_ms) => backoff_ms,
+                    Err(exit) => break exit,
+                };
+                let snapshot: Vec<JournalEntry> = shared
+                    .accepted
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .clone();
+                let rebuilt = reload_checkpoint(options.checkpoint.as_deref())
+                    .and_then(|ck| engine.build(&snapshot, ck));
+                let run = match rebuilt {
+                    Ok(run) => run,
+                    Err(detail) => break keeper.gave_up(detail),
+                };
+                // Announce before spawning: the replacement's own chaos plan
+                // must not be able to kill the telemetry actor ahead of this
+                // event.
+                keeper.announce(&shared, backoff_ms);
+                spawn_keeper(&mut keeper, run);
+                // The dead incarnation may have taken a pending drain off
+                // the inbox: deliver it again.
+                drain_requested = false;
+            }
+            ActorTarget::Admission => {
+                let backoff_ms = match admission.reap(|()| None) {
+                    Ok(backoff_ms) => backoff_ms,
+                    Err(exit) => break exit,
+                };
+                admission.announce(&shared, backoff_ms);
+                if let Err(detail) = spawn_admission(&mut admission, &listener, &sk, &shared) {
+                    break admission.gave_up(detail);
                 }
             }
-            continue;
+            ActorTarget::Telemetry => {
+                let backoff_ms = match telemetry.reap(|()| None) {
+                    Ok(backoff_ms) => backoff_ms,
+                    Err(exit) => break exit,
+                };
+                // A chaos kill leaves the state keeper waiting for the
+                // replacement's sync, so no slot event can overtake this.
+                telemetry.announce(&shared, backoff_ms);
+                // The replacement appends and pre-folds whatever the dead
+                // incarnation already wrote.
+                let config = TelemetryConfig {
+                    append: tele_config.jsonl.is_some(),
+                    ..tele_config.clone()
+                };
+                telemetry.spawn(move |inbox| run_telemetry(config, inbox));
+            }
         }
-
-        if telemetry.is_finished() {
-            let backoff_ms = match telemetry.reap(|()| None) {
-                Ok(backoff_ms) => backoff_ms,
-                Err(exit) => break exit,
-            };
-            let (tele_tx, tele_rx) = mpsc::channel();
-            tele.swap(tele_tx);
-            // The replacement appends and pre-folds whatever the dead
-            // incarnation already wrote.
-            let config = TelemetryConfig {
-                append: tele_config.jsonl.is_some(),
-                ..tele_config.clone()
-            };
-            // Enqueue the restart event into the replacement's channel
-            // before it starts: it lands right after the pre-fold, ahead of
-            // anything the other actors send.
-            telemetry.announce(&tele, &shared, backoff_ms);
-            telemetry.thread = Some(std::thread::spawn(move || run_telemetry(config, tele_rx)));
-            continue;
-        }
-
-        std::thread::sleep(Duration::from_millis(2));
     };
+    // From here on a request forwarded to the state keeper gets
+    // `unavailable`: its inbox is gone with the last incarnation.
+    drop(keeper);
 
     // --- Teardown -------------------------------------------------------
     let code = match exit {
         Exit::Clean { report, reason } => {
-            let final_tele =
-                stop_support_actors(&tele, &shared.admission, admission.thread, telemetry.thread);
+            let final_tele = stop_support_actors(&shared, admission.thread, telemetry.thread);
             print!("{}", summary(&report, &shared));
             println!("exit             : {reason}");
             if let Some(fin) = final_tele {
@@ -482,18 +507,14 @@ pub fn run_daemon(options: DaemonOptions) -> Result<i32, String> {
         }
         Exit::GaveUp { actor, detail } => {
             eprintln!("error: {actor} actor failed beyond the restart budget: {detail}");
-            send_reliable(
-                &tele,
-                TelemetryMsg::Event(
-                    Event::new("served.stop")
-                        .field("t", shared.emitted_upto.load(Ordering::SeqCst))
-                        .field("reason", "supervision")
-                        .field("admitted", shared.admitted.load(Ordering::SeqCst))
-                        .field("rejected", shared.rejected.load(Ordering::SeqCst)),
-                ),
-            );
-            let _ =
-                stop_support_actors(&tele, &shared.admission, admission.thread, telemetry.thread);
+            let _ = shared.tele.send(TelemetryMsg::Event(
+                Event::new("served.stop")
+                    .field("t", shared.emitted_upto.load(Ordering::SeqCst))
+                    .field("reason", "supervision")
+                    .field("admitted", shared.admitted.load(Ordering::SeqCst))
+                    .field("rejected", shared.rejected.load(Ordering::SeqCst)),
+            ));
+            let _ = stop_support_actors(&shared, admission.thread, telemetry.thread);
             1
         }
     };
@@ -514,30 +535,22 @@ enum Exit {
     },
 }
 
-fn spawn_sk(
-    run: grefar_sim::SteppedRun,
-    config: SkConfig,
-    shared: SkShared,
-    rx: Receiver<SkMsg>,
-) -> JoinHandle<SkExit> {
-    std::thread::spawn(move || run_state_keeper(run, config, shared, rx))
-}
-
+/// Spawns an admission incarnation on its own handle of the listener.
+/// Connection ids carry the restart count in their high bits, so a reply
+/// queued for a dead incarnation's connection never reaches a new one.
 fn spawn_admission(
+    admission: &mut Supervised<AdmissionMsg, ()>,
     listener: &TcpListener,
-    sk: &Swap<SyncSender<SkMsg>>,
+    sk: &SyncSender<SkMsg>,
     shared: &SkShared,
-    inbox: Receiver<AdmissionMsg>,
-    incarnation: u64,
-) -> Result<JoinHandle<()>, String> {
+) -> Result<(), String> {
     let listener = listener
         .try_clone()
         .map_err(|e| format!("cannot clone listener: {e}"))?;
-    let sk = sk.clone();
-    let shared = shared.clone();
-    Ok(std::thread::spawn(move || {
-        run_admission(listener, sk, shared, inbox, incarnation << 32)
-    }))
+    let (sk, shared) = (sk.clone(), shared.clone());
+    let conn_base = admission.tracker.total << 32;
+    admission.spawn(move |inbox| run_admission(listener, sk, shared, inbox, conn_base));
+    Ok(())
 }
 
 fn reload_checkpoint(path: Option<&std::path::Path>) -> Result<Option<Checkpoint>, String> {
@@ -556,26 +569,22 @@ fn reload_checkpoint(path: Option<&std::path::Path>) -> Result<Option<Checkpoint
 ///
 /// After a clean exit the state keeper is gone, so every reply it sent is
 /// queued ahead of `Stop`: admission writes them all, then closes its
-/// connections. A failed send means the incarnation already died, and
-/// its connections with it.
+/// connections.
 fn stop_support_actors(
-    tele: &TelemetryPort,
-    admission_port: &Swap<Sender<AdmissionMsg>>,
+    shared: &SkShared,
     admission: Option<JoinHandle<()>>,
     telemetry: Option<JoinHandle<()>>,
 ) -> Option<TelemetryFinal> {
-    let (_, admission_tx) = admission_port.get();
-    let _ = admission_tx.send(AdmissionMsg::Stop);
+    let _ = shared.admission.send(AdmissionMsg::Stop);
     if let Some(thread) = admission {
         let _ = thread.join();
     }
-    send_reliable(tele, TelemetryMsg::Snapshot);
+    let thread = telemetry?;
+    let _ = shared.tele.send(TelemetryMsg::Snapshot);
     let (fin_tx, fin_rx) = mpsc::channel();
-    send_reliable(tele, TelemetryMsg::Stop(fin_tx));
+    let _ = shared.tele.send(TelemetryMsg::Stop(fin_tx));
     let fin = fin_rx.recv_timeout(Duration::from_secs(10)).ok();
-    if let Some(thread) = telemetry {
-        let _ = thread.join();
-    }
+    let _ = thread.join();
     fin
 }
 

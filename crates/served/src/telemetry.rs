@@ -1,10 +1,12 @@
 //! The telemetry actor: the daemon's single writer of observability state.
 //!
-//! Every other actor forwards [`TelemetryMsg`]s through a
-//! [`Swap`]-wrapped channel; this actor owns the JSONL sink, the metrics
-//! fold (which powers `/metrics`, `/healthz` and `/alerts`), and the alert
-//! engine — the same stack the experiment binaries compose as `ObsPlane`,
-//! rebuilt here as a `Send`-able owned pipeline so it can live on (and be
+//! Every other actor forwards [`TelemetryMsg`]s over one channel that the
+//! supervisor creates once and keeps across incarnations, so a message
+//! sent while the actor restarts waits in the inbox and the replacement
+//! writes it. This actor owns the JSONL sink, the metrics fold (which
+//! powers `/metrics`, `/healthz` and `/alerts`), and the alert engine —
+//! the same stack the experiment binaries compose as `ObsPlane`, rebuilt
+//! here as a `Send`-able owned pipeline so it can live on (and be
 //! restarted onto) its own thread.
 //!
 //! Crash-safety: the JSONL sink writes each event line straight to the
@@ -13,7 +15,6 @@
 //! mode and [pre-folds](grefar_metrics::MetricsLayer::prefold_jsonl) the
 //! prefix so `/healthz` aggregates continue instead of restarting at zero.
 
-use crate::port::Swap;
 use grefar_metrics::{AlertRule, MetricsConfig, MetricsLayer, SharedHandle, SnapshotSink};
 use grefar_obs::json::{parse_object, JsonValue};
 use grefar_obs::{schema, Event, JsonlSink, Observer};
@@ -21,10 +22,6 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
-
-/// How long a peer waits for the supervisor to stand a dead telemetry
-/// actor back up before it drops an event on the floor (and says so).
-const RESEND_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Messages understood by the telemetry actor.
 pub enum TelemetryMsg {
@@ -36,6 +33,9 @@ pub enum TelemetryMsg {
     Stall(u64),
     /// Chaos: die (the supervisor restarts the actor).
     Poison,
+    /// Answered by the incarnation that reads it. Queued behind a
+    /// `Poison`, only the replacement can, once its pre-fold is done.
+    Sync(Sender<()>),
     /// Graceful stop: final snapshot, flush, reply with the wrap-up.
     Stop(Sender<TelemetryFinal>),
 }
@@ -86,7 +86,7 @@ impl Observer for DaemonSink {
 /// # Panics
 /// On an unopenable JSONL file (a daemon without its event stream is
 /// misconfigured, not degraded) and on chaos poison.
-pub fn run_telemetry(config: TelemetryConfig, rx: Receiver<TelemetryMsg>) {
+pub fn run_telemetry(config: TelemetryConfig, rx: &Receiver<TelemetryMsg>) {
     // A bare `File` (no BufWriter): every event line hits the kernel as it
     // is recorded, so an in-process kill loses nothing already streamed.
     let sink = match &config.jsonl {
@@ -137,6 +137,9 @@ pub fn run_telemetry(config: TelemetryConfig, rx: Receiver<TelemetryMsg>) {
             TelemetryMsg::Snapshot => layer.snapshot_now(),
             TelemetryMsg::Stall(ms) => std::thread::sleep(Duration::from_millis(ms)),
             TelemetryMsg::Poison => panic!("chaos kill: telemetry actor"),
+            TelemetryMsg::Sync(ack) => {
+                let _ = ack.send(());
+            }
             TelemetryMsg::Stop(ack) => {
                 stop_ack = Some(ack);
                 break;
@@ -167,47 +170,25 @@ pub fn run_telemetry(config: TelemetryConfig, rx: Receiver<TelemetryMsg>) {
     }
 }
 
-/// The peers' handle on the (restartable) telemetry actor.
-pub type TelemetryPort = Swap<Sender<TelemetryMsg>>;
-
-/// Sends a message, riding out a dead incarnation: a failed send waits for
-/// the supervisor to swap in the replacement's channel and retries. After
-/// [`RESEND_TIMEOUT`] the message is dropped with a warning — degraded, not
-/// wedged.
-pub fn send_reliable(port: &TelemetryPort, mut msg: TelemetryMsg) {
-    loop {
-        let (generation, tx) = port.get();
-        match tx.send(msg) {
-            Ok(()) => return,
-            Err(failed) => {
-                msg = failed.0;
-                if !port.await_generation_past(generation, RESEND_TIMEOUT) {
-                    eprintln!("warning: telemetry actor unavailable; dropping a message");
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// An [`Observer`] facade over the telemetry port — what the state keeper
-/// hands to the simulation engine. Only events cross the port; the
+/// An [`Observer`] facade over the telemetry actor's inbox — what the
+/// state keeper hands to the simulation engine. Only events cross it; the
 /// engine's counters, gauges and histogram samples fall to the trait's
 /// no-op defaults.
 pub struct PortObserver {
-    port: TelemetryPort,
+    port: Sender<TelemetryMsg>,
 }
 
 impl PortObserver {
-    /// Wraps the port.
-    pub fn new(port: TelemetryPort) -> Self {
+    /// Wraps a sender on the inbox.
+    pub fn new(port: Sender<TelemetryMsg>) -> Self {
         Self { port }
     }
 }
 
 impl Observer for PortObserver {
     fn record_event(&mut self, event: Event) {
-        send_reliable(&self.port, TelemetryMsg::Event(event));
+        // Fails only once supervision has ended and the inbox is gone.
+        let _ = self.port.send(TelemetryMsg::Event(event));
     }
 }
 
@@ -313,7 +294,7 @@ mod tests {
             rules: Vec::new(),
             shared: None,
         };
-        let handle = std::thread::spawn(move || run_telemetry(config, rx));
+        let handle = std::thread::spawn(move || run_telemetry(config, &rx));
         tx.send(TelemetryMsg::Event(
             Event::new("served.start")
                 .field("addr", "127.0.0.1:0")
@@ -335,24 +316,62 @@ mod tests {
     }
 
     #[test]
-    fn send_reliable_rides_out_a_restart() {
-        let (tx1, rx1) = mpsc::channel();
-        let port: TelemetryPort = Swap::new(tx1);
-        drop(rx1); // incarnation died
-        let waiter = {
-            let port = port.clone();
-            std::thread::spawn(move || {
-                send_reliable(&port, TelemetryMsg::Stall(7));
-            })
+    fn the_next_incarnation_writes_what_was_queued_behind_poison() {
+        let path = tmp("restart.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let (tx, rx) = mpsc::channel();
+        let inbox = std::sync::Mutex::new(rx);
+        let config = TelemetryConfig {
+            jsonl: Some(path.clone()),
+            append: false,
+            snapshot: None,
+            rules: Vec::new(),
+            shared: None,
         };
-        std::thread::sleep(Duration::from_millis(20));
-        let (tx2, rx2) = mpsc::channel();
-        port.swap(tx2);
-        waiter.join().unwrap();
-        match rx2.recv_timeout(Duration::from_secs(1)).unwrap() {
-            TelemetryMsg::Stall(7) => {}
-            _ => panic!("wrong message after swap"),
-        }
+        let (sync_tx, sync_rx) = mpsc::channel();
+        tx.send(TelemetryMsg::Poison).unwrap();
+        tx.send(TelemetryMsg::Sync(sync_tx)).unwrap();
+        tx.send(TelemetryMsg::Event(
+            Event::new("served.restart")
+                .field("t", 5u64)
+                .field("actor", "telemetry")
+                .field("restarts", 1u64)
+                .field("backoff_ms", 1u64),
+        ))
+        .unwrap();
+        // The first incarnation dies on the poison, holding the inbox lock.
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| run_telemetry(config.clone(), &inbox.lock().unwrap()));
+            assert!(first.join().is_err(), "the poison kills the incarnation");
+        });
+        assert!(sync_rx.try_recv().is_err(), "only the replacement answers");
+
+        // The replacement takes the poisoned lock and the same inbox.
+        let config = TelemetryConfig {
+            append: true,
+            ..config
+        };
+        let handle = std::thread::spawn(move || {
+            let rx = inbox
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            run_telemetry(config, &rx)
+        });
+        sync_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the replacement answers the sync message");
+        let (ack_tx, ack_rx) = mpsc::channel();
+        tx.send(TelemetryMsg::Stop(ack_tx)).unwrap();
+        let fin = ack_rx.recv().unwrap();
+        handle.join().unwrap();
+        assert_eq!(fin.events, 2, "served.restart plus the health trailer");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text.matches("\"event\":\"served.restart\"").count(),
+            1,
+            "{text}"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -2,17 +2,49 @@
 //! `kill -9` → `--resume` continuation (after every ack of a scripted
 //! session, too), a fresh start over an earlier session's state files,
 //! chaos-driven actor restarts (the admission actor's under live
-//! connections too), socket-drop windows, teardown with idle clients
-//! connected, and the supervisor's give-up escalation.
+//! connections too, and requests or events queued while an actor
+//! restarts), socket-drop windows, teardown with idle clients connected,
+//! and the supervisor's give-up escalation. Every daemon is spawned
+//! through [`Daemon`], so a failing test leaves no process behind.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_grefar-served")
+}
+
+/// A spawned daemon that is killed and reaped when dropped, so a test
+/// that fails before the daemon exits leaves no process behind.
+struct Daemon(Child);
+
+fn spawn(cmd: &mut Command) -> Daemon {
+    Daemon(cmd.spawn().unwrap())
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        // Both are no-ops once the daemon has been reaped.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
 }
 
 /// A fresh scratch directory per test (parallel tests must not collide).
@@ -145,15 +177,15 @@ fn manual_clock_session_drains_cleanly() {
     let dir = scratch("drain");
     let port_file = dir.join("port");
     let telemetry = dir.join("tele.jsonl");
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "6", "--clock", "manual", "--seed", "42"])
-        .arg("--telemetry")
-        .arg(&telemetry)
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "6", "--clock", "manual", "--seed", "42"])
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null()),
+    );
     let addr = wait_addr(&port_file);
     let mut session = Session::connect(&addr);
 
@@ -205,7 +237,7 @@ fn kill_nine_then_resume_continues_bit_identically() {
 
     // Reference: one uninterrupted session.
     let (mut cmd, port_file, reference_tele) = run("ref");
-    let mut daemon = cmd.spawn().unwrap();
+    let mut daemon = spawn(&mut cmd);
     let mut session = Session::connect(&wait_addr(&port_file));
     session.request("{\"op\":\"submit\",\"job\":1,\"count\":3}");
     let advanced = session.request("{\"op\":\"advance\",\"slots\":8}");
@@ -214,7 +246,7 @@ fn kill_nine_then_resume_continues_bit_identically() {
 
     // Interrupted: same submissions, kill -9 mid-run, resume, finish.
     let (mut cmd, port_file, interrupted_tele) = run("cut");
-    let mut daemon = cmd.spawn().unwrap();
+    let mut daemon = spawn(&mut cmd);
     let mut session = Session::connect(&wait_addr(&port_file));
     session.request("{\"op\":\"submit\",\"job\":1,\"count\":3}");
     let advanced = session.request("{\"op\":\"advance\",\"slots\":3}");
@@ -225,7 +257,7 @@ fn kill_nine_then_resume_continues_bit_identically() {
     let (mut cmd, port_file, _) = run("cut");
     std::fs::remove_file(&port_file).unwrap();
     cmd.arg("--resume");
-    let mut daemon = cmd.spawn().unwrap();
+    let mut daemon = spawn(&mut cmd);
     let mut session = Session::connect(&wait_addr(&port_file));
     let status = session.request("{\"op\":\"status\"}");
     assert!(status.contains("\"slot\":3"), "resume position: {status}");
@@ -287,7 +319,7 @@ fn kill_nine_after_any_ack_loses_no_acked_submit() {
         if resume {
             cmd.arg("--resume");
         }
-        let child = cmd.spawn().unwrap();
+        let child = spawn(&mut cmd);
         let session = Session::connect(&wait_addr(&port_file));
         (child, session, telemetry)
     };
@@ -298,7 +330,7 @@ fn kill_nine_after_any_ack_loses_no_acked_submit() {
             assert!(reply.contains("\"ok\":true"), "{line} -> {reply}");
         }
     };
-    let finish = |mut child: Child, session: &mut Session, from: u64| {
+    let finish = |mut child: Daemon, session: &mut Session, from: u64| {
         let advance = format!("{{\"op\":\"advance\",\"slots\":{}}}", ACK_HORIZON - from);
         let reply = session.request(&advance);
         assert!(reply.contains("\"done\":true"), "{reply}");
@@ -358,7 +390,7 @@ fn fresh_start_discards_an_earlier_sessions_checkpoint_and_journal() {
         if let Some(path) = telemetry {
             cmd.arg("--telemetry").arg(path);
         }
-        let mut daemon = cmd.spawn().unwrap();
+        let mut daemon = spawn(&mut cmd);
         wait_addr(&port_file);
         assert_eq!(wait_exit(&mut daemon).code(), Some(0), "seed {seed}");
     };
@@ -398,27 +430,28 @@ fn chaos_kills_restart_actors_and_the_run_completes() {
     let port_file = dir.join("port");
     let telemetry = dir.join("tele.jsonl");
     let checkpoint = dir.join("ck");
-    // Kills are spaced out (telemetry first) so no restart event can land
-    // in a telemetry incarnation that is itself about to be killed.
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "10", "--clock", "turbo", "--seed", "3"])
-        .args(["--backoff-ms", "1"])
-        .args([
-            "--chaos",
-            "kill:actor=telemetry,start=2,end=3;\
-             kill:actor=admission,start=4,end=5;\
-             kill:actor=state_keeper,start=6,end=7;\
-             stall:actor=admission,ms=1,start=7,end=8",
-        ])
-        .arg("--telemetry")
-        .arg(&telemetry)
-        .arg("--checkpoint")
-        .arg(&checkpoint)
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .spawn()
-        .unwrap();
+    // Every inbox outlives its actor's incarnations, so a restart event
+    // queued behind a telemetry kill is written by the next incarnation;
+    // the kills are spread over the run so each restart arm runs alone.
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "10", "--clock", "turbo", "--seed", "3"])
+            .args(["--backoff-ms", "1"])
+            .args([
+                "--chaos",
+                "kill:actor=telemetry,start=2,end=3;\
+                 kill:actor=admission,start=4,end=5;\
+                 kill:actor=state_keeper,start=6,end=7;\
+                 stall:actor=admission,ms=1,start=7,end=8",
+            ])
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--checkpoint")
+            .arg(&checkpoint)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null()),
+    );
     wait_addr(&port_file);
     assert_eq!(
         wait_exit(&mut daemon).code(),
@@ -446,22 +479,116 @@ fn chaos_kills_restart_actors_and_the_run_completes() {
 }
 
 #[test]
+fn a_request_queued_behind_a_state_keeper_kill_is_answered_by_the_replacement() {
+    let dir = scratch("keeper-inbox");
+    let port_file = dir.join("port");
+    let telemetry = dir.join("tele.jsonl");
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--clock", "manual", "--hours", "6", "--backoff-ms", "500"])
+            .args(["--chaos", "kill:actor=state_keeper,start=2,end=3"])
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
+    let mut session = Session::connect(&wait_addr(&port_file));
+    session
+        .writer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // One write: the status waits in the state keeper's inbox behind the
+    // advance that kills it at slot 2. The advance's reply dies with its
+    // incarnation; the status is the replacement's to answer.
+    session
+        .writer
+        .write_all(b"{\"op\":\"advance\",\"slots\":3}\n{\"op\":\"status\"}\n")
+        .unwrap();
+    let mut reply = String::new();
+    session
+        .reader
+        .read_line(&mut reply)
+        .expect("a reply within 10 s");
+    assert!(reply.contains("\"op\":\"status\""), "{reply}");
+    assert_eq!(field(&reply, "slot"), 2, "{reply}");
+
+    let drain = session.request("{\"op\":\"drain\"}");
+    assert!(drain.contains("\"draining\":true"), "{drain}");
+    assert_eq!(wait_exit(&mut daemon).code(), Some(0));
+    assert_eq!(
+        count_lines_with(
+            &telemetry,
+            &["\"event\":\"served.restart\"", "\"actor\":\"state_keeper\""],
+        ),
+        1,
+        "the state-keeper kill leaves exactly one served.restart"
+    );
+}
+
+#[test]
+fn a_telemetry_kill_loses_no_event_and_holds_the_run_until_the_replacement() {
+    let dir = scratch("telemetry-kill");
+    // With a 200 ms backoff the turbo run would reach its horizon while
+    // telemetry is down, unless the state keeper waits for the replacement.
+    let session = |tag: &str, chaos: &[&str]| {
+        let port_file = dir.join(format!("{tag}.port"));
+        let telemetry = dir.join(format!("{tag}.jsonl"));
+        let mut daemon = spawn(
+            Command::new(bin())
+                .args(["--hours", "40", "--clock", "turbo", "--seed", "3"])
+                .args(["--backoff-ms", "200"])
+                .args(chaos)
+                .arg("--telemetry")
+                .arg(&telemetry)
+                .arg("--port-file")
+                .arg(&port_file)
+                .stdout(Stdio::null())
+                .stderr(Stdio::null()),
+        );
+        wait_addr(&port_file);
+        assert_eq!(wait_exit(&mut daemon).code(), Some(0), "{tag}");
+        telemetry
+    };
+    let plain = session("plain", &[]);
+    let killed = session("killed", &["--chaos", "kill:actor=telemetry,start=5,end=6"]);
+
+    let reference = schedule_events(&plain);
+    assert_eq!(reference.len(), 42, "run.start + 40 slots + run.end");
+    assert_eq!(schedule_events(&killed), reference);
+    assert_eq!(
+        count_lines_with(
+            &killed,
+            &["\"event\":\"served.restart\"", "\"actor\":\"telemetry\""],
+        ),
+        1,
+        "the telemetry kill leaves exactly one served.restart"
+    );
+    let text = std::fs::read_to_string(&killed).unwrap();
+    let restart = text.find("\"event\":\"served.restart\"").unwrap();
+    let slot = text.find("\"event\":\"slot\",\"t\":5,").unwrap();
+    assert!(restart < slot, "served.restart precedes slot 5's event");
+}
+
+#[test]
 fn killed_admission_actor_comes_back_and_serves_new_connections() {
     let dir = scratch("admission-kill");
     let port_file = dir.join("port");
     let telemetry = dir.join("tele.jsonl");
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "6", "--clock", "manual", "--seed", "8"])
-        .args(["--backoff-ms", "1"])
-        .args(["--chaos", "kill:actor=admission,start=2,end=3"])
-        .arg("--telemetry")
-        .arg(&telemetry)
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "6", "--clock", "manual", "--seed", "8"])
+            .args(["--backoff-ms", "1"])
+            .args(["--chaos", "kill:actor=admission,start=2,end=3"])
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
     let addr = wait_addr(&port_file);
 
     // The kill lands inside this advance, so the connection dies with the
@@ -505,14 +632,14 @@ fn sockdrop_window_severs_open_connections_and_refuses_new_ones() {
     // that slot. The real clock runs it.
     let dir = scratch("sockdrop");
     let port_file = dir.join("port");
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "400", "--clock", "real:20", "--seed", "6"])
-        .args(["--chaos", "sockdrop:start=25,end=30"])
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "400", "--clock", "real:20", "--seed", "6"])
+            .args(["--chaos", "sockdrop:start=25,end=30"])
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null()),
+    );
     let addr = wait_addr(&port_file);
 
     // An idle connection opened (and served) before the window reads EOF
@@ -555,13 +682,13 @@ fn sockdrop_window_severs_open_connections_and_refuses_new_ones() {
 fn drain_with_an_idle_client_connected_exits_promptly() {
     let dir = scratch("idle-drain");
     let port_file = dir.join("port");
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "6", "--clock", "manual", "--seed", "5"])
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "6", "--clock", "manual", "--seed", "5"])
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null()),
+    );
     let addr = wait_addr(&port_file);
     let mut idle = Session::connect(&addr);
     idle.request("{\"op\":\"status\"}");
@@ -587,21 +714,21 @@ fn drain_with_an_idle_client_connected_exits_promptly() {
 fn restart_intensity_limit_gives_up_with_exit_one() {
     let dir = scratch("giveup");
     let port_file = dir.join("port");
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "12", "--clock", "turbo", "--seed", "3"])
-        .args(["--max-restarts", "1", "--backoff-ms", "1"])
-        .args([
-            "--chaos",
-            "kill:actor=state_keeper,start=1,end=2;\
-             kill:actor=state_keeper,start=2,end=3;\
-             kill:actor=state_keeper,start=3,end=4",
-        ])
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "12", "--clock", "turbo", "--seed", "3"])
+            .args(["--max-restarts", "1", "--backoff-ms", "1"])
+            .args([
+                "--chaos",
+                "kill:actor=state_keeper,start=1,end=2;\
+                 kill:actor=state_keeper,start=2,end=3;\
+                 kill:actor=state_keeper,start=3,end=4",
+            ])
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
     wait_addr(&port_file);
     assert_eq!(
         wait_exit(&mut daemon).code(),
@@ -623,13 +750,13 @@ fn client_subcommand_scripts_a_session() {
          {\"op\":\"drain\"}\n",
     )
     .unwrap();
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "4", "--clock", "manual", "--seed", "9"])
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "4", "--clock", "manual", "--seed", "9"])
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null()),
+    );
     let addr = wait_addr(&port_file);
     let output = Command::new(bin())
         .arg("client")
@@ -652,15 +779,15 @@ fn sigterm_drains_and_exits_zero() {
     let dir = scratch("sigterm");
     let port_file = dir.join("port");
     let telemetry = dir.join("tele.jsonl");
-    let mut daemon = Command::new(bin())
-        .args(["--hours", "6", "--clock", "manual", "--seed", "4"])
-        .arg("--telemetry")
-        .arg(&telemetry)
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "6", "--clock", "manual", "--seed", "4"])
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null()),
+    );
     let addr = wait_addr(&port_file);
     let mut session = Session::connect(&addr);
     session.request("{\"op\":\"advance\",\"slots\":2}");

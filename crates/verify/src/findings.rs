@@ -23,6 +23,8 @@
 //! Findings are sorted by `(file, line, rule)`; the document is a single
 //! flat object so `grefar_obs::json` can parse it back.
 
+use grefar_obs::json::write_string;
+
 /// How bad a finding is. Errors always fail the run; warnings fail only
 /// under `--deny-warnings` (which `scripts/check.sh` passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -77,22 +79,6 @@ impl Finding {
     }
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Sorts findings into canonical `(file, line, rule)` order.
 pub fn sort_findings(findings: &mut [Finding]) {
     findings
@@ -117,15 +103,15 @@ pub fn render_json(findings: &[Finding]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n  {\"file\":\"");
-        escape_json(&f.file, &mut out);
-        out.push_str(&format!("\",\"line\":{},\"rule\":\"", f.line));
-        escape_json(f.rule, &mut out);
-        out.push_str("\",\"severity\":\"");
+        out.push_str("\n  {\"file\":");
+        write_string(&mut out, &f.file);
+        out.push_str(&format!(",\"line\":{},\"rule\":", f.line));
+        write_string(&mut out, f.rule);
+        out.push_str(",\"severity\":\"");
         out.push_str(f.severity.label());
-        out.push_str("\",\"message\":\"");
-        escape_json(&f.message, &mut out);
-        out.push_str("\"}");
+        out.push_str("\",\"message\":");
+        write_string(&mut out, &f.message);
+        out.push('}');
     }
     if !findings.is_empty() {
         out.push('\n');
