@@ -72,6 +72,7 @@ fn main() {
     );
 
     // Time-series panels (running averages over time), as in the figure.
+    let energy: Vec<Vec<f64>> = reports.iter().map(|(_, r)| r.energy.running()).collect();
     for (panel, pick) in [
         ("(a) average energy cost over time", 0usize),
         ("(b) average delay in DC #1 over time", 1),
@@ -87,9 +88,9 @@ fn main() {
         let points: Vec<usize> = (1..=10).map(|p| p * (horizon - 1) / 10).collect();
         for &t in &points {
             print!("{t:>8}");
-            for (_, report) in &reports {
+            for (k, (_, report)) in reports.iter().enumerate() {
                 let value = match pick {
-                    0 => report.energy.running()[t],
+                    0 => energy[k][t],
                     1 => report.dc_delay[0][t],
                     _ => report.dc_delay[1][t],
                 };
@@ -99,7 +100,7 @@ fn main() {
         }
     }
 
-    let energy_cols: Vec<&[f64]> = reports.iter().map(|(_, r)| r.energy.running()).collect();
+    let energy_cols: Vec<&[f64]> = energy.iter().map(Vec::as_slice).collect();
     let labels: Vec<&str> = reports.iter().map(|(l, _)| l.as_str()).collect();
     maybe_write_csv(opts.csv_path("fig2a_energy.csv"), &labels, &energy_cols);
     let d1: Vec<&[f64]> = reports

@@ -72,6 +72,8 @@ fn main() {
         &rows,
     );
 
+    let energy: Vec<Vec<f64>> = reports.iter().map(|(_, r)| r.energy.running()).collect();
+    let fairness: Vec<Vec<f64>> = reports.iter().map(|(_, r)| r.fairness.running()).collect();
     for (panel, pick) in [
         ("(a) average energy cost over time", 0usize),
         ("(b) average fairness over time", 1),
@@ -87,10 +89,10 @@ fn main() {
         for p in 1..=10 {
             let t = p * (horizon - 1) / 10;
             print!("{t:>8}");
-            for (_, r) in &reports {
+            for (k, (_, r)) in reports.iter().enumerate() {
                 let value = match pick {
-                    0 => r.energy.running()[t],
-                    1 => r.fairness.running()[t],
+                    0 => energy[k][t],
+                    1 => fairness[k][t],
                     _ => r.dc_delay[0][t],
                 };
                 print!(" {value:>12.4}");
@@ -100,9 +102,9 @@ fn main() {
     }
 
     let labels: Vec<&str> = reports.iter().map(|(l, _)| l.as_str()).collect();
-    let energy: Vec<&[f64]> = reports.iter().map(|(_, r)| r.energy.running()).collect();
+    let energy: Vec<&[f64]> = energy.iter().map(Vec::as_slice).collect();
     maybe_write_csv(opts.csv_path("fig4a_energy.csv"), &labels, &energy);
-    let fair: Vec<&[f64]> = reports.iter().map(|(_, r)| r.fairness.running()).collect();
+    let fair: Vec<&[f64]> = fairness.iter().map(Vec::as_slice).collect();
     maybe_write_csv(opts.csv_path("fig4b_fairness.csv"), &labels, &fair);
     let delay: Vec<&[f64]> = reports
         .iter()

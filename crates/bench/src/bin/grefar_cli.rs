@@ -454,8 +454,8 @@ fn main() {
             path,
             &["energy_avg", "fairness_avg", "queue_total"],
             &[
-                report.energy.running(),
-                report.fairness.running(),
+                &report.energy.running(),
+                &report.fairness.running(),
                 &report.queue_total,
             ],
         );

@@ -485,10 +485,8 @@ impl StateKeeper {
                     // the poison, after its pre-fold: waiting for it keeps
                     // this slot's events behind `served.restart` and the
                     // run from finishing while telemetry is down.
-                    let (ack_tx, ack_rx) = mpsc::channel();
                     let _ = self.shared.tele.send(TelemetryMsg::Poison);
-                    let _ = self.shared.tele.send(TelemetryMsg::Sync(ack_tx));
-                    let _ = ack_rx.recv();
+                    self.sync_telemetry();
                 }
                 ("stall", Some(ActorTarget::StateKeeper)) => {
                     std::thread::sleep(Duration::from_millis(ms));
@@ -524,6 +522,9 @@ impl StateKeeper {
         if !due {
             return;
         }
+        // A resume re-emits only the slots from the cut on, so every
+        // event of the slots before it must be written before the cut is.
+        self.sync_telemetry();
         self.run
             .checkpoint()
             .write(path)
@@ -573,6 +574,15 @@ impl StateKeeper {
         // A reply queued for a connection of an incarnation that died is
         // dropped by the replacement: the connection died with it.
         let _ = self.shared.admission.send(AdmissionMsg::Reply(conn, line));
+    }
+
+    /// Waits until the telemetry actor has written everything sent to it
+    /// so far: into the kernel, as its sink is a bare `File`. An actor
+    /// that is restarting answers once its replacement is up.
+    fn sync_telemetry(&self) {
+        let (synced, wait) = mpsc::channel();
+        let _ = self.shared.tele.send(TelemetryMsg::Sync(synced));
+        let _ = wait.recv();
     }
 
     fn emit(&self, event: Event) {
@@ -626,17 +636,29 @@ mod tests {
     struct Rig {
         sk: mpsc::Sender<SkMsg>,
         replies: mpsc::Receiver<AdmissionMsg>,
-        _tele_rx: mpsc::Receiver<TelemetryMsg>,
         handle: std::thread::JoinHandle<SkExit>,
+    }
+
+    /// A telemetry actor stand-in that drops events and answers syncs, as
+    /// the real one does once it has written what was queued before them.
+    fn telemetry_stub() -> mpsc::Sender<TelemetryMsg> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for msg in rx {
+                if let TelemetryMsg::Sync(ack) = msg {
+                    let _ = ack.send(());
+                }
+            }
+        });
+        tx
     }
 
     fn rig(hours: usize, clock: Clock) -> Rig {
         let engine = spec(hours);
         let classes = engine.config.num_job_classes();
         let run = engine.build(&[], None).unwrap();
-        let (tele_tx, tele_rx) = mpsc::channel();
         let (reply_tx, replies) = mpsc::channel();
-        let shared = SkShared::new(tele_tx, reply_tx);
+        let shared = SkShared::new(telemetry_stub(), reply_tx);
         let (sk_tx, sk_rx) = mpsc::channel();
         let config = SkConfig {
             clock,
@@ -650,7 +672,6 @@ mod tests {
         Rig {
             sk: sk_tx,
             replies,
-            _tele_rx: tele_rx,
             handle,
         }
     }
@@ -757,9 +778,8 @@ mod tests {
         let engine = spec(8);
         let classes = engine.config.num_job_classes();
         let run = engine.build(&[], None).unwrap();
-        let (tele_tx, _tele_rx) = mpsc::channel();
         let (reply_tx, replies) = mpsc::channel();
-        let shared = SkShared::new(tele_tx, reply_tx);
+        let shared = SkShared::new(telemetry_stub(), reply_tx);
         let (sk_tx, sk_rx) = mpsc::channel();
         let config = SkConfig {
             clock: Clock::Manual,
@@ -776,7 +796,6 @@ mod tests {
         let rig = Rig {
             sk: sk_tx,
             replies,
-            _tele_rx,
             handle,
         };
 

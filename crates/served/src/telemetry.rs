@@ -14,6 +14,9 @@
 //! already recorded; a restarted incarnation reopens the file in append
 //! mode and [pre-folds](grefar_metrics::MetricsLayer::prefold_jsonl) the
 //! prefix so `/healthz` aggregates continue instead of restarting at zero.
+//! The state keeper syncs with this actor before every checkpoint cut, so
+//! a `kill -9` after a cut cannot lose an event of the slots before it:
+//! `--resume` re-emits the slots from the cut on, and only those.
 
 use grefar_metrics::{AlertRule, MetricsConfig, MetricsLayer, SharedHandle, SnapshotSink};
 use grefar_obs::json::{parse_object, JsonValue};
@@ -33,8 +36,10 @@ pub enum TelemetryMsg {
     Stall(u64),
     /// Chaos: die (the supervisor restarts the actor).
     Poison,
-    /// Answered by the incarnation that reads it. Queued behind a
-    /// `Poison`, only the replacement can, once its pre-fold is done.
+    /// Answered by the incarnation that reads it, after everything queued
+    /// ahead of it is written. The state keeper waits on one before every
+    /// checkpoint cut; queued behind a `Poison`, only the replacement can
+    /// answer it, once its pre-fold is done.
     Sync(Sender<()>),
     /// Graceful stop: final snapshot, flush, reply with the wrap-up.
     Stop(Sender<TelemetryFinal>),

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `grefar-served` binary: the wire protocol, the
 //! `kill -9` → `--resume` continuation (after every ack of a scripted
-//! session, too), a fresh start over an earlier session's state files,
+//! session, and while the telemetry actor stalls, too), a fresh start over
+//! an earlier session's state files,
 //! chaos-driven actor restarts (the admission actor's under live
 //! connections too, and requests or events queued while an actor
 //! restarts), socket-drop windows, teardown with idle clients connected,
@@ -370,6 +371,59 @@ fn kill_nine_after_any_ack_loses_no_acked_submit() {
             ACK_SCRIPT[last]
         );
     }
+}
+
+#[test]
+fn kill_nine_after_a_cut_loses_no_event_of_a_stalled_telemetry_actor() {
+    // The telemetry actor sleeps from slot 1 on with slot 1's events
+    // queued behind the stall; the cut at slot 2 must not become durable
+    // (and the advance must not be acked) before they are written, or the
+    // SIGKILL right after the ack loses them: `--resume` re-emits slots 2
+    // and later only.
+    let dir = scratch("stalled-cut");
+    let daemon = |tag: &str, resume: bool| {
+        let port_file = dir.join(format!("{tag}.port"));
+        let _ = std::fs::remove_file(&port_file);
+        let telemetry = dir.join(format!("{tag}.jsonl"));
+        let mut cmd = Command::new(bin());
+        cmd.args(["--hours", "6", "--clock", "manual", "--seed", "13"])
+            .args(["--checkpoint-every", "2"])
+            .args(["--chaos", "stall:actor=telemetry,ms=600,start=1,end=2"])
+            .arg("--checkpoint")
+            .arg(dir.join(format!("{tag}.ck")))
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null());
+        if resume {
+            cmd.arg("--resume");
+        }
+        let child = spawn(&mut cmd);
+        let session = Session::connect(&wait_addr(&port_file));
+        (child, session, telemetry)
+    };
+
+    let (mut child, mut session, reference) = daemon("ref", false);
+    let done = session.request("{\"op\":\"advance\",\"slots\":6}");
+    assert!(done.contains("\"done\":true"), "{done}");
+    assert_eq!(wait_exit(&mut child).code(), Some(0));
+
+    let (mut child, mut session, merged) = daemon("cut", false);
+    let acked = session.request("{\"op\":\"advance\",\"slots\":3}");
+    assert!(acked.contains("\"slot\":3"), "{acked}");
+    child.kill().unwrap(); // SIGKILL inside the stall window
+    child.wait().unwrap();
+    let (mut child, mut session, _) = daemon("cut", true);
+    let resumed = field(&session.request("{\"op\":\"status\"}"), "slot");
+    assert_eq!(resumed, 2, "resumed from the cut at slot 2");
+    let done = session.request("{\"op\":\"advance\",\"slots\":4}");
+    assert!(done.contains("\"done\":true"), "{done}");
+    assert_eq!(wait_exit(&mut child).code(), Some(0));
+
+    let reference = schedule_events(&reference);
+    assert_eq!(reference.len(), 8, "run.start + 6 slots + run.end");
+    assert_eq!(schedule_events(&merged), reference);
 }
 
 #[test]

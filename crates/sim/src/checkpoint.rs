@@ -10,12 +10,26 @@
 //! and the accumulated state parses back to the exact same bits.
 //!
 //! [`Checkpoint::to_jsonl`] encodes in one pass: every line is written
-//! straight into one pre-sized `String` through `grefar_obs::json`'s
-//! writers, the escaper and number writer `Event` serialization uses too.
+//! straight into one `String` through `grefar_obs::json`'s writers, the
+//! escaper and number writer `Event` serialization uses too.
 //! Floats in quoted lists and string fields are `Display` text (`NaN` and
 //! `inf` included); the bare numbers of `ckpt.ledger` are JSON numbers, or
 //! `null` when not finite. The line names and fields are registered as
 //! `Channel::Checkpoint` entries of `grefar_obs::schema::EVENTS`.
+//!
+//! The per-slot series, nearly all of a long run's checkpoint, only grow
+//! at the end, so they are encoded once: a [`SeriesSnapshot`] is the
+//! series' text, held as a list of immutable chunks shared through `Arc`.
+//! At every cut [`SteppedRun::checkpoint`](crate::SteppedRun::checkpoint)
+//! encodes only the values appended since the previous cut into one more
+//! exact-size chunk, and the checkpoint clones the chunk list, so a cut
+//! formats O(slots since the last cut) numbers and `to_jsonl` copies the
+//! rest. The text is the same `write_f64` output a from-scratch encoding
+//! writes, so every byte of the file is unchanged. A parsed checkpoint
+//! keeps its validated series text, and resume decodes it; the resumed
+//! run starts with no chunks and encodes its whole prefix again at its
+//! first cut, so a valid but non-canonical spelling in the file (`1.50`)
+//! never reaches a later cut.
 //!
 //! Completed jobs' delays travel as per-delay counts: the
 //! `ckpt.tracker_dc` line's `delay_counts` list holds, at index `d`, the
@@ -34,6 +48,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use grefar_obs::json::{self, write_f64, write_u64, JsonValue};
 
@@ -43,51 +58,178 @@ use crate::tracker::TrackerSnapshot;
 /// The checkpoint format version this build reads and writes.
 pub const CHECKPOINT_SCHEMA: u64 = 1;
 
-/// Every per-slot metric series the report accumulates, by raw per-slot
-/// values (running averages are rebuilt by replaying
-/// [`RunningSeries::push`](crate::RunningSeries)).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The one-value-per-slot series, by their checkpoint names, in line order.
+const SCALAR_SERIES: [&str; 5] = [
+    "energy",
+    "fairness",
+    "arriving_work",
+    "queue_total",
+    "queue_max",
+];
+
+/// The `[index][slot]` series families, in line order after the scalar
+/// series. `account_shares` has one row per account, the others one row
+/// per data center.
+const SERIES_FAMILIES: [&str; 4] = ["account_shares", "work_per_dc", "dc_delay", "prices"];
+
+/// Every per-slot metric series the report accumulates, as the text of its
+/// `ckpt.series` lines: the comma-joined `write_f64` values of each
+/// series, in line order — energy, fairness, arriving work, queue total,
+/// queue max, then every account's shares and every data center's work,
+/// running-average delay and price.
+///
+/// The text is a list of immutable chunks shared through `Arc` (see the
+/// [module docs](self)): cloning a snapshot clones the list, not the text.
+/// Two snapshots are equal when every series has the same text, however
+/// it is chunked.
+#[derive(Debug, Clone, Default)]
 pub struct SeriesSnapshot {
-    /// Energy cost per slot.
-    pub energy: Vec<f64>,
-    /// Fairness score per slot.
-    pub fairness: Vec<f64>,
-    /// Per-account resource shares, `[account][slot]`.
-    pub account_shares: Vec<Vec<f64>>,
-    /// Per-DC scheduled work, `[dc][slot]`.
-    pub work_per_dc: Vec<Vec<f64>>,
-    /// Per-DC running-average delay curve, `[dc][slot]`.
-    pub dc_delay: Vec<Vec<f64>>,
-    /// Per-DC price series, `[dc][slot]`.
-    pub prices: Vec<Vec<f64>>,
-    /// Arriving work per slot.
-    pub arriving_work: Vec<f64>,
-    /// Total queue length per slot.
-    pub queue_total: Vec<f64>,
-    /// Max single queue length per slot.
-    pub queue_max: Vec<f64>,
+    accounts: usize,
+    dcs: usize,
+    /// Values in every series.
+    slots: usize,
+    chunks: Vec<Arc<Chunk>>,
+}
+
+/// The text of the values that one cut appended to every series, back to
+/// back: series `k`'s part ends at `ends[k]` and starts where series
+/// `k - 1`'s ends. A part starts with a comma unless it holds its series'
+/// first value.
+#[derive(Debug)]
+struct Chunk {
+    text: Box<str>,
+    ends: Box<[usize]>,
+}
+
+impl Chunk {
+    /// Series `k`'s part of the text.
+    fn part(&self, k: usize) -> &str {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.text[start..self.ends[k]]
+    }
 }
 
 impl SeriesSnapshot {
-    /// The one-value-per-slot series, by their checkpoint names.
-    fn scalar(&self) -> [(&'static str, &Vec<f64>); 5] {
-        [
-            ("energy", &self.energy),
-            ("fairness", &self.fairness),
-            ("arriving_work", &self.arriving_work),
-            ("queue_total", &self.queue_total),
-            ("queue_max", &self.queue_max),
-        ]
+    /// No values yet, for a run with `accounts` accounts and `dcs` data
+    /// centers.
+    pub(crate) fn new(accounts: usize, dcs: usize) -> Self {
+        Self {
+            accounts,
+            dcs,
+            ..Self::default()
+        }
     }
 
-    /// The `[index][slot]` families, by their checkpoint names.
-    fn indexed(&self) -> [(&'static str, &Vec<Vec<f64>>); 4] {
-        [
-            ("account_shares", &self.account_shares),
-            ("work_per_dc", &self.work_per_dc),
-            ("dc_delay", &self.dc_delay),
-            ("prices", &self.prices),
-        ]
+    /// How many series there are (one `ckpt.series` line each).
+    fn count(&self) -> usize {
+        SCALAR_SERIES.len() + self.accounts + 3 * self.dcs
+    }
+
+    /// The rows of series family `family`.
+    fn rows(&self, family: &str) -> usize {
+        if family == "account_shares" {
+            self.accounts
+        } else {
+            self.dcs
+        }
+    }
+
+    /// The checkpoint name and row index of every series, in line order.
+    fn names(&self) -> impl Iterator<Item = (&'static str, Option<usize>)> + '_ {
+        let scalars = SCALAR_SERIES.iter().map(|&name| (name, None));
+        let rows = SERIES_FAMILIES
+            .iter()
+            .flat_map(move |&name| (0..self.rows(name)).map(move |i| (name, Some(i))));
+        scalars.chain(rows)
+    }
+
+    /// The line-order position of family `family`'s first row and its row
+    /// count, if it is a family.
+    fn family(&self, family: &str) -> Option<(usize, usize)> {
+        let mut first = SCALAR_SERIES.len();
+        for name in SERIES_FAMILIES {
+            if name == family {
+                return Some((first, self.rows(name)));
+            }
+            first += self.rows(name);
+        }
+        None
+    }
+
+    /// Series `k`'s text, chunk by chunk.
+    fn parts(&self, k: usize) -> impl Iterator<Item = &str> + '_ {
+        self.chunks.iter().map(move |chunk| chunk.part(k))
+    }
+
+    /// Bytes of series text, over every series.
+    fn text_len(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.text.len()).sum()
+    }
+
+    /// Encodes the values that `series` (every series, in line order, each
+    /// holding `slots` values) gained since the last call into one new
+    /// chunk. Values already encoded are not read again.
+    pub(crate) fn extend<'a>(&mut self, slots: usize, series: impl Iterator<Item = &'a [f64]>) {
+        let from = self.slots;
+        if slots <= from {
+            return;
+        }
+        let mut text = String::new();
+        let mut ends = Vec::with_capacity(self.count());
+        for values in series {
+            debug_assert_eq!(values.len(), slots, "every series holds one value per slot");
+            for (t, &v) in values.iter().enumerate().skip(from) {
+                if t > 0 {
+                    text.push(',');
+                }
+                write_f64(&mut text, v);
+            }
+            ends.push(text.len());
+        }
+        debug_assert_eq!(ends.len(), self.count(), "one part per series");
+        self.chunks.push(Arc::new(Chunk {
+            // An exact-size copy: the chunk lives as long as the run.
+            text: text.as_str().into(),
+            ends: ends.into_boxed_slice(),
+        }));
+        self.slots = slots;
+    }
+
+    /// The snapshot of `slots` values per series whose text, in line
+    /// order, is `texts` (validated by the caller), as one chunk.
+    fn from_texts(accounts: usize, dcs: usize, slots: usize, texts: &[&str]) -> Self {
+        let mut ends = Vec::with_capacity(texts.len());
+        let mut len = 0;
+        for text in texts {
+            len += text.len();
+            ends.push(len);
+        }
+        Self {
+            accounts,
+            dcs,
+            slots,
+            chunks: vec![Arc::new(Chunk {
+                text: texts.concat().into_boxed_str(),
+                ends: ends.into_boxed_slice(),
+            })],
+        }
+    }
+
+    /// Every series' values, in line order. Decoding cannot fail: every
+    /// token is `write_f64` text ([`extend`]) or was checked to be a float
+    /// by [`Checkpoint::parse`].
+    ///
+    /// [`extend`]: Self::extend
+    pub(crate) fn decode(&self) -> Vec<Vec<f64>> {
+        (0..self.count())
+            .map(|k| {
+                self.parts(k)
+                    .flat_map(|part| part.split(','))
+                    .filter(|token| !token.is_empty())
+                    .map(|token| token.parse().expect("series text holds floats"))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Why these cannot be the series of a run cut after `slots` slots
@@ -95,25 +237,29 @@ impl SeriesSnapshot {
     /// `account_shares` needs one row per account, every other family one
     /// row per data center, and every series `slots` values.
     pub(crate) fn shape_error(&self, slots: usize, dcs: usize, accounts: usize) -> Option<String> {
-        for (name, rows) in self.indexed() {
-            let want = if name == "account_shares" {
-                accounts
-            } else {
-                dcs
-            };
-            if rows.len() != want {
-                return Some(format!("{name} has {} rows, not {want}", rows.len()));
-            }
+        if self.accounts != accounts {
+            return Some(format!(
+                "account_shares has {} rows, not {accounts}",
+                self.accounts
+            ));
         }
-        let rows = self
-            .indexed()
-            .into_iter()
-            .flat_map(|(name, rows)| rows.iter().map(move |row| (name, row)));
-        self.scalar()
-            .into_iter()
-            .chain(rows)
-            .find(|(_, values)| values.len() != slots)
-            .map(|(name, values)| format!("{name} holds {} values for {slots} slots", values.len()))
+        if self.dcs != dcs {
+            return Some(format!("work_per_dc has {} rows, not {dcs}", self.dcs));
+        }
+        (self.slots != slots)
+            .then(|| format!("energy holds {} values for {slots} slots", self.slots))
+    }
+}
+
+impl PartialEq for SeriesSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.accounts == other.accounts
+            && self.dcs == other.dcs
+            && self.slots == other.slots
+            && (0..self.count()).all(|k| {
+                let theirs = other.parts(k).flat_map(str::bytes);
+                self.parts(k).flat_map(str::bytes).eq(theirs)
+            })
     }
 }
 
@@ -173,18 +319,12 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Serializes to the JSONL checkpoint format, in one pass into one
-    /// pre-sized buffer (see the [module docs](self)).
+    /// buffer (see the [module docs](self)). The series lines copy their
+    /// encoded text, and the buffer reserves exactly what they need before
+    /// the first of them is written.
     pub fn to_jsonl(&self) -> String {
         let series = &self.series;
-        // The per-slot series are the bulk of a checkpoint.
-        let series_values: usize = series.scalar().iter().map(|(_, v)| v.len()).sum::<usize>()
-            + series
-                .indexed()
-                .iter()
-                .flat_map(|(_, rows)| rows.iter())
-                .map(Vec::len)
-                .sum::<usize>();
-        let mut w = LineWriter::with_capacity(BYTES_PER_VALUE * series_values + 4096);
+        let mut w = LineWriter::with_capacity(0);
 
         w.begin("ckpt.header");
         w.u64("v", CHECKPOINT_SCHEMA);
@@ -196,7 +336,7 @@ impl Checkpoint {
         w.u64("dropped", self.dropped);
         w.u64("data_centers", self.queues_local.len() as u64);
         w.u64("job_classes", self.queues_central.len() as u64);
-        w.u64("accounts", series.account_shares.len() as u64);
+        w.u64("accounts", series.accounts as u64);
         w.u64("completed_total", self.tracker.completed_total);
         w.display("sojourn_sum", self.tracker.sojourn_sum);
         w.end();
@@ -249,22 +389,21 @@ impl Checkpoint {
             w.list("delay_counts", counts.iter().copied(), write_u64);
             w.end();
         }
-        for (name, values) in series.scalar() {
-            w.begin("ckpt.series");
-            w.str("name", name);
-            w.list("values", values.iter().copied(), write_f64);
-            w.end();
+        // What is left is the series text plus the lines around it:
+        // measure the lines on a scratch writer, then reserve exactly.
+        let lines = w.lines + series.count() as u64 + 1;
+        let mut frame = LineWriter::with_capacity(0);
+        for (name, index) in series.names() {
+            frame.series(name, index, std::iter::empty());
         }
-        for (name, family) in series.indexed() {
-            for (index, values) in family.iter().enumerate() {
-                w.begin("ckpt.series");
-                w.str("name", name);
-                w.u64("index", index as u64);
-                w.list("values", values.iter().copied(), write_f64);
-                w.end();
-            }
+        frame.begin("ckpt.end");
+        frame.u64("lines", lines);
+        frame.end();
+        w.out.reserve_exact(frame.out.len() + series.text_len());
+
+        for (k, (name, index)) in series.names().enumerate() {
+            w.series(name, index, series.parts(k));
         }
-        let lines = w.lines + 1;
         w.begin("ckpt.end");
         w.u64("lines", lines);
         w.end();
@@ -381,15 +520,11 @@ impl Checkpoint {
                 completed_total: get_u64(header, "completed_total", 1)?,
                 sojourn_sum: parse_f64(get_str(header, "sojourn_sum", 1)?, 1)?,
             },
-            series: SeriesSnapshot {
-                account_shares: vec![Vec::new(); accounts],
-                work_per_dc: vec![Vec::new(); n],
-                dc_delay: vec![Vec::new(); n],
-                prices: vec![Vec::new(); n],
-                ..SeriesSnapshot::default()
-            },
+            series: SeriesSnapshot::new(accounts, n),
             ledger: LedgerSnapshot::default(),
         };
+        // Each series' validated text and value count, in line order.
+        let mut series: Vec<(&str, usize)> = vec![("", 0); out.series.count()];
 
         let mut saw_ledger = false;
         for (idx, obj) in parsed.iter().enumerate().skip(1).take(parsed.len() - 2) {
@@ -454,32 +589,20 @@ impl Checkpoint {
                     out.tracker.dc_delay_counts[i] = counts;
                 }
                 Some("ckpt.series") => {
-                    let values = split_f64(get_str(obj, "values", lineno)?, lineno)?;
+                    let text = get_str(obj, "values", lineno)?;
+                    let values = split_f64(text, lineno)?.len();
                     let name = get_str(obj, "name", lineno)?;
-                    match name {
-                        "energy" => out.series.energy = values,
-                        "fairness" => out.series.fairness = values,
-                        "arriving_work" => out.series.arriving_work = values,
-                        "queue_total" => out.series.queue_total = values,
-                        "queue_max" => out.series.queue_max = values,
-                        "account_shares" => {
-                            let k = index_in(obj, "index", accounts, lineno)?;
-                            out.series.account_shares[k] = values;
+                    let k = match SCALAR_SERIES.iter().position(|&scalar| scalar == name) {
+                        Some(k) => k,
+                        None => {
+                            let (first, rows) = out
+                                .series
+                                .family(name)
+                                .ok_or_else(|| bad(lineno, &format!("unknown series {name:?}")))?;
+                            first + index_in(obj, "index", rows, lineno)?
                         }
-                        "work_per_dc" => {
-                            let i = index_in(obj, "index", n, lineno)?;
-                            out.series.work_per_dc[i] = values;
-                        }
-                        "dc_delay" => {
-                            let i = index_in(obj, "index", n, lineno)?;
-                            out.series.dc_delay[i] = values;
-                        }
-                        "prices" => {
-                            let i = index_in(obj, "index", n, lineno)?;
-                            out.series.prices[i] = values;
-                        }
-                        other => return Err(bad(lineno, &format!("unknown series {other:?}"))),
-                    }
+                    };
+                    series[k] = (text, values);
                 }
                 Some(other) => return Err(bad(lineno, &format!("unknown line kind {other:?}"))),
                 None => return Err(bad(lineno, "line has no event field")),
@@ -504,12 +627,22 @@ impl Checkpoint {
         {
             return Err(bad(1, "checkpoint shapes disagree with its header"));
         }
-        if let Some(problem) = out.series.shape_error(slot as usize, n, accounts) {
+        let short = out
+            .series
+            .names()
+            .zip(&series)
+            .find(|(_, &(_, values))| values as u64 != slot);
+        if let Some(((name, _), (_, values))) = short {
             return Err(bad(
                 1,
-                &format!("checkpoint shapes disagree with its header: {problem}"),
+                &format!(
+                    "checkpoint shapes disagree with its header: \
+                     {name} holds {values} values for {slot} slots"
+                ),
             ));
         }
+        let texts: Vec<&str> = series.iter().map(|&(text, _)| text).collect();
+        out.series = SeriesSnapshot::from_texts(accounts, n, slot as usize, &texts);
         Ok(out)
     }
 }
@@ -601,11 +734,6 @@ fn index_in(
     Ok(v)
 }
 
-/// The encoded size of one per-slot series value and its comma, rounded
-/// up (a 4 000-slot paper-scenario cut averages 12.9 bytes per value), for
-/// pre-sizing [`Checkpoint::to_jsonl`]'s buffer.
-const BYTES_PER_VALUE: usize = 16;
-
 /// Writes checkpoint lines into one buffer: `{"event":…,"key":value,…}`
 /// plus a newline per line, byte for byte what `Event::to_json` would
 /// give, without building an `Event` or any per-value `String`.
@@ -672,6 +800,26 @@ impl LineWriter {
         self.out.push('"');
     }
 
+    /// One whole `ckpt.series` line whose values list is `text`, already
+    /// encoded, in parts.
+    fn series<'a>(
+        &mut self,
+        name: &str,
+        index: Option<usize>,
+        text: impl Iterator<Item = &'a str>,
+    ) {
+        self.begin("ckpt.series");
+        self.str("name", name);
+        if let Some(index) = index {
+            self.u64("index", index as u64);
+        }
+        self.key("values");
+        self.out.push('"');
+        text.for_each(|part| self.out.push_str(part));
+        self.out.push('"');
+        self.end();
+    }
+
     fn end(&mut self) {
         self.out.push_str("}\n");
         self.lines += 1;
@@ -730,8 +878,43 @@ fn split_u64(text: &str, line: usize) -> Result<Vec<u64>, SimError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The reference the chunked encoding must match: `ckpt.series` lines
+    /// for `series` (name, row index, values), every value encoded from
+    /// scratch through `write_f64`, as `to_jsonl` did at every cut before
+    /// the series text was kept between cuts.
+    pub(crate) fn from_scratch(series: &[(&str, Option<usize>, &[f64])]) -> String {
+        let mut w = LineWriter::with_capacity(0);
+        for &(name, index, values) in series {
+            w.begin("ckpt.series");
+            w.str("name", name);
+            if let Some(index) = index {
+                w.u64("index", index as u64);
+            }
+            w.list("values", values.iter().copied(), write_f64);
+            w.end();
+        }
+        w.out
+    }
+
+    /// The `ckpt.series` lines of an encoded checkpoint, and its last line
+    /// (`ckpt.end`), after checking that the series lines come last but
+    /// for it.
+    pub(crate) fn series_lines(text: &str) -> (String, &str) {
+        let lines: Vec<&str> = text.lines().collect();
+        let first = lines
+            .iter()
+            .position(|l| l.contains("\"event\":\"ckpt.series\""))
+            .expect("a checkpoint has series lines");
+        let (end, series) = lines[first..].split_last().expect("and an end line");
+        assert!(series
+            .iter()
+            .all(|l| l.contains("\"event\":\"ckpt.series\"")));
+        assert!(end.starts_with("{\"event\":\"ckpt.end\""), "{end}");
+        (series.iter().map(|l| format!("{l}\n")).collect(), end)
+    }
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -756,17 +939,7 @@ mod tests {
                 completed_total: 4,
                 sojourn_sum: 9.25,
             },
-            series: SeriesSnapshot {
-                energy: vec![0.1, 0.2, 0.30000000000000004],
-                fairness: vec![0.0, 0.0, 0.0],
-                account_shares: vec![vec![1.0, 1.0, 1.0]],
-                work_per_dc: vec![vec![0.5, 0.5, 0.5], vec![0.0, 0.0, 0.0]],
-                dc_delay: vec![vec![0.0, 1.0, 1.375], vec![0.0, 0.0, 0.0]],
-                prices: vec![vec![0.3, 0.3, 0.3], vec![0.9, 0.9, 0.9]],
-                arriving_work: vec![2.0, 2.0, 2.0],
-                queue_total: vec![2.0, 4.0, 6.875],
-                queue_max: vec![2.0, 3.0, 3.0],
-            },
+            series: encoded(1, 2, &sample_series()),
             ledger: LedgerSnapshot {
                 offered: 8.0,
                 admitted: 7.0,
@@ -775,6 +948,34 @@ mod tests {
                 route_excess: 0.30000000000000004,
             },
         }
+    }
+
+    /// `sample()`'s series in line order: energy, fairness, arriving work,
+    /// queue total, queue max, one account's shares, then two data
+    /// centers' work, delay and prices.
+    fn sample_series() -> Vec<Vec<f64>> {
+        vec![
+            vec![0.1, 0.2, 0.30000000000000004],
+            vec![0.0, 0.0, 0.0],
+            vec![2.0, 2.0, 2.0],
+            vec![2.0, 4.0, 6.875],
+            vec![2.0, 3.0, 3.0],
+            vec![1.0, 1.0, 1.0],
+            vec![0.5, 0.5, 0.5],
+            vec![0.0, 0.0, 0.0],
+            vec![0.0, 1.0, 1.375],
+            vec![0.0, 0.0, 0.0],
+            vec![0.3, 0.3, 0.3],
+            vec![0.9, 0.9, 0.9],
+        ]
+    }
+
+    /// `series` (in line order) encoded by one cut.
+    fn encoded(accounts: usize, dcs: usize, series: &[Vec<f64>]) -> SeriesSnapshot {
+        let mut snapshot = SeriesSnapshot::new(accounts, dcs);
+        let slots = series.first().map_or(0, Vec::len);
+        snapshot.extend(slots, series.iter().map(Vec::as_slice));
+        snapshot
     }
 
     /// `sample()`'s encoding with `from`, which occurs once, replaced.
@@ -1056,5 +1257,102 @@ mod tests {
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// The values the chunked encoding is checked on: both zeros,
+    /// infinities, NaN, the extremes of the float range, and whole numbers
+    /// on both sides of `write_f64`'s 2^53 fast-path bound. `2^53 + 1`
+    /// rounds to 2^53 as an `f64`, which is still the number it spells.
+    #[allow(clippy::unreadable_literal)]
+    const EDGE_VALUES: [f64; 16] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e-300,
+        -1e-300,
+        5e-324,
+        f64::MAX,
+        9007199254740991.0,
+        9007199254740993.0,
+        9007199254740994.0,
+        -9007199254740994.0,
+        0.30000000000000004,
+        1.5,
+        -7.0,
+    ];
+
+    #[test]
+    fn chunked_series_match_a_from_scratch_encoding_at_every_cut() {
+        // `sample()`'s shape (12 series), 90 slots of edge values mixed
+        // across series, cut at irregular gaps that include every slot.
+        let slots = 90;
+        let series: Vec<Vec<f64>> = (0..12)
+            .map(|k| {
+                (0..slots)
+                    .map(|t| EDGE_VALUES[(7 * t + 3 * k + t * t / 5) % EDGE_VALUES.len()])
+                    .collect()
+            })
+            .collect();
+        let names: Vec<(&str, Option<usize>)> = SeriesSnapshot::new(1, 2).names().collect();
+        let mut memo = SeriesSnapshot::new(1, 2);
+        let mut held: Vec<(Checkpoint, String)> = Vec::new();
+        let gaps = [1, 1, 1, 2, 1, 3, 5, 1, 8, 1, 1, 13, 2, 24, 7];
+        let mut cut = 0;
+        for gap in gaps.iter().cycle() {
+            cut = (cut + gap).min(slots);
+            memo.extend(cut, series.iter().map(|values| &values[..cut]));
+            let ck = Checkpoint {
+                slot: cut as u64,
+                horizon: slots as u64,
+                series: memo.clone(),
+                ..sample()
+            };
+            let text = ck.to_jsonl();
+            let prefixes: Vec<(&str, Option<usize>, &[f64])> = names
+                .iter()
+                .zip(&series)
+                .map(|(&(name, index), values)| (name, index, &values[..cut]))
+                .collect();
+            let (lines, end) = series_lines(&text);
+            assert_eq!(lines, from_scratch(&prefixes), "cut at slot {cut}");
+            assert_eq!(
+                end,
+                format!(
+                    "{{\"event\":\"ckpt.end\",\"lines\":{}}}",
+                    text.lines().count()
+                )
+            );
+
+            // The parsed text is one chunk, equal to the many-chunk
+            // snapshot, and decodes to the values, bit for bit.
+            let back = Checkpoint::parse(&text).unwrap();
+            assert_eq!(back, ck, "cut at slot {cut}");
+            let decoded = back.series.decode();
+            for (got, want) in decoded
+                .iter()
+                .flatten()
+                .zip(prefixes.iter().flat_map(|p| p.2))
+            {
+                assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
+            }
+            assert_eq!(decoded.iter().map(Vec::len).sum::<usize>(), 12 * cut);
+
+            // Checkpoints taken at earlier cuts still encode as they did.
+            for (earlier, its_text) in &held {
+                assert_eq!(
+                    &earlier.to_jsonl(),
+                    its_text,
+                    "held cut at {}",
+                    earlier.slot
+                );
+            }
+            held.push((ck, text));
+            if cut == slots {
+                break;
+            }
+        }
+        assert!(held.len() > 20, "{} cuts", held.len());
     }
 }

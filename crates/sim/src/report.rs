@@ -10,10 +10,14 @@ use crate::tracker::CompletionStats;
 use grefar_obs::Quantiles;
 
 /// A time series together with its running average (footnote 8 semantics).
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Only the per-slot values and their sum are stored: the running
+/// averages are prefix means, so [`running`](Self::running) recomputes
+/// them with the same sequential sum, bit for bit what dividing at every
+/// [`push`](Self::push) would have stored.
+#[derive(Clone, Default, PartialEq)]
 pub struct RunningSeries {
     instant: Vec<f64>,
-    running: Vec<f64>,
     sum: f64,
 }
 
@@ -27,13 +31,11 @@ impl RunningSeries {
     pub fn push(&mut self, value: f64) {
         self.sum += value;
         self.instant.push(value);
-        self.running.push(self.sum / self.instant.len() as f64);
     }
 
     /// Rebuilds a series from its raw per-slot values by replaying
-    /// [`push`](Self::push) — the running averages and sum come out
-    /// bit-identical to the original accumulation, which is what makes
-    /// checkpoint/resume exact.
+    /// [`push`](Self::push) — the sum comes out bit-identical to the
+    /// original accumulation, which is what makes checkpoint/resume exact.
     pub fn from_instant(values: impl IntoIterator<Item = f64>) -> Self {
         let mut series = Self::new();
         for v in values {
@@ -47,14 +49,27 @@ impl RunningSeries {
         &self.instant
     }
 
-    /// The running average at each slot.
-    pub fn running(&self) -> &[f64] {
-        &self.running
+    /// The running average at each slot. Allocates: take it once per
+    /// series, not once per slot.
+    pub fn running(&self) -> Vec<f64> {
+        let mut sum = 0.0;
+        self.instant
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| {
+                sum += v;
+                sum / (k + 1) as f64
+            })
+            .collect()
     }
 
     /// The final running average (0 for an empty series).
     pub fn mean(&self) -> f64 {
-        self.running.last().copied().unwrap_or(0.0)
+        if self.instant.is_empty() {
+            0.0
+        } else {
+            self.sum / self.instant.len() as f64
+        }
     }
 
     /// Number of slots recorded.
@@ -65,6 +80,18 @@ impl RunningSeries {
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
         self.instant.is_empty()
+    }
+}
+
+/// Prints the running averages as a field too, as when they were stored,
+/// so a report's `{:#?}` text is unchanged.
+impl std::fmt::Debug for RunningSeries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunningSeries")
+            .field("instant", &self.instant)
+            .field("running", &self.running())
+            .field("sum", &self.sum)
+            .finish()
     }
 }
 
@@ -185,13 +212,15 @@ impl SimulationReport {
         }
         let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
 
+        let energy_avg = self.energy.running();
+        let fairness_avg = self.fairness.running();
         let rows = (0..self.horizon).map(|t| {
             let mut row = vec![
                 t as f64,
                 self.energy.instant()[t],
-                self.energy.running()[t],
+                energy_avg[t],
                 self.fairness.instant()[t],
-                self.fairness.running()[t],
+                fairness_avg[t],
                 self.arriving_work.instant()[t],
                 self.queue_total[t],
                 self.queue_max[t],
@@ -219,10 +248,76 @@ mod tests {
             s.push(v);
         }
         assert_eq!(s.instant(), &[2.0, 4.0, 6.0]);
-        assert_eq!(s.running(), &[2.0, 3.0, 4.0]);
+        assert_eq!(s.running(), [2.0, 3.0, 4.0]);
         assert_eq!(s.mean(), 4.0);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
+    }
+
+    /// The series as it was before the running averages were dropped:
+    /// each one stored at push time.
+    #[derive(Default)]
+    struct StoredAverages {
+        instant: Vec<f64>,
+        running: Vec<f64>,
+        sum: f64,
+    }
+
+    impl StoredAverages {
+        fn push(&mut self, value: f64) {
+            self.sum += value;
+            self.instant.push(value);
+            self.running.push(self.sum / self.instant.len() as f64);
+        }
+
+        fn mean(&self) -> f64 {
+            self.running.last().copied().unwrap_or(0.0)
+        }
+    }
+
+    #[test]
+    fn recomputed_averages_match_the_stored_ones_bit_for_bit() {
+        // 3 000 seeded values with magnitudes from 1e-12 to 1e12 and both
+        // signs, then short series of the special values (a NaN or an
+        // infinity would turn every later average of a long series NaN).
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let seeded: Vec<f64> = (0..3_000)
+            .map(|_| {
+                let bits = next();
+                let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+                let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+                sign * unit * 10f64.powi((bits % 25) as i32 - 12)
+            })
+            .collect();
+        let cases = [
+            seeded,
+            vec![-0.0, -0.0, 1e-300, -1e-300],
+            vec![1e300, 1e300, -1e300, 5e-324],
+            vec![2.0, f64::INFINITY, 1.0],
+            vec![f64::NAN, 2.0],
+            vec![f64::NEG_INFINITY, f64::INFINITY, 3.0],
+        ];
+        for values in cases {
+            let mut series = RunningSeries::new();
+            let mut stored = StoredAverages::default();
+            for &v in &values {
+                series.push(v);
+                stored.push(v);
+                assert_eq!(series.mean().to_bits(), stored.mean().to_bits(), "{v}");
+            }
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&series.running()), bits(&stored.running));
+        }
+        // A series of negative zeros sums to +0, as the stored sum did.
+        let zeros = RunningSeries::from_instant([-0.0, -0.0]);
+        assert_eq!(zeros.mean().to_bits(), 0.0f64.to_bits());
+        assert_eq!(RunningSeries::new().running(), Vec::<f64>::new());
     }
 
     #[test]

@@ -210,36 +210,61 @@ impl RunState {
             ck.ledger.route_excess,
         )
         .map_err(SimError::Mismatch)?;
+        // In line order, the order `series` yields them in.
+        let mut series = ck.series.decode().into_iter();
+        let mut next = || series.next().unwrap_or_default();
+        let energy = RunningSeries::from_instant(next());
+        let fairness = RunningSeries::from_instant(next());
+        let arriving_work = RunningSeries::from_instant(next());
+        let queue_total = next();
+        let queue_max = next();
+        let account_shares = (0..config.num_accounts())
+            .map(|_| RunningSeries::from_instant(next()))
+            .collect();
+        let work_per_dc = (0..n)
+            .map(|_| RunningSeries::from_instant(next()))
+            .collect();
+        let dc_delay = (0..n).map(|_| next()).collect();
+        let prices = (0..n).map(|_| next()).collect();
         Ok(Self {
             next_slot: ck.slot as usize,
             queues,
             tracker,
-            energy: RunningSeries::from_instant(ck.series.energy),
-            fairness: RunningSeries::from_instant(ck.series.fairness),
-            account_shares: ck
-                .series
-                .account_shares
-                .into_iter()
-                .map(RunningSeries::from_instant)
-                .collect(),
-            work_per_dc: ck
-                .series
-                .work_per_dc
-                .into_iter()
-                .map(RunningSeries::from_instant)
-                .collect(),
-            dc_delay: ck.series.dc_delay,
-            prices: ck.series.prices,
-            arriving_work: RunningSeries::from_instant(ck.series.arriving_work),
-            queue_total: ck.series.queue_total,
-            queue_max: ck.series.queue_max,
+            energy,
+            fairness,
+            account_shares,
+            work_per_dc,
+            dc_delay,
+            prices,
+            arriving_work,
+            queue_total,
+            queue_max,
             dropped: ck.dropped,
             ledger,
         })
     }
 
+    /// Every per-slot series, in [`SeriesSnapshot`]'s line order.
+    fn series(&self) -> impl Iterator<Item = &[f64]> {
+        let scalars = [
+            self.energy.instant(),
+            self.fairness.instant(),
+            self.arriving_work.instant(),
+            &self.queue_total,
+            &self.queue_max,
+        ];
+        scalars
+            .into_iter()
+            .chain(self.account_shares.iter().map(RunningSeries::instant))
+            .chain(self.work_per_dc.iter().map(RunningSeries::instant))
+            .chain(self.dc_delay.iter().map(Vec::as_slice))
+            .chain(self.prices.iter().map(Vec::as_slice))
+    }
+
+    /// The cut at this slot, whose series are `series`.
     fn to_checkpoint(
         &self,
+        series: SeriesSnapshot,
         horizon: usize,
         scheduler: &str,
         faults: &str,
@@ -264,25 +289,7 @@ impl RunState {
                 .map(|i| self.queues.local_grid().row(i).to_vec())
                 .collect(),
             tracker: self.tracker.snapshot(),
-            series: SeriesSnapshot {
-                energy: self.energy.instant().to_vec(),
-                fairness: self.fairness.instant().to_vec(),
-                account_shares: self
-                    .account_shares
-                    .iter()
-                    .map(|s| s.instant().to_vec())
-                    .collect(),
-                work_per_dc: self
-                    .work_per_dc
-                    .iter()
-                    .map(|s| s.instant().to_vec())
-                    .collect(),
-                dc_delay: self.dc_delay.clone(),
-                prices: self.prices.clone(),
-                arriving_work: self.arriving_work.instant().to_vec(),
-                queue_total: self.queue_total.clone(),
-                queue_max: self.queue_max.clone(),
-            },
+            series,
         }
     }
 
@@ -552,6 +559,10 @@ impl Simulation {
 pub struct SteppedRun {
     sim: Simulation,
     rs: RunState,
+    /// The series text encoded by earlier cuts of this run (none yet
+    /// after a resume): each [`checkpoint`](SteppedRun::checkpoint)
+    /// encodes only the slots since the previous one.
+    encoded: SeriesSnapshot,
     /// The per-job work vector `d_j`, computed once per run.
     work: Vec<f64>,
     timer: Timer,
@@ -625,9 +636,11 @@ impl SteppedRun {
 
     fn with_state(sim: Simulation, rs: RunState, started: bool) -> Self {
         let work = sim.config.work_vector();
+        let encoded = SeriesSnapshot::new(sim.config.num_accounts(), sim.config.num_data_centers());
         Self {
             sim,
             rs,
+            encoded,
             work,
             timer: Timer::start(),
             started,
@@ -781,10 +794,14 @@ impl SteppedRun {
     }
 
     /// Captures the current state as a [`Checkpoint`] (identical to the
-    /// cut a [`RunPolicy`] would write at this slot).
-    pub fn checkpoint(&self) -> Checkpoint {
+    /// cut a [`RunPolicy`] would write at this slot). Encodes the series
+    /// values of the slots since the previous cut and shares the text of
+    /// the earlier ones (see [`SeriesSnapshot`]).
+    pub fn checkpoint(&mut self) -> Checkpoint {
+        self.encoded.extend(self.rs.next_slot, self.rs.series());
         let (faults, feeds) = self.sim.specs();
         self.rs.to_checkpoint(
+            self.encoded.clone(),
             self.sim.inputs.horizon(),
             &self.sim.scheduler.name(),
             &faults,
@@ -829,7 +846,7 @@ impl SteppedRun {
 
     /// Writes the current cut to `path` atomically and reports it as a
     /// `checkpoint.write` event.
-    fn write_checkpoint(&self, path: &Path, obs: &mut dyn Observer) -> Result<(), SimError> {
+    fn write_checkpoint(&mut self, path: &Path, obs: &mut dyn Observer) -> Result<(), SimError> {
         let profiling = obs.profiling();
         if profiling {
             obs.span_enter("checkpoint.write");
@@ -1418,24 +1435,47 @@ mod tests {
         let ck = run.checkpoint();
         assert!(SteppedRun::resume(make(), ck.clone()).is_ok());
 
-        // Every per-slot series must hold one value per executed slot.
-        let mut short = ck.clone();
-        for row in &mut short.series.prices {
-            row.pop();
-        }
-        short.series.queue_max.pop();
+        // Every per-slot series must hold one value per executed slot:
+        // the text with the last price of every DC and the last queue_max
+        // cut off does not parse, and a cut whose slot disagrees with its
+        // series does not resume.
+        let short: String = ck
+            .to_jsonl()
+            .lines()
+            .map(|line| {
+                if line.contains("\"name\":\"prices\"") || line.contains("\"name\":\"queue_max\"") {
+                    let last = line.rfind(',').expect("24 values");
+                    format!("{}\"}}\n", &line[..last])
+                } else {
+                    format!("{line}\n")
+                }
+            })
+            .collect();
         assert!(matches!(
-            Checkpoint::parse(&short.to_jsonl()),
+            Checkpoint::parse(&short),
             Err(SimError::CheckpointFormat { line: 1, .. })
         ));
+        let mut early = ck.clone();
+        early.slot -= 1;
         assert!(matches!(
-            SteppedRun::resume(make(), short),
+            SteppedRun::resume(make(), early),
             Err(SimError::Mismatch(_))
         ));
 
-        // Every per-DC family must have one row per data center.
+        // Every per-DC family must have one row per data center: the
+        // series of a one-DC run do not fit the paper's three.
+        let cfg = config();
+        let one_dc = Simulation::new(
+            cfg.clone(),
+            inputs(&cfg, 48, 0.5, 1.0),
+            Box::new(Always::new(&cfg)),
+        );
+        let mut other = SteppedRun::new(one_dc);
+        for _ in 0..24 {
+            assert!(other.step(&mut NullObserver));
+        }
         let mut missing = ck;
-        missing.series.prices.pop();
+        missing.series = other.checkpoint().series;
         assert!(matches!(
             SteppedRun::resume(make(), missing),
             Err(SimError::Mismatch(_))
@@ -1703,5 +1743,138 @@ mod tests {
         sim.run_with_observer(&mut obs);
         assert!(obs.event_count("degraded.mode") > 0);
         assert_eq!(obs.event_count("fault.inject"), 1);
+    }
+
+    /// Every series of `report` cut to its first `t` slots, with its
+    /// checkpoint name and row, in the order the encoder before chunking
+    /// wrote them: by name, not through [`RunState::series`].
+    fn prefixes(report: &SimulationReport, t: usize) -> Vec<(&'static str, Option<usize>, &[f64])> {
+        let mut out: Vec<(&'static str, Option<usize>, &[f64])> = vec![
+            ("energy", None, &report.energy.instant()[..t]),
+            ("fairness", None, &report.fairness.instant()[..t]),
+            ("arriving_work", None, &report.arriving_work.instant()[..t]),
+            ("queue_total", None, &report.queue_total[..t]),
+            ("queue_max", None, &report.queue_max[..t]),
+        ];
+        let running = [
+            ("account_shares", &report.account_shares),
+            ("work_per_dc", &report.work_per_dc),
+        ];
+        for (name, rows) in running {
+            for (i, row) in rows.iter().enumerate() {
+                out.push((name, Some(i), &row.instant()[..t]));
+            }
+        }
+        for (name, rows) in [("dc_delay", &report.dc_delay), ("prices", &report.prices)] {
+            for (i, row) in rows.iter().enumerate() {
+                out.push((name, Some(i), &row[..t]));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_cut_of_a_run_matches_a_from_scratch_encoding() {
+        use crate::checkpoint::tests::{from_scratch, series_lines};
+
+        let horizon = 150;
+        let make = || {
+            let scenario = crate::PaperScenario::default().with_seed(13);
+            let config = scenario.config().clone();
+            let g = GreFar::new(&config, GreFarParams::new(7.5, 0.0)).unwrap();
+            Simulation::new(config, scenario.into_inputs(horizon), Box::new(g))
+                .with_admission_cap(40.0)
+                .with_fault_plan(FaultPlan::parse("outage:dc=1,start=20,end=45").unwrap())
+                .unwrap()
+                .with_feed_profile(
+                    FeedProfile::parse("drop:feed=price,p=0.3,start=0,end=150;policy:seed=4")
+                        .unwrap(),
+                )
+                .unwrap()
+        };
+        let full = make().run();
+
+        // Cuts at irregular gaps (every slot for a stretch), a resume from
+        // the parsed cut at slot 61, and each checkpoint held across the
+        // next cut.
+        let gaps = [1, 1, 1, 1, 2, 3, 1, 5, 8, 1, 13, 24, 2, 1, 7];
+        let mut run = SteppedRun::new(make());
+        let mut held: Option<(Checkpoint, String)> = None;
+        let mut cuts = 0;
+        let mut resumed = false;
+        for gap in gaps.iter().cycle() {
+            for _ in 0..*gap {
+                run.step(&mut NullObserver);
+            }
+            let t = run.next_slot() as usize;
+            let ck = run.checkpoint();
+            let text = ck.to_jsonl();
+            let (lines, _) = series_lines(&text);
+            assert_eq!(lines, from_scratch(&prefixes(&full, t)), "cut at slot {t}");
+            if let Some((earlier, its_text)) = held.take() {
+                assert_eq!(earlier.to_jsonl(), its_text, "held cut at {}", earlier.slot);
+            }
+            cuts += 1;
+            if t >= 61 && !resumed {
+                let parsed = Checkpoint::parse(&text).unwrap();
+                run = SteppedRun::resume(make(), parsed).unwrap();
+                resumed = true;
+            }
+            held = Some((ck, text));
+            if run.is_done() {
+                break;
+            }
+        }
+        assert!(resumed && cuts > 25, "{cuts} cuts");
+        assert_eq!(run.finish(&mut NullObserver), full);
+    }
+
+    #[test]
+    fn a_resumed_run_encodes_its_prefix_again_in_canonical_text() {
+        // The file may spell a value non-canonically (here with an `e0`
+        // suffix): the resumed run decodes it, and its next cut writes
+        // the canonical text.
+        let make = || {
+            let scenario = crate::PaperScenario::default().with_seed(3);
+            let config = scenario.config().clone();
+            let g = GreFar::new(&config, GreFarParams::new(7.5, 0.0)).unwrap();
+            Simulation::new(config, scenario.into_inputs(40), Box::new(g))
+        };
+        let mut full = SteppedRun::new(make());
+        for _ in 0..20 {
+            full.step(&mut NullObserver);
+        }
+        let text = full.checkpoint().to_jsonl();
+        full.step(&mut NullObserver);
+        let canonical = full.checkpoint().to_jsonl();
+
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"name\":\"queue_max\""))
+            .unwrap();
+        let first = line
+            .split("\"values\":\"")
+            .nth(1)
+            .unwrap()
+            .split(',')
+            .next()
+            .unwrap();
+        let respelled = line.replacen(
+            &format!("\"values\":\"{first},"),
+            &format!("\"values\":\"{first}e0,"),
+            1,
+        );
+        let edited = text.replacen(line, &respelled, 1);
+        assert_ne!(edited, text);
+        let parsed = Checkpoint::parse(&edited).unwrap();
+        assert_eq!(
+            parsed.to_jsonl(),
+            edited,
+            "a parsed checkpoint keeps its text"
+        );
+
+        let mut resumed = SteppedRun::resume(make(), parsed).unwrap();
+        resumed.step(&mut NullObserver);
+        assert_eq!(resumed.checkpoint().to_jsonl(), canonical);
     }
 }

@@ -7,7 +7,7 @@
 //! diff and the daemon oracles for the same underlying reason, and the
 //! shrinker needs one stable failure signature, not three echoes of it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::Path;
@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use grefar_core::theory::{slackness_delta_trace, TheoryBounds};
 use grefar_core::{GreFar, GreFarParams};
+use grefar_faults::{ActorTarget, FaultPlan};
 use grefar_metrics::MetricsFold;
 use grefar_obs::json::{parse_object, JsonValue};
 use grefar_obs::JsonlSink;
@@ -307,6 +308,14 @@ impl Wire {
         })
     }
 
+    /// Sends one request without waiting for its reply.
+    fn send(&mut self, line: &str) -> Result<(), String> {
+        // Request and newline in one write, so they leave as one segment.
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| format!("send {line:?}: {e}"))
+    }
+
     /// Sends one request and waits for the reply with `op == want_op`,
     /// skipping stale replies from earlier timed-out requests. `None`
     /// means the read timed out — after a state-keeper kill the in-flight
@@ -317,10 +326,7 @@ impl Wire {
         line: &str,
         want_op: &str,
     ) -> Result<Option<BTreeMap<String, JsonValue>>, String> {
-        // Request and newline in one write, so they leave as one segment.
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .map_err(|e| format!("send {line:?}: {e}"))?;
+        self.send(line)?;
         loop {
             let mut reply = String::new();
             match self.reader.read_line(&mut reply) {
@@ -502,6 +508,19 @@ fn drive_daemon(scenario: &Scenario, addr: &str) -> Result<(), String> {
     for (t, job, count) in scenario.traffic() {
         pending.entry(t).or_default().push((job, count));
     }
+    // The slots whose advance kills the state keeper: that advance's reply
+    // dies with it, so the loop below resyncs with `status` at once instead of
+    // waiting out the read timeout.
+    let mut keeper_kills: BTreeSet<u64> = match scenario.chaos_spec() {
+        Some(spec) => FaultPlan::parse(&spec)
+            .map_err(|e| format!("chaos: {e}"))?
+            .faults()
+            .iter()
+            .filter(|f| f.label() == "kill" && f.actor() == Some(ActorTarget::StateKeeper))
+            .map(|f| f.start)
+            .collect(),
+        None => BTreeSet::new(),
+    };
     // verify: allow(determinism): wall-clock watchdog so a deadlocked daemon fails the leg instead of hanging CI
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
     loop {
@@ -527,6 +546,10 @@ fn drive_daemon(scenario: &Scenario, addr: &str) -> Result<(), String> {
             for (job, count) in subs {
                 submit(&mut wire, job, count)?;
             }
+        }
+        if keeper_kills.remove(&slot) {
+            wire.send("{\"op\":\"advance\"}")?;
+            continue;
         }
         match wire.call("{\"op\":\"advance\"}", "advance")? {
             Some(reply) if is_ok(&reply) => {
