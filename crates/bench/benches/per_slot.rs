@@ -1,9 +1,13 @@
 //! Per-slot decision latency of the GreFar slot solvers: exact greedy
-//! (β = 0) vs Frank–Wolfe (β > 0), and scaling in system size.
+//! (β = 0) and its scaling in system size, and Frank–Wolfe (β > 0) on
+//! real states of the paper run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grefar_convex::FwOptions;
-use grefar_core::{QuadraticDeviation, QueueState, SlotInstance};
+use grefar_core::{
+    Always, GreFar, GreFarParams, QuadraticDeviation, QueueState, Scheduler, SlotInstance,
+    SolverChoice,
+};
 use grefar_sim::PaperScenario;
 use grefar_types::{
     DataCenterId, DataCenterState, JobClass, ServerClass, SystemConfig, SystemState, Tariff,
@@ -75,14 +79,13 @@ fn bench_greedy_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_greedy_vs_fw_paper_scenario(c: &mut Criterion) {
+fn bench_greedy_paper_scenario(c: &mut Criterion) {
     let scenario = PaperScenario::default().with_seed(1);
     let config = scenario.config().clone();
     let inputs = scenario.into_inputs(48);
     // A mid-run queue state: run a few warm-up slots with Always.
     let mut queues = QueueState::new(&config);
-    let mut always = grefar_core::Always::new(&config);
-    use grefar_core::Scheduler;
+    let mut always = Always::new(&config);
     for t in 0..24 {
         let d = always.decide(inputs.state(t), &queues);
         queues.apply(&d, inputs.arrivals(t));
@@ -97,18 +100,55 @@ fn bench_greedy_vs_fw_paper_scenario(c: &mut Criterion) {
                 .objective
         })
     });
-    for iters in [50usize, 200] {
-        group.bench_function(format!("frank_wolfe_beta100_{iters}it"), |b| {
-            let options = FwOptions {
-                max_iters: iters,
-                gap_tolerance: 1e-6,
-                ..FwOptions::default()
-            };
-            b.iter(|| {
-                SlotInstance::new(&config, &state, &queues, 7.5)
-                    .solve_with_fairness(100.0, &QuadraticDeviation, options)
-                    .objective
-            })
+    group.finish();
+}
+
+/// Slots of the seed-5 paper run at `V = 7.5`, `β = 100` (the `paper-fw`
+/// benchmark's run) and the Frank–Wolfe iterations each takes: a typical
+/// slot (the median decision takes 3) and one that runs into the cap.
+const FW_SLOTS: [(usize, usize); 2] = [(50, 3), (450, 200)];
+
+/// Frank–Wolfe at β = 100 on real states of the seed-5 paper run, with
+/// the options GreFar runs it with.
+fn bench_fw_paper_states(c: &mut Criterion) {
+    let scenario = PaperScenario::default().with_seed(5);
+    let config = scenario.config().clone();
+    let last = FW_SLOTS.iter().map(|&(t, _)| t).max().unwrap_or(0);
+    let inputs = scenario.into_inputs(last + 1);
+    let mut grefar = GreFar::new(&config, GreFarParams::new(7.5, 100.0)).expect("valid params");
+    let mut queues = QueueState::new(&config);
+    let mut states = Vec::new();
+    for t in 0..=last {
+        if let Some(&(_, iterations)) = FW_SLOTS.iter().find(|&&(slot, _)| slot == t) {
+            states.push((t, iterations, queues.clone()));
+        }
+        let d = grefar.decide(inputs.state(t), &queues);
+        queues.apply(&d, inputs.arrivals(t));
+    }
+    let options = FwOptions {
+        max_iters: 200,
+        gap_tolerance: 1e-6,
+        ..FwOptions::default()
+    };
+
+    let mut group = c.benchmark_group("slot_paper_fw");
+    for (t, iterations, queues) in &states {
+        let solve = || {
+            SlotInstance::new(&config, inputs.state(*t), queues, 7.5).solve_with_fairness(
+                100.0,
+                &QuadraticDeviation,
+                options,
+            )
+        };
+        assert!(
+            matches!(
+                solve().solver,
+                SolverChoice::FrankWolfe { iterations: n, .. } if n == *iterations
+            ),
+            "slot {t} no longer takes {iterations} iterations"
+        );
+        group.bench_function(format!("beta100_slot{t}_{iterations}it"), |b| {
+            b.iter(|| solve().objective)
         });
     }
     group.finish();
@@ -117,6 +157,7 @@ fn bench_greedy_vs_fw_paper_scenario(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_greedy_scaling,
-    bench_greedy_vs_fw_paper_scenario
+    bench_greedy_paper_scenario,
+    bench_fw_paper_states
 );
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 
 use grefar_obs::{NullObserver, Observer};
 
-use crate::objective::{Lmo, Objective};
+use crate::objective::{Lmo, Objective, Segment};
 
 /// Step-size strategy for [`frank_wolfe`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,6 +93,9 @@ pub fn frank_wolfe_observed(
     let mut x = x0;
     let mut grad = vec![0.0; n];
     let mut vertex = vec![0.0; n];
+    let mut direction = vec![0.0; n];
+    let mut support = Vec::with_capacity(n);
+    let mut point = vec![0.0; n];
     let mut gap = f64::INFINITY;
     let mut iterations = 0;
 
@@ -119,12 +122,29 @@ pub fn frank_wolfe_observed(
             }
             break;
         }
+        // The segment x → v: its direction, and the coordinates that are
+        // nonzero anywhere on it, which are all a line search has to read.
+        support.clear();
+        for (i, (d, (xi, vi))) in direction.iter_mut().zip(x.iter().zip(&vertex)).enumerate() {
+            *d = vi - xi;
+            // verify: allow(float-eq): exact-zero test — off the support a coordinate is ±0 for every θ
+            if *xi != 0.0 || *d != 0.0 {
+                support.push(i);
+            }
+        }
+        let segment = Segment {
+            x: &x,
+            direction: &direction,
+            support: &support,
+        };
         let theta = match options.line_search {
             LineSearch::Diminishing => 2.0 / (t as f64 + 2.0),
-            LineSearch::GoldenSection { iters } => golden_section(objective, &x, &vertex, iters),
+            LineSearch::GoldenSection { iters } => {
+                golden_section(objective, &segment, &mut point, iters)
+            }
         };
-        for (xi, vi) in x.iter_mut().zip(&vertex) {
-            *xi += theta * (vi - *xi);
+        for (xi, d) in x.iter_mut().zip(&direction) {
+            *xi += theta * d;
         }
         if profiling {
             obs.span_exit("fw.iter");
@@ -140,19 +160,16 @@ pub fn frank_wolfe_observed(
     }
 }
 
-/// Golden-section search for `argmin_{θ ∈ [0,1]} f(x + θ (v − x))`.
-fn golden_section(objective: &dyn Objective, x: &[f64], v: &[f64], iters: u32) -> f64 {
+/// Golden-section search for `argmin_{θ ∈ [0,1]} f(x + θ·d)` along
+/// `segment`; `point` is the objective's probe scratch.
+fn golden_section(
+    objective: &dyn Objective,
+    segment: &Segment<'_>,
+    point: &mut [f64],
+    iters: u32,
+) -> f64 {
     const INV_PHI: f64 = 0.618_033_988_749_894_9;
-    // One buffer for every probe point: the closure runs ~2·iters times
-    // per line search, so allocating inside it would be per-iteration
-    // allocator traffic on the per-slot path.
-    let mut point = vec![0.0; x.len()];
-    let mut eval = |theta: f64| {
-        for (p, (xi, vi)) in point.iter_mut().zip(x.iter().zip(v)) {
-            *p = xi + theta * (vi - xi);
-        }
-        objective.value(&point)
-    };
+    let mut eval = |theta: f64| objective.segment_value(segment, theta, point);
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     let mut m1 = hi - INV_PHI * (hi - lo);
     let mut m2 = lo + INV_PHI * (hi - lo);
@@ -173,13 +190,11 @@ fn golden_section(objective: &dyn Objective, x: &[f64], v: &[f64], iters: u32) -
             f2 = eval(m2);
         }
     }
-    // Prefer the endpoint if it is at least as good (handles linear
+    // Prefer an endpoint if it is strictly better (handles linear
     // objectives whose optimum is at θ = 1 exactly).
-    let mid = 0.5 * (lo + hi);
-    let candidates = [0.0, mid, 1.0];
-    let mut best = mid;
-    let mut best_val = eval(mid);
-    for &c in &candidates {
+    let mut best = 0.5 * (lo + hi);
+    let mut best_val = eval(best);
+    for c in [0.0, 1.0] {
         let val = eval(c);
         if val < best_val {
             best_val = val;

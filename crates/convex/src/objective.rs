@@ -10,6 +10,43 @@ pub trait Objective {
     ///
     /// Implementations may assume `grad.len() == x.len()`.
     fn gradient(&self, x: &[f64], grad: &mut [f64]);
+
+    /// The value `f(x + θ·d)` at one point of a Frank–Wolfe segment; the
+    /// line search calls it for every probe. `point` is scratch of the
+    /// segment's length.
+    ///
+    /// The default writes the point into `point` and calls
+    /// [`value`](Self::value). An override may instead read the segment
+    /// in place and skip every coordinate off its
+    /// [support](Segment::support), which is ±0 for every `θ`; it must
+    /// return what the default returns, up to the sign of a zero.
+    fn segment_value(&self, segment: &Segment<'_>, theta: f64, point: &mut [f64]) -> f64 {
+        for (i, p) in point.iter_mut().enumerate() {
+            *p = segment.at(i, theta);
+        }
+        self.value(point)
+    }
+}
+
+/// A Frank–Wolfe segment `x + θ·d`, `θ ∈ [0, 1]`, from the iterate `x`
+/// towards the oracle's vertex `v`, with `d = v − x`.
+#[derive(Debug, Clone, Copy)]
+pub struct Segment<'a> {
+    /// The iterate `x`.
+    pub x: &'a [f64],
+    /// The direction `d = v − x`.
+    pub direction: &'a [f64],
+    /// The indices, ascending, where `x` or `d` is nonzero (tested
+    /// exactly). Every other coordinate is ±0 all along the segment.
+    pub support: &'a [usize],
+}
+
+impl Segment<'_> {
+    /// Coordinate `i` of the point `x + θ·d`.
+    #[inline]
+    pub fn at(&self, i: usize, theta: f64) -> f64 {
+        self.x[i] + theta * self.direction[i]
+    }
 }
 
 /// A linear minimization oracle over a compact convex feasible region:
@@ -66,12 +103,6 @@ impl Quadratic {
         assert_eq!(c.len(), n, "c must have length n");
         Self { n, q, c }
     }
-
-    /// The dimension `n`.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
 }
 
 impl Objective for Quadratic {
@@ -111,7 +142,6 @@ mod tests {
     fn quadratic_value_and_gradient() {
         // f(x) = ½ (2x₀² + 2x₁²) + x₀ = x₀² + x₁² + x₀
         let q = Quadratic::new(2, vec![2.0, 0.0, 0.0, 2.0], vec![1.0, 0.0]);
-        assert_eq!(q.dim(), 2);
         assert_eq!(q.value(&[1.0, 2.0]), 1.0 + 4.0 + 1.0);
         let mut g = vec![0.0; 2];
         q.gradient(&[1.0, 2.0], &mut g);

@@ -30,9 +30,6 @@ use crate::queue::QueueState;
 /// floating-point solvers, so constraints hold up to rounding.
 pub const TOL: f64 = 1e-6;
 
-/// Whether automatic enforcement is compiled in.
-pub const ENFORCED: bool = cfg!(feature = "strict-invariants");
-
 /// A detected violation of a paper invariant.
 ///
 /// `Display` renders a full sentence naming the constraint and the

@@ -169,16 +169,6 @@ impl QueueState {
         let l: f64 = self.local.as_slice().iter().map(|v| v * v).sum();
         0.5 * (c + l)
     }
-
-    /// Total backlog *work* waiting in data center `i`:
-    /// `Σ_j q_{i,j} · d_j` where `work[j] = d_j`.
-    ///
-    /// # Panics
-    /// Panics if dimensions mismatch.
-    pub fn local_work(&self, i: usize, work: &[f64]) -> f64 {
-        assert_eq!(work.len(), self.central.len(), "work vector mismatch");
-        self.local.row(i).iter().zip(work).map(|(q, d)| q * d).sum()
-    }
 }
 
 #[cfg(test)]
@@ -264,19 +254,6 @@ mod tests {
         assert_eq!(q.total(), 7.0);
         assert_eq!(q.lyapunov(), 0.5 * (9.0 + 16.0));
         assert_eq!(q.max_len(), 4.0);
-    }
-
-    #[test]
-    fn local_work_weights_by_demand() {
-        let cfg = config();
-        let mut q = QueueState::new(&cfg);
-        let mut z = cfg.decision_zeros();
-        q.apply(&z, &[2.0, 3.0]);
-        z.routed[(1, 0)] = 2.0;
-        z.routed[(1, 1)] = 3.0;
-        q.apply(&z, &[0.0, 0.0]);
-        assert_eq!(q.local_work(1, &[1.0, 2.0]), 2.0 + 6.0);
-        assert_eq!(q.local_work(0, &[1.0, 2.0]), 0.0);
     }
 
     #[test]

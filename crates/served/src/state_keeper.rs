@@ -442,33 +442,27 @@ impl StateKeeper {
         }
     }
 
-    /// Applies the chaos windows opening at slot `t`. Each window fires at
-    /// most once across all incarnations (tracked in
-    /// [`SkShared::fired_chaos`]); actions are collected under the lock and
-    /// executed after it is released, so a self-kill cannot poison it.
+    /// Applies the chaos windows opening at slot `t`, in plan order. Each
+    /// window fires at most once across all incarnations (tracked in
+    /// [`SkShared::fired_chaos`]). A window is marked just before it runs,
+    /// and the lock is released before it runs: a state-keeper kill panics
+    /// out of this loop, and the replacement, replaying slot `t`, must
+    /// still run the windows listed after it.
     fn apply_chaos(&mut self, t: u64, silent: bool) {
         let Some(chaos) = &self.chaos else { return };
         self.shared
             .sockdrop
             .store(chaos.sockdrop_active(t), Ordering::SeqCst);
-        let starting = chaos.starting(t);
-        if starting.is_empty() {
-            return;
-        }
-        let mut to_fire = Vec::new();
-        {
-            let mut fired = self
+        for fault in chaos.starting(t) {
+            let first = self
                 .shared
                 .fired_chaos
                 .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for fault in &starting {
-                if fired.insert(fault.spec()) {
-                    to_fire.push(*fault);
-                }
+                .unwrap_or_else(|e| e.into_inner())
+                .insert(fault.spec());
+            if !first {
+                continue;
             }
-        }
-        for fault in to_fire {
             if !silent {
                 self.emit(chaos_inject_event(&fault, t));
             }

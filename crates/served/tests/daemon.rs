@@ -3,10 +3,11 @@
 //! session, and while the telemetry actor stalls, too), a fresh start over
 //! an earlier session's state files,
 //! chaos-driven actor restarts (the admission actor's under live
-//! connections too, and requests or events queued while an actor
-//! restarts), socket-drop windows, teardown with idle clients connected,
-//! and the supervisor's give-up escalation. Every daemon is spawned
-//! through [`Daemon`], so a failing test leaves no process behind.
+//! connections too, requests or events queued while an actor restarts,
+//! and windows that open in the slot of a state-keeper kill), socket-drop
+//! windows, teardown with idle clients connected, and the supervisor's
+//! give-up escalation. Every daemon is spawned through [`Daemon`], so a
+//! failing test leaves no process behind.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -530,6 +531,48 @@ fn chaos_kills_restart_actors_and_the_run_completes() {
         1,
         "the run still completes exactly once"
     );
+}
+
+#[test]
+fn windows_opening_in_the_slot_of_a_state_keeper_kill_still_fire() {
+    let dir = scratch("same-slot-chaos");
+    let port_file = dir.join("port");
+    let telemetry = dir.join("tele.jsonl");
+    // The keeper's kill panics before the telemetry kill listed after it
+    // in the same slot has run; the replacement, replaying slot 23, must
+    // still fire it (grefar-soak seed 42, shrunk to these two clauses).
+    let mut daemon = spawn(
+        Command::new(bin())
+            .args(["--hours", "30", "--clock", "turbo", "--seed", "3"])
+            .args(["--backoff-ms", "1"])
+            .args([
+                "--chaos",
+                "kill:actor=state_keeper,start=23,end=24;kill:actor=telemetry,start=23,end=24",
+            ])
+            .arg("--telemetry")
+            .arg(&telemetry)
+            .arg("--checkpoint")
+            .arg(dir.join("ck"))
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
+    wait_addr(&port_file);
+    assert_eq!(wait_exit(&mut daemon).code(), Some(0));
+    for actor in ["state_keeper", "telemetry"] {
+        assert_eq!(
+            count_lines_with(
+                &telemetry,
+                &[
+                    "\"event\":\"served.restart\"",
+                    &format!("\"actor\":\"{actor}\"")
+                ],
+            ),
+            1,
+            "the {actor} kill at slot 23 leaves exactly one served.restart"
+        );
+    }
 }
 
 #[test]

@@ -271,7 +271,7 @@ echo "benchmark smoke ok"
 # fresh numbers must stay within a loose envelope of the committed
 # baselines in perf/ (loose: baselines were recorded on different
 # hardware; the gate catches order-of-magnitude regressions only).
-for bench in trace checkpoint lp served; do
+for bench in trace checkpoint lp served per_slot simulator; do
     cargo bench -q -p grefar-bench --bench "$bench" --offline -- --json "$report_tmp" > /dev/null
     ./target/release/grefar-report bench-gate \
         "$report_tmp/BENCH_$bench.json" "$report_tmp/BENCH_$bench.json" --threshold 10% > /dev/null
