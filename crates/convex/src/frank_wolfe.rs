@@ -2,7 +2,9 @@
 
 use grefar_obs::{NullObserver, Observer};
 
-use crate::objective::{Lmo, Objective, Segment};
+use std::cmp::Ordering;
+
+use crate::objective::{LineModel, Lmo, Objective, Segment};
 
 /// Step-size strategy for [`frank_wolfe`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +54,10 @@ pub struct FwResult {
     /// Final FW duality gap `⟨∇f(x), x − v⟩` — an upper bound on
     /// `f(x) − f*` for convex `f`.
     pub gap: f64,
+    /// Probes the golden-section line searches evaluated. A probe is
+    /// evaluated only when a comparison needs its value and the segment's
+    /// [`LineModel`], if any, cannot decide that comparison.
+    pub evaluations: usize,
 }
 
 /// Minimizes a smooth convex objective over a compact convex region
@@ -80,13 +86,17 @@ pub fn frank_wolfe(
 /// [profiling](Observer::profiling), every iteration opens an `fw.iter`
 /// span under the caller's current span. Sinks that do not profile pay
 /// one virtual call up front and nothing per iteration.
-pub fn frank_wolfe_observed(
-    objective: &dyn Objective,
-    oracle: &dyn Lmo,
+pub fn frank_wolfe_observed<O, L>(
+    objective: &O,
+    oracle: &L,
     x0: Vec<f64>,
     options: FwOptions,
     obs: &mut dyn Observer,
-) -> FwResult {
+) -> FwResult
+where
+    O: Objective + ?Sized,
+    L: Lmo + ?Sized,
+{
     assert!(!x0.is_empty(), "frank_wolfe requires a non-empty start");
     let profiling = obs.profiling();
     let n = x0.len();
@@ -98,6 +108,7 @@ pub fn frank_wolfe_observed(
     let mut point = vec![0.0; n];
     let mut gap = f64::INFINITY;
     let mut iterations = 0;
+    let mut evaluations = 0;
 
     for t in 0..options.max_iters {
         iterations = t + 1;
@@ -140,7 +151,14 @@ pub fn frank_wolfe_observed(
         let theta = match options.line_search {
             LineSearch::Diminishing => 2.0 / (t as f64 + 2.0),
             LineSearch::GoldenSection { iters } => {
-                golden_section(objective, &segment, &mut point, iters)
+                let mut probes = Probes {
+                    model: objective.begin_segment(&segment),
+                    objective,
+                    segment: &segment,
+                    point: &mut point,
+                    evaluations: &mut evaluations,
+                };
+                golden_section(&mut probes, iters)
             }
         };
         for (xi, d) in x.iter_mut().zip(&direction) {
@@ -157,51 +175,112 @@ pub fn frank_wolfe_observed(
         value,
         iterations,
         gap,
+        evaluations,
     }
 }
 
-/// Golden-section search for `argmin_{θ ∈ [0,1]} f(x + θ·d)` along
-/// `segment`; `point` is the objective's probe scratch.
-fn golden_section(
-    objective: &dyn Objective,
-    segment: &Segment<'_>,
-    point: &mut [f64],
-    iters: u32,
-) -> f64 {
+/// A point `θ` of the segment whose value is evaluated only when a
+/// comparison needs it.
+#[derive(Clone, Copy)]
+struct Probe {
+    theta: f64,
+    value: Option<f64>,
+}
+
+impl Probe {
+    fn at(theta: f64) -> Self {
+        Self { theta, value: None }
+    }
+}
+
+/// The line search's access to the objective along one segment.
+struct Probes<'a, O: ?Sized> {
+    objective: &'a O,
+    segment: &'a Segment<'a>,
+    model: Option<LineModel>,
+    point: &'a mut [f64],
+    evaluations: &'a mut usize,
+}
+
+impl<O: Objective + ?Sized> Probes<'_, O> {
+    fn value(&mut self, probe: &mut Probe) -> f64 {
+        if let Some(value) = probe.value {
+            return value;
+        }
+        *self.evaluations += 1;
+        let value = self
+            .objective
+            .segment_value(self.segment, probe.theta, self.point);
+        probe.value = Some(value);
+        value
+    }
+
+    /// `f(a)` against `f(b)`, as `f64::partial_cmp` of the two values
+    /// orders them. The model decides when it is certain and a value is
+    /// still unknown; otherwise both are evaluated.
+    fn order(&mut self, a: &mut Probe, b: &mut Probe) -> Option<Ordering> {
+        if a.value.is_none() || b.value.is_none() {
+            if let Some(order) = self
+                .model
+                .and_then(|model| model.certain_order(a.theta, b.theta))
+            {
+                #[cfg(feature = "strict-invariants")]
+                self.check_certified(a.theta, b.theta, order);
+                return Some(order);
+            }
+        }
+        let fa = self.value(a);
+        let fb = self.value(b);
+        fa.partial_cmp(&fb)
+    }
+
+    /// `strict-invariants`: a certified order must be the exact one.
+    #[cfg(feature = "strict-invariants")]
+    fn check_certified(&mut self, a: f64, b: f64, certified: Ordering) {
+        let fa = self.objective.segment_value(self.segment, a, self.point);
+        let fb = self.objective.segment_value(self.segment, b, self.point);
+        assert_eq!(
+            fa.partial_cmp(&fb),
+            Some(certified),
+            "line model {:?} certified f({a}) {certified:?} f({b}), but the values are {fa:e} and {fb:e}",
+            self.model
+        );
+    }
+}
+
+/// Golden-section search for `argmin_{θ ∈ [0,1]} f(x + θ·d)` along the
+/// probes' segment. Every comparison returns what comparing the two
+/// evaluated values returns, so the probe sequence and the result do not
+/// depend on which comparisons the model decided.
+fn golden_section<O: Objective + ?Sized>(probes: &mut Probes<'_, O>, iters: u32) -> f64 {
     const INV_PHI: f64 = 0.618_033_988_749_894_9;
-    let mut eval = |theta: f64| objective.segment_value(segment, theta, point);
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    let mut m1 = hi - INV_PHI * (hi - lo);
-    let mut m2 = lo + INV_PHI * (hi - lo);
-    let mut f1 = eval(m1);
-    let mut f2 = eval(m2);
+    let mut p1 = Probe::at(hi - INV_PHI * (hi - lo));
+    let mut p2 = Probe::at(lo + INV_PHI * (hi - lo));
     for _ in 0..iters {
-        if f1 <= f2 {
-            hi = m2;
-            m2 = m1;
-            f2 = f1;
-            m1 = hi - INV_PHI * (hi - lo);
-            f1 = eval(m1);
+        if matches!(
+            probes.order(&mut p1, &mut p2),
+            Some(Ordering::Less | Ordering::Equal)
+        ) {
+            hi = p2.theta;
+            p2 = p1;
+            p1 = Probe::at(hi - INV_PHI * (hi - lo));
         } else {
-            lo = m1;
-            m1 = m2;
-            f1 = f2;
-            m2 = lo + INV_PHI * (hi - lo);
-            f2 = eval(m2);
+            lo = p1.theta;
+            p1 = p2;
+            p2 = Probe::at(lo + INV_PHI * (hi - lo));
         }
     }
     // Prefer an endpoint if it is strictly better (handles linear
     // objectives whose optimum is at θ = 1 exactly).
-    let mut best = 0.5 * (lo + hi);
-    let mut best_val = eval(best);
+    let mut best = Probe::at(0.5 * (lo + hi));
     for c in [0.0, 1.0] {
-        let val = eval(c);
-        if val < best_val {
-            best_val = val;
-            best = c;
+        let mut end = Probe::at(c);
+        if probes.order(&mut end, &mut best) == Some(Ordering::Less) {
+            best = end;
         }
     }
-    best
+    best.theta
 }
 
 #[cfg(test)]

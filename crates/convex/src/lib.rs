@@ -59,5 +59,5 @@ pub mod projection;
 mod subgradient;
 
 pub use frank_wolfe::{frank_wolfe, frank_wolfe_observed, FwOptions, FwResult, LineSearch};
-pub use objective::{Lmo, Objective, Quadratic, Segment};
+pub use objective::{LineModel, Lmo, Objective, Quadratic, Segment};
 pub use subgradient::{projected_subgradient, SubgradientOptions, SubgradientResult};

@@ -1,5 +1,7 @@
 //! Objective and oracle traits.
 
+use std::cmp::Ordering;
+
 /// A differentiable (or subdifferentiable) convex objective over `ℝⁿ`,
 /// evaluated on flat slices.
 pub trait Objective {
@@ -11,9 +13,21 @@ pub trait Objective {
     /// Implementations may assume `grad.len() == x.len()`.
     fn gradient(&self, x: &[f64], grad: &mut [f64]);
 
+    /// Called by Frank–Wolfe once per segment, before the line search's
+    /// first [`segment_value`](Self::segment_value) on it. An override may
+    /// keep whatever its `segment_value` needs for this segment (say, its
+    /// support packed), and may return a [`LineModel`] of the segment, from
+    /// which the line search decides the probe comparisons it can without
+    /// evaluating. The default keeps nothing and returns `None`, so every
+    /// comparison evaluates.
+    fn begin_segment(&self, _segment: &Segment<'_>) -> Option<LineModel> {
+        None
+    }
+
     /// The value `f(x + θ·d)` at one point of a Frank–Wolfe segment; the
-    /// line search calls it for every probe. `point` is scratch of the
-    /// segment's length.
+    /// line search calls it for the probes it has to evaluate, always
+    /// after [`begin_segment`](Self::begin_segment) on the same segment.
+    /// `point` is scratch of the segment's length.
     ///
     /// The default writes the point into `point` and calls
     /// [`value`](Self::value). An override may instead read the segment
@@ -46,6 +60,49 @@ impl Segment<'_> {
     #[inline]
     pub fn at(&self, i: usize, theta: f64) -> f64 {
         self.x[i] + theta * self.direction[i]
+    }
+}
+
+/// What an objective knows in advance about itself along one segment:
+/// for every `θ`, `θ′` in `[0, 1]`, the exact difference
+/// `segment_value(θ) − segment_value(θ′)` of the two floating-point values
+/// lies within `err` of [`difference(θ, θ′)`](Self::difference), the
+/// floating-point value of `(θ − θ′)·(slope + curvature·(θ + θ′))`.
+///
+/// That is the difference of the quadratic `slope·θ + curvature·θ²`, so an
+/// objective that is exactly quadratic along the segment can supply one,
+/// with `err` a bound on the rounding of its evaluation and of the model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineModel {
+    /// The coefficient of `θ`.
+    pub slope: f64,
+    /// The coefficient of `θ²`.
+    pub curvature: f64,
+    /// The bound on the model's error.
+    pub err: f64,
+}
+
+impl LineModel {
+    /// The model's value of `f(θ) − f(θ′)`.
+    #[inline]
+    pub fn difference(&self, theta: f64, other: f64) -> f64 {
+        (theta - other) * (self.slope + self.curvature * (theta + other))
+    }
+
+    /// The order of `f(θ)` and `f(θ′)` when the model is certain of it,
+    /// that is when the modelled difference exceeds `err` in magnitude:
+    /// then the exact comparison of the two values gives the same order.
+    /// `None` when the two may lie within rounding of each other.
+    #[inline]
+    pub fn certain_order(&self, theta: f64, other: f64) -> Option<Ordering> {
+        let difference = self.difference(theta, other);
+        if difference > self.err {
+            Some(Ordering::Greater)
+        } else if difference < -self.err {
+            Some(Ordering::Less)
+        } else {
+            None
+        }
     }
 }
 
@@ -167,6 +224,27 @@ mod tests {
             let fd = (q.value(&xp) - q.value(&xm)) / (2.0 * eps);
             assert!((g[i] - fd).abs() < 1e-6, "component {i}: {} vs {fd}", g[i]);
         }
+    }
+
+    #[test]
+    fn line_models_certify_only_differences_beyond_err() {
+        // f(θ) = θ² − θ: f(0) = f(1), minimum at θ = ½.
+        let model = LineModel {
+            slope: -1.0,
+            curvature: 1.0,
+            err: 1e-6,
+        };
+        assert_eq!(model.difference(0.0, 1.0), 0.0);
+        assert_eq!(model.certain_order(0.0, 1.0), None);
+        assert_eq!(model.certain_order(0.5, 0.25), Some(Ordering::Less));
+        assert_eq!(model.certain_order(0.9, 0.5), Some(Ordering::Greater));
+        // f(0.4999) − f(0.5002) = −3e-8, within err: undecided.
+        assert_eq!(model.certain_order(0.5 - 1e-4, 0.5 + 2e-4), None);
+        let unbounded = LineModel {
+            err: f64::NAN,
+            ..model
+        };
+        assert_eq!(unbounded.certain_order(0.5, 0.25), None);
     }
 
     #[test]

@@ -27,6 +27,14 @@ pub trait FairnessFunction: Send + Sync {
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
+
+    /// `true` only for [`QuadraticDeviation`]: its score is a quadratic in
+    /// the shares, so Frank–Wolfe's line search can model the slot
+    /// objective exactly along a segment. Other implementations keep the
+    /// default `false`.
+    fn is_quadratic_deviation(&self) -> bool {
+        false
+    }
 }
 
 /// The paper's fairness function (3): `f = −Σ_m (x_m − γ_m)²`.
@@ -64,6 +72,10 @@ impl FairnessFunction for QuadraticDeviation {
 
     fn name(&self) -> &'static str {
         "quadratic-deviation"
+    }
+
+    fn is_quadratic_deviation(&self) -> bool {
+        true
     }
 }
 

@@ -174,9 +174,9 @@ impl GreFar {
                         obs,
                     );
                     match attempt.solver {
-                        SolverChoice::FrankWolfe { iterations, gap }
-                            if gap > squeezed.gap_tolerance =>
-                        {
+                        SolverChoice::FrankWolfe {
+                            iterations, gap, ..
+                        } if gap > squeezed.gap_tolerance => {
                             // Budget exhausted without convergence: fall
                             // back to the exact (fairness-blind) greedy,
                             // whose objective is stated at β = 0.
@@ -301,7 +301,9 @@ impl Scheduler for GreFar {
 
         let (fw_iterations, fw_gap) = match solution.solver {
             SolverChoice::Greedy => (0usize, 0.0),
-            SolverChoice::FrankWolfe { iterations, gap } => (iterations, gap),
+            SolverChoice::FrankWolfe {
+                iterations, gap, ..
+            } => (iterations, gap),
         };
         obs.record_event(
             Event::new("grefar.decide")

@@ -9,6 +9,25 @@
 
 use grefar_types::Tariff;
 
+/// The supply and demand lists [`linear_dispatch_dc`] sorts, kept across
+/// calls so that a Frank–Wolfe solve allocates them once per slot.
+pub(crate) struct DispatchLists {
+    /// `(k, cost/work, work)` of the paid server classes.
+    supply: Vec<(usize, f64, f64)>,
+    /// `(j, value/work, work)` of the jobs worth serving.
+    demand: Vec<(usize, f64, f64)>,
+}
+
+impl DispatchLists {
+    /// Lists with room for `jobs` job classes and `servers` server classes.
+    pub(crate) fn with_capacity(jobs: usize, servers: usize) -> Self {
+        Self {
+            supply: Vec::with_capacity(servers),
+            demand: Vec::with_capacity(jobs),
+        }
+    }
+}
+
 /// Solves the *linear* per-DC dispatch
 ///
 /// ```text
@@ -33,6 +52,7 @@ pub(crate) fn linear_dispatch_dc(
     h_cap: &[f64],
     h_out: &mut [f64],
     b_out: &mut [f64],
+    lists: &mut DispatchLists,
 ) {
     let j_count = c_h.len();
     let k_count = c_b.len();
@@ -49,7 +69,8 @@ pub(crate) fn linear_dispatch_dc(
     // Negative-cost classes: switching them on is free profit; their
     // capacity then costs nothing at the margin.
     let mut free_capacity = 0.0;
-    let mut supply: Vec<(usize, f64, f64)> = Vec::with_capacity(k_count); // (k, cost/work, work)
+    let DispatchLists { supply, demand } = lists;
+    supply.clear();
     for k in 0..k_count {
         if avail[k] <= 0.0 {
             continue;
@@ -58,13 +79,14 @@ pub(crate) fn linear_dispatch_dc(
             b_out[k] = avail[k];
             free_capacity += avail[k] * speeds[k];
         } else {
+            // verify: allow(hot-path-alloc): the lists are sized once per slot and keep their capacity across calls
             supply.push((k, c_b[k] / speeds[k], avail[k] * speeds[k]));
         }
     }
     supply.sort_by(|a, b| a.1.total_cmp(&b.1));
 
     // Demand: only jobs whose service improves the objective.
-    let mut demand: Vec<(usize, f64, f64)> = Vec::with_capacity(j_count); // (j, value/work, work)
+    demand.clear();
     demand.extend(
         (0..j_count)
             .filter(|&j| c_h[j] < 0.0 && h_cap[j] > 0.0 && work[j] > 0.0)
@@ -75,7 +97,7 @@ pub(crate) fn linear_dispatch_dc(
     let mut supply_idx = 0usize;
     let mut supply_left = supply.first().map_or(0.0, |s| s.2);
 
-    for (j, value, mut want) in demand {
+    for &(j, value, mut want) in demand.iter() {
         // Free capacity first: any positive value beats cost 0.
         let from_free = want.min(free_capacity);
         if from_free > 0.0 {
@@ -231,6 +253,7 @@ mod tests {
             &[4.0, 4.0],
             &mut h,
             &mut b,
+            &mut DispatchLists::with_capacity(0, 0),
         );
         assert_eq!(h, vec![4.0, 0.0]);
         assert_eq!(b, vec![4.0]);
@@ -250,6 +273,7 @@ mod tests {
             &[2.0, 9.0],
             &mut h,
             &mut b,
+            &mut DispatchLists::with_capacity(0, 0),
         );
         assert_eq!(h, vec![2.0, 1.0]);
         assert_eq!(b, vec![3.0]);
@@ -270,6 +294,7 @@ mod tests {
             &[4.0],
             &mut h,
             &mut b,
+            &mut DispatchLists::with_capacity(0, 0),
         );
         assert_eq!(b[0], 3.0);
         assert_eq!(b[1], 0.0);
@@ -289,6 +314,7 @@ mod tests {
             &[5.0],
             &mut h,
             &mut b,
+            &mut DispatchLists::with_capacity(0, 0),
         );
         assert_eq!(h, vec![0.0]);
         assert_eq!(b, vec![0.0]);

@@ -86,6 +86,10 @@ pub enum SolverChoice {
         iterations: usize,
         /// Final duality gap (an upper bound on `f(x) − f*`).
         gap: f64,
+        /// Probes the golden-section line searches evaluated
+        /// ([`FwResult::evaluations`](grefar_convex::FwResult::evaluations)).
+        /// Tests read it; telemetry does not carry it.
+        evaluations: usize,
     },
 }
 
@@ -279,7 +283,7 @@ impl<'a> SlotInstance<'a> {
         );
         let mut decision = self.config.decision_zeros();
         decision.routed = self.solve_routing();
-        let (processed, busy, iterations, gap) =
+        let (processed, busy, solver) =
             fw::solve_processing_fw_observed(self, beta, fairness, options, obs);
         decision.processed = processed;
         decision.busy = busy;
@@ -295,7 +299,7 @@ impl<'a> SlotInstance<'a> {
         SlotSolution {
             decision,
             objective,
-            solver: SolverChoice::FrankWolfe { iterations, gap },
+            solver,
         }
     }
 

@@ -142,7 +142,13 @@ impl Scenario {
 
         let horizon = 24 + r(13); // 24..=36 slots
         let v = V_CHOICES[r(V_CHOICES.len() as u64) as usize];
-        let beta = if r(3) == 0 { 0.2 } else { 0.0 };
+        // The greedy path, a light fairness weight, and the paper's β = 100,
+        // where Frank–Wolfe does most of each slot.
+        let beta = match r(3) {
+            0 => 0.2,
+            1 => 0.0,
+            _ => 100.0,
+        };
         let admission_cap = if r(2) == 0 {
             None
         } else {

@@ -163,6 +163,7 @@ impl Tariff {
     ///
     /// # Panics
     /// Panics if `energy` is negative or non-finite.
+    #[inline]
     pub fn cost(&self, energy: f64) -> f64 {
         assert!(
             energy.is_finite() && energy >= 0.0,
@@ -187,6 +188,7 @@ impl Tariff {
     ///
     /// # Panics
     /// Panics if `energy` is negative or non-finite.
+    #[inline]
     pub fn marginal_rate(&self, energy: f64) -> f64 {
         assert!(
             energy.is_finite() && energy >= 0.0,

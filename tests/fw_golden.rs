@@ -297,7 +297,10 @@ fn fnv1a(h: &mut u64, x: &[f64]) {
 }
 
 fn digest_line(out: &mut String, family: &str, seed: u64, solution: &SlotSolution) {
-    let SolverChoice::FrankWolfe { iterations, gap } = solution.solver else {
+    let SolverChoice::FrankWolfe {
+        iterations, gap, ..
+    } = solution.solver
+    else {
         panic!("{family} {seed}: solve_with_fairness did not run Frank–Wolfe");
     };
     let mut z = 0xcbf2_9ce4_8422_2325u64;
@@ -394,4 +397,37 @@ fn recording_reaches_every_regime() {
             );
         }
     }
+}
+
+/// The most objective evaluations the line searches may make over the
+/// paper states. Recorded: 15 067 over 855 searches, 17.6 each, where a
+/// golden-section search that evaluates every probe makes 45 (38 475).
+const PAPER_EVALUATION_CEILING: usize = 16_000;
+
+#[test]
+fn line_searches_on_the_paper_states_stay_under_the_recorded_ceiling() {
+    let (config, states) = paper_states();
+    let (mut total, mut searches) = (0, 0);
+    for (_, state, queues) in &states {
+        let solution = SlotInstance::new(&config, state, queues, V).solve_with_fairness(
+            BETA,
+            &QuadraticDeviation,
+            PAPER_OPTIONS,
+        );
+        let SolverChoice::FrankWolfe {
+            iterations,
+            gap,
+            evaluations,
+        } = solution.solver
+        else {
+            panic!("solve_with_fairness did not run Frank–Wolfe");
+        };
+        total += evaluations;
+        // The last iteration of a converged solve stops before its search.
+        searches += iterations - usize::from(gap <= PAPER_OPTIONS.gap_tolerance);
+    }
+    assert!(
+        total <= PAPER_EVALUATION_CEILING,
+        "{total} evaluations over {searches} line searches exceed the recorded ceiling {PAPER_EVALUATION_CEILING}"
+    );
 }
