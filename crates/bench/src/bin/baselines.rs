@@ -10,7 +10,7 @@
 //!   (what §II's prediction-based approaches could at best achieve).
 
 use grefar_bench::{
-    apply_fault_plan, exit_if_signaled, print_table, signal, ExperimentOpts, DEFAULT_BETA,
+    apply_fault_plan, exit_if_signaled, print_table, signal, ExperimentOpts, Flag, DEFAULT_BETA,
     DEFAULT_V,
 };
 use grefar_core::{Always, GreFar, GreFarParams, LocalOnly, PriceGreedy, Scheduler};
@@ -46,7 +46,7 @@ fn print_comparison(title: &str, reports: &[(String, grefar_sim::SimulationRepor
 
 fn main() {
     signal::install();
-    let opts = ExperimentOpts::from_args(500);
+    let opts = ExperimentOpts::from_args(500, &[Flag::Faults, Flag::Observability]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
     let inputs = apply_fault_plan(scenario.clone().into_inputs(opts.hours), &opts);

@@ -2,12 +2,12 @@
 //! three data centers and (bottom) total work of arrived jobs per
 //! organization — showing time-dependent, non-stationary submissions.
 
-use grefar_bench::{maybe_write_csv, ExperimentOpts};
+use grefar_bench::{maybe_write_csv, ExperimentOpts, Flag};
 use grefar_sim::PaperScenario;
 use grefar_trace::{PriceTrace, WorkloadTrace};
 
 fn main() {
-    let opts = ExperimentOpts::from_args(72);
+    let opts = ExperimentOpts::from_args(72, &[Flag::Csv]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
 

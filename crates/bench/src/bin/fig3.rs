@@ -6,12 +6,12 @@
 //! marginal increase in energy cost, and *reduces* delay (the quadratic
 //! fairness function rewards using resources).
 
-use grefar_bench::{maybe_write_csv, print_table, ExperimentOpts, DEFAULT_V};
+use grefar_bench::{maybe_write_csv, print_table, ExperimentOpts, Flag, DEFAULT_V};
 use grefar_core::{GreFar, GreFarParams, Scheduler};
 use grefar_sim::{sweep, PaperScenario};
 
 fn main() {
-    let opts = ExperimentOpts::from_args(2000);
+    let opts = ExperimentOpts::from_args(2000, &[Flag::Csv]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
     let inputs = scenario.into_inputs(opts.hours);

@@ -6,7 +6,7 @@
 //! expense of delay; Always's delay is ≈ 1.
 
 use grefar_bench::{
-    apply_fault_plan, exit_if_signaled, maybe_write_csv, print_table, signal, ExperimentOpts,
+    apply_fault_plan, exit_if_signaled, maybe_write_csv, print_table, signal, ExperimentOpts, Flag,
     DEFAULT_BETA, DEFAULT_V,
 };
 use grefar_core::{Always, GreFar, GreFarParams, Scheduler};
@@ -14,7 +14,7 @@ use grefar_sim::{sweep, theory_obs, PaperScenario};
 
 fn main() {
     signal::install();
-    let opts = ExperimentOpts::from_args(2000);
+    let opts = ExperimentOpts::from_args(2000, &[Flag::Csv, Flag::Faults, Flag::Observability]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
     let inputs = apply_fault_plan(scenario.into_inputs(opts.hours), &opts);

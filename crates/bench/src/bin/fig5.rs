@@ -5,13 +5,13 @@
 //! Expected shape (§VI-B.3): Always tracks arrivals regardless of price;
 //! GreFar concentrates its work in the low-price hours.
 
-use grefar_bench::{maybe_write_csv, ExperimentOpts, DEFAULT_V};
+use grefar_bench::{maybe_write_csv, ExperimentOpts, Flag, DEFAULT_V};
 use grefar_core::{Always, GreFar, GreFarParams, Scheduler};
 use grefar_sim::{sweep, PaperScenario};
 
 fn main() {
     // Simulate several days of warm-up, then show one day.
-    let opts = ExperimentOpts::from_args(24 * 8);
+    let opts = ExperimentOpts::from_args(24 * 8, &[Flag::Csv]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
     let inputs = scenario.into_inputs(opts.hours);

@@ -62,7 +62,7 @@ fn run(mixed: bool, hours: usize, seed: u64) -> (f64, f64) {
 }
 
 fn main() {
-    let opts = ExperimentOpts::from_args(24 * 40);
+    let opts = ExperimentOpts::from_args(24 * 40, &[]);
 
     let (uniform_energy, uniform_delay) = run(false, opts.hours, opts.seed);
     let (mixed_energy, mixed_delay) = run(true, opts.hours, opts.seed);

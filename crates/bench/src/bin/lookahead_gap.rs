@@ -38,7 +38,7 @@ fn small_config() -> SystemConfig {
 }
 
 fn main() {
-    let opts = ExperimentOpts::from_args(24 * 20);
+    let opts = ExperimentOpts::from_args(24 * 20, &[]);
     let config = small_config();
 
     let mut prices: Vec<Box<dyn PriceProcess + Send>> = vec![

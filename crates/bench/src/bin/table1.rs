@@ -10,7 +10,7 @@ use grefar_sim::PaperScenario;
 use grefar_trace::PriceTrace;
 
 fn main() {
-    let opts = ExperimentOpts::from_args(2000);
+    let opts = ExperimentOpts::from_args(2000, &[]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
 

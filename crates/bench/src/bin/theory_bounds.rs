@@ -8,7 +8,7 @@ use grefar_core::{GreFar, GreFarParams, Scheduler};
 use grefar_sim::{sweep, PaperScenario};
 
 fn main() {
-    let opts = ExperimentOpts::from_args(2000);
+    let opts = ExperimentOpts::from_args(2000, &[]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
     let inputs = scenario.into_inputs(opts.hours);

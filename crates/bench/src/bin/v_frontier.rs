@@ -3,12 +3,12 @@
 //! sweep). Theorem 1 predicts cost → offline-optimum as O(1/V) and queue
 //! (delay) growth O(V); the frontier makes the trade visible end to end.
 
-use grefar_bench::{maybe_write_csv, print_table, ExperimentOpts};
+use grefar_bench::{maybe_write_csv, print_table, ExperimentOpts, Flag};
 use grefar_core::{GreFar, GreFarParams, Scheduler};
 use grefar_sim::{sweep, PaperScenario};
 
 fn main() {
-    let opts = ExperimentOpts::from_args(1500);
+    let opts = ExperimentOpts::from_args(1500, &[Flag::Csv]);
     let scenario = PaperScenario::default().with_seed(opts.seed);
     let config = scenario.config().clone();
     let inputs = scenario.into_inputs(opts.hours);

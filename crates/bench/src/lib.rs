@@ -4,19 +4,26 @@
 //! Every binary accepts:
 //!
 //! * `--hours N` — simulation horizon in slots (default experiment-specific),
-//! * `--seed S` — the master seed (default 2012),
-//! * `--csv DIR` — also write the plotted series as CSV files into `DIR`,
-//! * `--telemetry FILE` — stream structured events (JSONL) to `FILE` and
-//!   print an aggregate summary after the regular output (see
-//!   [`Telemetry`]). Without the flag the regular output is byte-identical
-//!   and the instrumentation is disabled.
-//! * `--faults PLAN` — overlay a `grefar_faults::FaultPlan` (inline DSL
-//!   spec or a path to a spec file) on the generated inputs before any
-//!   scheduler runs; without the flag the inputs are untouched.
-//! * `--alerts RULES` — evaluate `grefar_metrics::alerts` rules (inline
-//!   DSL or a spec file) live against the metrics fold; fired alerts
-//!   surface as `alert.fire`/`alert.resolve` telemetry events, in the
-//!   `/healthz` snapshot, and on the `/alerts` endpoint.
+//! * `--seed S` — the master seed (default 2012).
+//!
+//! A binary accepts the other shared flags only where it honors them (its
+//! [`Flag`] list); any other flag is a usage error (exit 2) that names it:
+//!
+//! * `--csv DIR` ([`Flag::Csv`]: `fig1`–`fig5`, `v_frontier`) — also write
+//!   the plotted series as CSV files into `DIR`,
+//! * `--faults PLAN` ([`Flag::Faults`]: `fig2`, `fig4`, `baselines`) —
+//!   overlay a `grefar_faults::FaultPlan` (inline DSL spec or a path to a
+//!   spec file) on the generated inputs before any scheduler runs; without
+//!   the flag the inputs are untouched,
+//! * the observability plane ([`Flag::Observability`]: `fig2`, `fig4`,
+//!   `baselines`) — `--telemetry FILE` streams structured events (JSONL)
+//!   to `FILE` and prints an aggregate summary after the regular output
+//!   (see [`Telemetry`]); `--metrics-snapshot`, `--metrics-listen`,
+//!   `--alerts` and `--profile` stack the metrics layer, alert rules and
+//!   span profiler on it (see [`ObsPlane`]). Without these flags the
+//!   regular output is byte-identical and the instrumentation is disabled.
+//!
+//! `grefar_cli` parses its own, wider flag set.
 //!
 //! Output is plain aligned text: the same rows/series the paper reports.
 
@@ -48,9 +55,49 @@ pub const DEFAULT_V: f64 = 7.5;
 /// normalization that knee sits at β ≈ 300; see EXPERIMENTS.md.
 pub const DEFAULT_BETA: f64 = 300.0;
 
+/// A shared flag group beyond `--hours` and `--seed` that an experiment
+/// binary honors; [`ExperimentOpts::from_args`] rejects the others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--csv DIR`: the binary writes its plotted series as CSV.
+    Csv,
+    /// `--faults PLAN`: the binary overlays the fault plan on its inputs.
+    Faults,
+    /// `--telemetry`, `--metrics-snapshot`, `--metrics-listen`, `--alerts`
+    /// and `--profile`: the binary runs under the observability plane.
+    Observability,
+}
+
+impl Flag {
+    /// The group a shared flag belongs to (`None` for `--hours`, `--seed`
+    /// and unknown arguments).
+    fn of(arg: &str) -> Option<Flag> {
+        match arg {
+            "--csv" => Some(Flag::Csv),
+            "--faults" => Some(Flag::Faults),
+            "--telemetry" | "--metrics-snapshot" | "--metrics-listen" | "--alerts"
+            | "--profile" => Some(Flag::Observability),
+            _ => None,
+        }
+    }
+
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Csv => " [--csv DIR]",
+            Flag::Faults => " [--faults PLAN]",
+            Flag::Observability => {
+                " [--telemetry FILE|-] [--metrics-snapshot FILE|-] [--metrics-listen ADDR] \
+                 [--alerts RULES] [--profile logical|wall]"
+            }
+        }
+    }
+}
+
 /// Options common to all experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentOpts {
+    /// The flag groups this binary honors.
+    pub flags: &'static [Flag],
     /// Simulation horizon in hours (slots).
     pub hours: usize,
     /// Master seed for all stochastic processes.
@@ -85,11 +132,6 @@ pub fn usage_error(message: &str, usage: &str) -> ! {
     eprintln!("error: {message}\nusage: {usage}");
     std::process::exit(2);
 }
-
-/// The flag set shared by every experiment binary (for [`usage_error`]).
-pub const COMMON_USAGE: &str = "[--hours N] [--seed S] [--csv DIR] [--telemetry FILE|-] \
-     [--faults PLAN] [--metrics-snapshot FILE|-] [--metrics-listen ADDR] \
-     [--alerts RULES] [--profile logical|wall]";
 
 /// Resolves a `--faults` value into a [`grefar_faults::FaultPlan`]: if the
 /// value names a readable file its contents are the spec, otherwise the
@@ -164,19 +206,21 @@ pub fn apply_fault_plan(
     match opts.fault_plan() {
         Some(plan) => inputs
             .with_faults(&plan)
-            .unwrap_or_else(|e| usage_error(&format!("--faults: {e}"), COMMON_USAGE)),
+            .unwrap_or_else(|e| usage_error(&format!("--faults: {e}"), &opts.usage())),
         None => inputs,
     }
 }
 
 impl ExperimentOpts {
-    /// Parses `--hours`, `--seed`, `--csv` and `--telemetry` from the
+    /// Parses `--hours`, `--seed` and the shared flags in `flags` from the
     /// process arguments, with `default_hours` as the horizon default.
     ///
-    /// On malformed arguments (unknown flag, missing or unparsable value)
-    /// prints a usage message to stderr and exits with status 2.
-    pub fn from_args(default_hours: usize) -> Self {
+    /// On malformed arguments (unknown flag, a shared flag outside
+    /// `flags`, missing or unparsable value) prints a usage message to
+    /// stderr and exits with status 2.
+    pub fn from_args(default_hours: usize, flags: &'static [Flag]) -> Self {
         let mut opts = Self {
+            flags,
             hours: default_hours,
             seed: 2012,
             csv_dir: None,
@@ -187,26 +231,33 @@ impl ExperimentOpts {
             alerts: None,
             profile: None,
         };
+        let usage = opts.usage();
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
             let value = |i: usize| -> &str {
                 match args.get(i + 1) {
                     Some(v) => v,
-                    None => usage_error(&format!("missing value after {}", args[i]), COMMON_USAGE),
+                    None => usage_error(&format!("missing value after {}", args[i]), &usage),
                 }
             };
+            if Flag::of(&args[i]).is_some_and(|f| !flags.contains(&f)) {
+                usage_error(
+                    &format!("{} is not supported by this binary", args[i]),
+                    &usage,
+                );
+            }
             match args[i].as_str() {
                 "--hours" => {
-                    opts.hours = value(i).parse().unwrap_or_else(|_| {
-                        usage_error("--hours expects an integer", COMMON_USAGE)
-                    });
+                    opts.hours = value(i)
+                        .parse()
+                        .unwrap_or_else(|_| usage_error("--hours expects an integer", &usage));
                     i += 2;
                 }
                 "--seed" => {
                     opts.seed = value(i)
                         .parse()
-                        .unwrap_or_else(|_| usage_error("--seed expects an integer", COMMON_USAGE));
+                        .unwrap_or_else(|_| usage_error("--seed expects an integer", &usage));
                     i += 2;
                 }
                 "--csv" => {
@@ -235,23 +286,29 @@ impl ExperimentOpts {
                 }
                 "--profile" => {
                     opts.profile = Some(SpanClock::parse(value(i)).unwrap_or_else(|| {
-                        usage_error("--profile expects 'logical' or 'wall'", COMMON_USAGE)
+                        usage_error("--profile expects 'logical' or 'wall'", &usage)
                     }));
                     i += 2;
                 }
-                other => usage_error(&format!("unknown argument {other}"), COMMON_USAGE),
+                other => usage_error(&format!("unknown argument {other}"), &usage),
             }
         }
         if opts.hours == 0 {
-            usage_error("--hours must be positive", COMMON_USAGE);
+            usage_error("--hours must be positive", &usage);
         }
         validate_obs_flags(
             opts.telemetry.as_deref(),
             opts.metrics_snapshot.as_deref(),
             opts.profile,
-            COMMON_USAGE,
+            &usage,
         );
         opts
+    }
+
+    /// The usage line: `--hours`, `--seed` and the honored flag groups.
+    fn usage(&self) -> String {
+        let flags: String = self.flags.iter().map(|f| f.usage()).collect();
+        format!("[--hours N] [--seed S]{flags}")
     }
 
     /// The CSV path for `name` if `--csv` was given.
@@ -270,7 +327,7 @@ impl ExperimentOpts {
             self.metrics_listen.as_deref(),
             self.alerts.as_deref(),
             self.profile,
-            COMMON_USAGE,
+            &self.usage(),
         )
     }
 
@@ -283,7 +340,7 @@ impl ExperimentOpts {
     pub fn fault_plan(&self) -> Option<grefar_faults::FaultPlan> {
         self.faults
             .as_deref()
-            .map(|spec| load_fault_plan(spec, COMMON_USAGE))
+            .map(|spec| load_fault_plan(spec, &self.usage()))
     }
 }
 
@@ -778,6 +835,7 @@ mod tests {
     #[test]
     fn csv_path_composition() {
         let opts = ExperimentOpts {
+            flags: &[Flag::Csv],
             hours: 10,
             seed: 1,
             csv_dir: Some(PathBuf::from("/tmp/x")),

@@ -204,10 +204,9 @@ impl Scenario {
         }
         // Actor chaos for the daemon leg: up to two kill windows on the
         // state keeper (well separated so restart windows never overlap)
-        // plus an occasional tiny stall. The telemetry actor is never
-        // killed — the metrics fold-identity oracle needs the full stream
-        // on disk — and `sockdrop` is excluded because it severs the soak
-        // driver's own connection.
+        // plus an occasional tiny stall, and a telemetry kill drawn after
+        // the traffic below. `sockdrop` is excluded because it severs the
+        // soak driver's own connection.
         if r(2) == 0 {
             let k1 = 1 + r(horizon - 3);
             clauses.push(Clause::Chaos(format!(
@@ -237,6 +236,17 @@ impl Scenario {
                 job: r(num_jobs) as usize,
                 count: (1 + r(4)) as f64,
             });
+        }
+        // A telemetry-actor kill in half the seeds. The replacement takes
+        // over its predecessor's inbox and pre-folds the stream on disk, so
+        // the fold-identity oracle still sees every event. Drawn last, so
+        // every other part of each seed's scenario is unchanged.
+        if r(2) == 0 {
+            let k = 1 + r(horizon - 3);
+            clauses.push(Clause::Chaos(format!(
+                "kill:actor=telemetry,start={k},end={}",
+                k + 1
+            )));
         }
         Scenario {
             seed,

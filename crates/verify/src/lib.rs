@@ -4,10 +4,10 @@
 //! discipline: per-slot decisions must be bit-deterministic and feasible,
 //! float comparisons must be tolerance-aware, hot paths must not panic or
 //! allocate, and every telemetry event must match the central schema
-//! registry. Clippy cannot express those rules, so this crate carries a
-//! hand-rolled scanner and tokenizer (offline, zero external
-//! dependencies, no `syn`) plus two layers of checks, run over the
-//! workspace by the `grefar-verify` binary:
+//! registry. Clippy cannot express those rules, so this crate carries one
+//! hand-rolled lexer (offline, zero external dependencies, no `syn`) plus
+//! two layers of checks, run over the workspace by the `grefar-verify`
+//! binary:
 //!
 //! ```text
 //! cargo run -p grefar-verify                  # human-readable findings
@@ -17,7 +17,8 @@
 //!
 //! * **Per-line lexical rules** ([`rules`]): `determinism`, `float-eq`,
 //!   `no-panic` (plus a strict variant that also bans subscripts),
-//!   `errors-doc`. These see one cleaned file at a time.
+//!   `errors-doc`. These see one cleaned file (and its `fn` items) at a
+//!   time.
 //! * **Cross-file passes** ([`passes`]): `event-schema` (construction
 //!   sites vs. [`grefar_obs::schema::EVENTS`]),
 //!   `hot-path-alloc` (no heap allocation in the per-slot call tree),
@@ -26,10 +27,12 @@
 //!
 //! Findings carry a [`findings::Severity`]: errors always fail the run,
 //! warnings fail under `--deny-warnings` (which `scripts/check.sh`
-//! passes). See [`scanner`] for the lexical preprocessing
-//! (comment/string blanking, `#[cfg(test)]` detection, and the
-//! `verify: allow(<rule>): <justification>` directive) and [`tokens`] for
-//! the token stream the passes pattern-match against.
+//! passes). Each file is lexed once: [`tokens`] is the lexer, and
+//! [`model::FileModel`] derives everything else from its token stream —
+//! the item finder's `fn` items and `#[cfg(test)]` extents, the
+//! [`scanner`]'s blanked code and `verify: allow(<rule>):
+//! <justification>` directives, and the comment-free tokens the passes
+//! pattern-match against.
 //!
 //! The library half exists so every rule and pass is testable against
 //! fixture source (see `tests/fixtures.rs`) — the binary is a thin
@@ -57,14 +60,15 @@ pub use scanner::{clean, CleanedSource};
 /// Runs the named per-line rules over one file's source, returning
 /// violations (including malformed suppression directives).
 pub fn check_source(source: &str, rule_names: &[&str]) -> Vec<Violation> {
-    let cleaned = clean(source);
-    let mut out = check_directives(&cleaned);
+    let file = FileModel::from_source(String::new(), source.to_string());
+    let cleaned = &file.cleaned;
+    let mut out = check_directives(cleaned);
     for rule in rule_names {
         match *rule {
-            RULE_DETERMINISM => out.extend(check_determinism(&cleaned)),
-            RULE_FLOAT_EQ => out.extend(check_float_eq(&cleaned)),
-            RULE_NO_PANIC => out.extend(check_no_panic(&cleaned)),
-            RULE_ERRORS_DOC => out.extend(check_errors_doc(&cleaned, source)),
+            RULE_DETERMINISM => out.extend(check_determinism(cleaned)),
+            RULE_FLOAT_EQ => out.extend(check_float_eq(cleaned)),
+            RULE_NO_PANIC => out.extend(check_no_panic(cleaned)),
+            RULE_ERRORS_DOC => out.extend(check_errors_doc(cleaned, &file.fns)),
             other => out.push(Violation {
                 line: 0,
                 rule: RULE_DIRECTIVE,

@@ -196,7 +196,7 @@ fn run_lexical_rules(ws: &Workspace) -> Vec<Finding> {
             violations.extend(check_no_panic_strict(src));
         }
         if in_scope(&file.rel, scope_paths("errors-doc")) {
-            violations.extend(check_errors_doc(src, &file.raw));
+            violations.extend(check_errors_doc(src, &file.fns));
         }
         out.extend(violations.into_iter().map(|v| Finding {
             file: file.rel.clone(),

@@ -1,34 +1,171 @@
-//! The cross-file workspace model the multi-file passes run over.
+//! The file model every rule and pass runs over.
 //!
-//! The original rules were strictly per-line, per-file; the `event-schema`
-//! and `hot-path-alloc` passes need more: token streams with literal
-//! contents (event names, field keys, match arms), function item spans
-//! (to bound variable-binder searches and capacity tracking), and
-//! attribute awareness (`#[cfg(...)]`-gated items are off the
-//! unconditional hot path). [`Workspace::load`] reads every `.rs` file
-//! under the scoped directories once and builds a [`FileModel`] for each:
-//! raw source, [`CleanedSource`] (line metadata, suppression directives),
-//! [`Token`] stream, and the [`FnItem`] list.
+//! [`FileModel::from_source`] lexes a file once ([`crate::tokens::lex`])
+//! and derives everything else from that one token stream:
+//!
+//! * the item finder (`find_items`) reads every `fn` item and every
+//!   `#[cfg(test)]` extent off it. For a `fn` it records the name,
+//!   whether it is `pub`, its lines, its signature, its body lines, and
+//!   the doc and attribute lines directly above it (`cfg(...)`-gated
+//!   items are off the unconditional hot path);
+//! * [`crate::scanner`] projects it onto the blanked [`CleanedSource`]
+//!   (line metadata, suppression directives) the line rules read;
+//! * its comment-free [`Token`] sequence, string contents retained, is
+//!   what the `event-schema` and `hot-path-alloc` passes match on, with
+//!   the [`FnItem`] spans bounding their per-function searches.
+//!
+//! The item finder is the only code that brace-matches item bodies: an
+//! item runs from its head to the `}` matching its first `{`, or to the
+//! `;` of a bodiless item, whichever comes first, and to EOF when the file
+//! never closes it. [`Workspace::load`] reads every `.rs` file under the
+//! scoped directories once and builds a [`FileModel`] for each.
 
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
-use crate::scanner::{clean, CleanedSource};
-use crate::tokens::{tokenize, Token};
+use crate::scanner::{blank, project, CleanedSource};
+use crate::tokens::{lex, Token, TokenKind};
 
-/// One `fn` item: name, 1-based line span, and attribute gating.
+/// One `fn` item, as the item finder reads it.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// The function name.
     pub name: String,
+    /// Declared `pub fn` or `pub const fn` (not `pub(crate)`, not
+    /// private).
+    pub is_pub: bool,
     /// 1-based line of the `fn` keyword.
     pub start_line: usize,
-    /// 1-based line of the body's closing brace (or the declaration line
-    /// for bodiless trait methods).
+    /// 1-based line of the body's closing brace (or of the `;` of a
+    /// bodiless trait method).
     pub end_line: usize,
-    /// The item carries a `#[cfg(...)]` attribute — it is conditionally
-    /// compiled (e.g. `strict-invariants` diagnostics) and therefore not
-    /// part of the unconditional hot path.
+    /// The blanked source (see [`crate::scanner`]) from `fn` up to the
+    /// body's `{` or the `;`.
+    pub signature: String,
+    /// 1-based lines of the body's `{` through its `}`; `None` for a
+    /// bodiless declaration.
+    pub body: Option<RangeInclusive<usize>>,
+    /// The `///` lines directly above the item, markers stripped, one per
+    /// line from the bottom up. Attribute lines in between are skipped; a
+    /// plain `//` comment ends them.
+    pub docs: String,
+    /// An attribute line above the item holds a `cfg(...)` — it is
+    /// conditionally compiled (e.g. `strict-invariants` diagnostics) and
+    /// therefore not part of the unconditional hot path.
     pub cfg_gated: bool,
+}
+
+/// What the item finder reads off one file's tokens.
+pub(crate) struct Items {
+    /// Every `fn` item, in source order.
+    pub fns: Vec<FnItem>,
+    /// The 1-based line extent of every `#[cfg(test)]` item, from its
+    /// attribute on.
+    pub cfg_test: Vec<RangeInclusive<usize>>,
+}
+
+/// The item finder: one walk over a file's full token stream (comments
+/// included), as [`crate::tokens::lex`] returns it.
+pub(crate) fn find_items(source: &str, tokens: &[Token]) -> Items {
+    let last_line = source.lines().count().max(1);
+    // Indices of the code tokens, so an item's neighbours across comments
+    // are one step away.
+    let code: Vec<usize> = (0..tokens.len())
+        .filter(|&i| !tokens[i].is_comment())
+        .collect();
+    let is = |t: Option<&Token>, text: &str| {
+        t.is_some_and(|t| t.text == text && matches!(t.kind, TokenKind::Ident | TokenKind::Punct))
+    };
+    let line_of = |end: Option<usize>| end.map_or(last_line, |e| tokens[e].line);
+    let mut items = Items {
+        fns: Vec::new(),
+        cfg_test: Vec::new(),
+    };
+    for (k, &i) in code.iter().enumerate() {
+        // The code token `d` steps from this one.
+        let at = |d: isize| {
+            k.checked_add_signed(d)
+                .and_then(|j| code.get(j))
+                .map(|&j| &tokens[j])
+        };
+        let line = tokens[i].line;
+        if is(at(0), "cfg") && is(at(-1), "[") && is(at(1), "(") && is(at(2), "test") {
+            items.cfg_test.push(line..=line_of(extent(tokens, i).1));
+        }
+        if !is(at(0), "fn") {
+            continue;
+        }
+        let Some(name) = at(1).filter(|n| n.kind == TokenKind::Ident) else {
+            continue; // `fn(…)`: a function-pointer type, not an item
+        };
+        let (open, end) = extent(tokens, i);
+        let head_end = open.or(end);
+        let (docs, cfg_gated) = lines_above(tokens, line);
+        items.fns.push(FnItem {
+            name: name.text.clone(),
+            is_pub: is(at(-1), "pub") || (is(at(-1), "const") && is(at(-2), "pub")),
+            start_line: line,
+            end_line: line_of(end),
+            signature: blank(
+                source,
+                &tokens[i..head_end.unwrap_or(tokens.len())],
+                tokens[i].span.start..head_end.map_or(source.len(), |e| tokens[e].span.start),
+            ),
+            body: open.map(|o| tokens[o].line..=line_of(end)),
+            docs,
+            cfg_gated,
+        });
+    }
+    items
+}
+
+/// Walks the item whose head starts at token `from`: the index of its
+/// body's `{` (`None` when a `;` ends the item first) and of its last
+/// token, that `;` or the matching `}` (`None` when the file ends first).
+fn extent(tokens: &[Token], from: usize) -> (Option<usize>, Option<usize>) {
+    let (mut open, mut depth) = (None, 0usize);
+    for (i, t) in tokens.iter().enumerate().skip(from) {
+        if t.is_punct('{') {
+            open = open.or(Some(i));
+            depth += 1;
+        } else if t.is_punct('}') && open.is_some() {
+            depth -= 1;
+            if depth == 0 {
+                return (open, Some(i));
+            }
+        } else if t.is_punct(';') && open.is_none() {
+            return (None, Some(i));
+        }
+    }
+    (open, None)
+}
+
+/// The attribute and comment lines directly above 1-based `line`: their
+/// `///` docs (see [`FnItem::docs`]) and whether an attribute holds a
+/// `cfg(...)`.
+fn lines_above(tokens: &[Token], line: usize) -> (String, bool) {
+    let (mut docs, mut in_docs, mut cfg_gated) = (String::new(), true, false);
+    for l in (1..line).rev() {
+        let on_line = &tokens
+            [tokens.partition_point(|t| t.line < l)..tokens.partition_point(|t| t.line <= l)];
+        match on_line.first() {
+            Some(t) if t.is_punct('#') => {
+                cfg_gated |= on_line
+                    .windows(2)
+                    .any(|w| w[0].is_ident("cfg") && w[1].is_punct('('));
+            }
+            Some(t) if t.kind == TokenKind::LineComment => match t.text.strip_prefix("///") {
+                Some(doc) if in_docs => {
+                    docs.push_str(doc);
+                    docs.push('\n');
+                }
+                Some(_) => {}
+                None => in_docs = false,
+            },
+            _ => break,
+        }
+    }
+    (docs, cfg_gated)
 }
 
 /// One parsed source file.
@@ -41,18 +178,20 @@ pub struct FileModel {
     /// Lexically cleaned source plus line metadata (see
     /// [`crate::scanner`]).
     pub cleaned: CleanedSource,
-    /// The token stream with string-literal contents retained.
+    /// The comment-free token stream, string-literal contents retained
+    /// (see [`crate::tokens::tokenize`]).
     pub tokens: Vec<Token>,
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
 }
 
 impl FileModel {
-    /// Builds the model for one file's source.
+    /// Builds the model for one file's source, lexing it once.
     pub fn from_source(rel: String, raw: String) -> Self {
-        let cleaned = clean(&raw);
-        let tokens = tokenize(&raw);
-        let fns = find_fns(&cleaned, &raw);
+        let mut tokens = lex(&raw);
+        let Items { fns, cfg_test } = find_items(&raw, &tokens);
+        let cleaned = project(&raw, &tokens, &cfg_test);
+        tokens.retain(|t| !t.is_comment());
         FileModel {
             rel,
             raw,
@@ -149,100 +288,6 @@ fn walk_rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Finds `fn` items in the cleaned source by keyword scan + brace
-/// matching; attribute lines above each item decide `cfg_gated`.
-fn find_fns(cleaned: &CleanedSource, raw: &str) -> Vec<FnItem> {
-    let code = &cleaned.code;
-    let bytes = code.as_bytes();
-    let raw_lines: Vec<&str> = raw.lines().collect();
-
-    // Byte offset -> 0-based line.
-    let mut line_of = Vec::with_capacity(bytes.len() + 1);
-    let mut l = 0usize;
-    for &b in bytes {
-        line_of.push(l);
-        if b == b'\n' {
-            l += 1;
-        }
-    }
-    line_of.push(l);
-
-    let mut fns = Vec::new();
-    let mut from = 0usize;
-    while let Some(rel) = code[from..].find("fn ") {
-        let at = from + rel;
-        from = at + 1;
-        if at > 0 {
-            let prev = bytes[at - 1];
-            if prev.is_ascii_alphanumeric() || prev == b'_' {
-                continue;
-            }
-        }
-        let name: String = code[at + "fn ".len()..]
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if name.is_empty() {
-            continue; // `fn(` function-pointer type, not an item
-        }
-        let start_line = line_of[at] + 1;
-
-        // Body extent: the matching `}` of the first `{`, or the `;` of a
-        // bodiless declaration, whichever comes first.
-        let mut end = at;
-        let mut depth = 0usize;
-        let mut started = false;
-        for (off, &b) in bytes.iter().enumerate().skip(at) {
-            match b {
-                b'{' => {
-                    depth += 1;
-                    started = true;
-                }
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    if started && depth == 0 {
-                        end = off;
-                        break;
-                    }
-                }
-                b';' if !started => {
-                    end = off;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let end_line = line_of[end.min(bytes.len())] + 1;
-
-        // Attributes: contiguous `#[...]` / doc lines directly above.
-        let mut cfg_gated = false;
-        let mut j = start_line.saturating_sub(1); // 0-based line above
-        while j > 0 {
-            j -= 1;
-            let t = raw_lines.get(j).map(|s| s.trim()).unwrap_or("");
-            if t.starts_with("///") || t.starts_with("//") {
-                continue;
-            }
-            if t.starts_with("#[") || t.starts_with("#![") {
-                if t.contains("cfg(") {
-                    cfg_gated = true;
-                }
-                continue;
-            }
-            break;
-        }
-
-        fns.push(FnItem {
-            name,
-            start_line,
-            end_line,
-            cfg_gated,
-        });
-    }
-    fns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +342,46 @@ fn outer() {
         let m = FileModel::from_source("x.rs".to_string(), src.to_string());
         assert_eq!(m.enclosing_fn(3).unwrap().name, "inner");
         assert_eq!(m.enclosing_fn(5).unwrap().name, "outer");
+    }
+
+    #[test]
+    fn item_finder_reads_heads_bodies_and_docs() {
+        let src = "\
+/// Parses.
+///
+/// # Errors
+// A plain comment ends the docs above it.
+/// When it fails.
+#[inline]
+pub fn parse(s: &str) -> Result<u32, String> // note {
+{
+    s.parse().map_err(|_| \"{\".into())
+}
+pub(crate) fn hidden() {}
+pub const fn konst() -> u32 { 1 }
+trait T {
+    fn decl(&self);
+}
+";
+        let m = FileModel::from_source("x.rs".to_string(), src.to_string());
+        let f = &m.fns[0];
+        assert_eq!((f.name.as_str(), f.is_pub), ("parse", true));
+        assert_eq!(
+            (f.start_line, f.end_line, f.body.clone()),
+            (7, 10, Some(8..=10))
+        );
+        assert_eq!(
+            f.signature,
+            "fn parse(s: &str) -> Result<u32, String>          \n"
+        );
+        assert_eq!(f.docs, " When it fails.\n");
+        assert!(!m.fns[1].is_pub);
+        assert!(m.fns[2].is_pub);
+        let decl = &m.fns[3];
+        assert_eq!(
+            (decl.start_line, decl.end_line, decl.body.clone()),
+            (14, 14, None)
+        );
     }
 
     #[test]

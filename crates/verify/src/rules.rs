@@ -1,10 +1,10 @@
 //! The repo-specific lint rules.
 //!
 //! Each rule takes a [`CleanedSource`] (and, where doc comments matter,
-//! the raw source) and returns [`Violation`]s. Rules skip `#[cfg(test)]`
-//! lines and honor `verify: allow(<rule>): <justification>` directives;
-//! which *files* a rule applies to is the driver's decision (see
-//! `main.rs` — the scopes mirror DESIGN.md §"Correctness tooling").
+//! the file's `fn` items) and returns [`Violation`]s. Rules skip
+//! `#[cfg(test)]` lines and honor `verify: allow(<rule>): <justification>`
+//! directives; which *files* a rule applies to is the driver's decision
+//! (see `main.rs` — the scopes mirror DESIGN.md §"Correctness tooling").
 //!
 //! * [`RULE_DETERMINISM`] — decision-path crates must stay bit-
 //!   deterministic: no `HashMap`/`HashSet` (iteration order), no raw
@@ -18,6 +18,7 @@
 //!   `# Errors`; `pub fn`s that assert document `# Panics`.
 
 use crate::findings::Severity;
+use crate::model::FnItem;
 use crate::scanner::CleanedSource;
 
 /// Rule name: determinism of decision-path crates.
@@ -302,114 +303,36 @@ fn check_no_panic_mode(src: &CleanedSource, strict_index: bool) -> Vec<Violation
 }
 
 /// `pub fn` documentation: `-> Result` requires `# Errors`; a body that
-/// asserts (or unwraps) requires `# Panics`. Only checked in the crates
-/// the driver scopes this rule to (`core`, `lp`).
-pub fn check_errors_doc(src: &CleanedSource, raw: &str) -> Vec<Violation> {
+/// asserts (or unwraps) requires `# Panics`. Reads the file's `fn` items
+/// ([`FileModel::fns`](crate::model::FileModel::fns)). Only checked in the
+/// crates the driver scopes this rule to (`core`, `lp`).
+pub fn check_errors_doc(src: &CleanedSource, fns: &[FnItem]) -> Vec<Violation> {
     let mut out = Vec::new();
     let code_lines: Vec<&str> = src.code.lines().collect();
-    let raw_lines: Vec<&str> = raw.lines().collect();
-    let code = &src.code;
-    let bytes = code.as_bytes();
-
-    // Byte offset -> 0-based line.
-    let mut line_of = Vec::with_capacity(bytes.len() + 1);
-    let mut l = 0usize;
-    for &b in bytes {
-        line_of.push(l);
-        if b == b'\n' {
-            l += 1;
-        }
-    }
-    line_of.push(l);
-
-    let mut from = 0usize;
-    while let Some(rel) = code[from..].find("fn ") {
-        let at = from + rel;
-        from = at + 1;
-        if at > 0 && is_ident_char(bytes[at - 1]) {
+    for f in fns.iter().filter(|f| f.is_pub) {
+        let (line, name) = (f.start_line, &f.name);
+        if src.is_test(line) || src.is_allowed(RULE_ERRORS_DOC, line) {
             continue;
         }
-        // Only `pub fn` / `pub const fn` (not `pub(crate)`, not private).
-        let head = code[..at].trim_end();
-        let head = head
-            .strip_suffix("const")
-            .map(str::trim_end)
-            .unwrap_or(head);
-        let Some(pre) = head.strip_suffix("pub") else {
-            continue;
-        };
-        if pre.ends_with(|c: char| c.is_alphanumeric() || c == '_') {
-            continue;
-        }
-        let fn_line = line_of[at] + 1; // 1-based
-        if src.is_test(fn_line) || src.is_allowed(RULE_ERRORS_DOC, fn_line) {
-            continue;
-        }
-        let name: String = code[at + "fn ".len()..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-
-        // Signature: up to the body `{` or a trait-decl `;`.
-        let sig_end = code[at..]
-            .find(['{', ';'])
-            .map(|p| at + p)
-            .unwrap_or(code.len());
-        let sig = &code[at..sig_end];
-        let returns_result = sig
+        let returns_result = f
+            .signature
             .split("->")
             .nth(1)
-            .map(|ret| ret.contains("Result<") || ret.contains("Result "))
-            .unwrap_or(false);
-
-        // Body extent (if any) by brace matching.
-        let mut asserts = false;
-        if bytes.get(sig_end) == Some(&b'{') {
-            let mut depth = 0usize;
-            let mut end = bytes.len();
-            for (off, &b) in bytes.iter().enumerate().skip(sig_end) {
-                if b == b'{' {
-                    depth += 1;
-                } else if b == b'}' {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = off;
-                        break;
-                    }
-                }
-            }
-            let body_start_line = line_of[sig_end];
-            let body_end_line = line_of[end.min(bytes.len() - 1)];
-            asserts = code_lines[body_start_line..=body_end_line].iter().any(|b| {
-                find_word(b, "assert").is_some()
-                    || find_word(b, "assert_eq").is_some()
-                    || find_word(b, "assert_ne").is_some()
-                    || find_word(b, "panic").is_some()
-                    || b.contains(".expect(")
-                    || b.contains(".unwrap()")
-            });
-        }
-
-        // Doc block: contiguous `///` lines above, skipping attributes.
-        let mut docs = String::new();
-        let mut j = fn_line.saturating_sub(1); // 0-based index of line above
-        while j > 0 {
-            j -= 1;
-            let t = raw_lines.get(j).map(|s| s.trim()).unwrap_or("");
-            if t.starts_with("#[") || t.starts_with("#![") {
-                continue;
-            }
-            if let Some(doc) = t.strip_prefix("///") {
-                docs.push_str(doc);
-                docs.push('\n');
-                continue;
-            }
-            break;
-        }
-
-        if returns_result && !docs.contains("# Errors") {
+            .is_some_and(|ret| ret.contains("Result<") || ret.contains("Result "));
+        let body = f.body.as_ref().map_or(&[][..], |b| {
+            code_lines.get(b.start() - 1..*b.end()).unwrap_or_default()
+        });
+        let asserts = body.iter().any(|b| {
+            find_word(b, "assert").is_some()
+                || find_word(b, "assert_eq").is_some()
+                || find_word(b, "assert_ne").is_some()
+                || find_word(b, "panic").is_some()
+                || b.contains(".expect(")
+                || b.contains(".unwrap()")
+        });
+        if returns_result && !f.docs.contains("# Errors") {
             out.push(Violation {
-                line: fn_line,
+                line,
                 rule: RULE_ERRORS_DOC,
                 severity: Severity::Error,
                 message: format!(
@@ -417,9 +340,9 @@ pub fn check_errors_doc(src: &CleanedSource, raw: &str) -> Vec<Violation> {
                 ),
             });
         }
-        if asserts && !docs.contains("# Panics") {
+        if asserts && !f.docs.contains("# Panics") {
             out.push(Violation {
-                line: fn_line,
+                line,
                 rule: RULE_ERRORS_DOC,
                 severity: Severity::Error,
                 message: format!("`pub fn {name}` can panic but has no `# Panics` doc section"),
@@ -446,6 +369,7 @@ pub fn check_directives(src: &CleanedSource) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::FileModel;
     use crate::scanner::clean;
 
     #[test]
@@ -516,8 +440,8 @@ mod tests {
 pub fn fallible() -> Result<(), String> { Ok(()) }\n\
 /// Checks input.\n\
 pub fn checked(x: f64) {\n    assert!(x >= 0.0);\n}\n";
-        let c = clean(src);
-        let v = check_errors_doc(&c, src);
+        let m = FileModel::from_source(String::new(), src.to_string());
+        let v = check_errors_doc(&m.cleaned, &m.fns);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].message.contains("# Errors"));
         assert!(v[1].message.contains("# Panics"));
@@ -537,15 +461,15 @@ pub fn fallible() -> Result<(), String> { Ok(()) }\n\
 /// If x is negative.\n\
 #[inline]\n\
 pub fn checked(x: f64) {\n    assert!(x >= 0.0);\n}\n";
-        let c = clean(src);
-        let v = check_errors_doc(&c, src);
+        let m = FileModel::from_source(String::new(), src.to_string());
+        let v = check_errors_doc(&m.cleaned, &m.fns);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn debug_assert_does_not_require_panics_doc() {
         let src = "/// Fast path.\npub fn fast(x: f64) -> f64 {\n    debug_assert!(x.is_finite());\n    x\n}\n";
-        let c = clean(src);
-        assert!(check_errors_doc(&c, src).is_empty());
+        let m = FileModel::from_source(String::new(), src.to_string());
+        assert!(check_errors_doc(&m.cleaned, &m.fns).is_empty());
     }
 }

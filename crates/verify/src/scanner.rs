@@ -1,18 +1,28 @@
-//! Lexical preprocessing for the lint rules.
+//! Lexical preprocessing for the line rules: a projection of the token
+//! stream.
 //!
 //! Rust's grammar is too rich for substring matching: `panic!` inside a
 //! doc comment, `HashMap` inside a string literal, or `==` inside a
-//! `#[cfg(test)]` module must not trip a rule. [`clean`] produces a
-//! blanked copy of the source — comments, string/char literals replaced by
-//! spaces, newlines preserved — plus per-line metadata:
+//! `#[cfg(test)]` module must not trip a rule. [`clean`] lexes the file
+//! once ([`crate::tokens::lex`]) and projects the tokens onto a blanked
+//! copy of the source — every comment, string and char literal token
+//! (prefixes, quotes and hashes included) replaced by one space per
+//! character, newlines kept — plus per-line metadata:
 //!
-//! * which lines sit inside `#[cfg(test)]` items (rules skip them),
+//! * which lines sit inside `#[cfg(test)]` items (rules skip them), as
+//!   the item finder in [`crate::model`] reads them off the tokens,
 //! * which `verify: allow(<rule>): <justification>` directives are in
-//!   scope for each line (a directive suppresses its rule on the
-//!   directive's own line and the line immediately below, so it works both
-//!   as a trailing comment and as a standalone comment above the site),
+//!   scope for each line, parsed from the line-comment tokens (a directive
+//!   suppresses its rule on the directive's own line and the line
+//!   immediately below, so it works both as a trailing comment and as a
+//!   standalone comment above the site),
 //! * malformed directives (missing rule or justification), which the
 //!   driver reports as violations so the allowlist cannot silently rot.
+
+use std::ops::{Range, RangeInclusive};
+
+use crate::model::find_items;
+use crate::tokens::{lex, Token, TokenKind};
 
 /// One suppression directive parsed from a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,8 +36,8 @@ pub struct Allow {
 /// The result of lexically cleaning one source file.
 #[derive(Debug, Clone)]
 pub struct CleanedSource {
-    /// The source with comments and string/char-literal contents replaced
-    /// by spaces. Byte-for-byte the same line structure as the input.
+    /// The source with comments and string/char literals replaced by
+    /// spaces. Byte-for-byte the same line structure as the input.
     pub code: String,
     /// `is_test_line[l]` (0-based) — line `l + 1` is inside a
     /// `#[cfg(test)]` item.
@@ -58,220 +68,59 @@ impl CleanedSource {
 
 /// Cleans one file. Never fails: unterminated constructs blank to EOF.
 pub fn clean(source: &str) -> CleanedSource {
-    let chars: Vec<char> = source.chars().collect();
-    let mut out = String::with_capacity(source.len());
-    let num_lines = source.lines().count().max(1);
-    let mut allows: Vec<Vec<Allow>> = vec![Vec::new(); num_lines + 1];
-    let mut bad_directives = Vec::new();
+    let tokens = lex(source);
+    project(source, &tokens, &find_items(source, &tokens).cfg_test)
+}
 
-    let mut line = 1usize; // current 1-based line
-    let mut i = 0usize;
-    while i < chars.len() {
-        let c = chars[i];
-        let next = chars.get(i + 1).copied();
-        match c {
-            '/' if next == Some('/') => {
-                // Line comment: scan to end of line, parse directives.
-                let start = i;
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                parse_directives(&text, line, &mut allows, &mut bad_directives);
-                for _ in start..i {
-                    out.push(' ');
-                }
-            }
-            '/' if next == Some('*') => {
-                // Block comment, nesting allowed.
-                let mut depth = 1usize;
-                out.push(' ');
-                out.push(' ');
-                i += 2;
-                while i < chars.len() && depth > 0 {
-                    if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                        depth += 1;
-                        out.push_str("  ");
-                        i += 2;
-                    } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                        depth -= 1;
-                        out.push_str("  ");
-                        i += 2;
-                    } else {
-                        push_blanked(&mut out, chars[i], &mut line);
-                        i += 1;
-                    }
-                }
-                continue;
-            }
-            '"' => {
-                // Plain string literal (possibly preceded by b, handled as
-                // ordinary chars). Blank the contents, honor escapes.
-                out.push(' ');
-                i += 1;
-                while i < chars.len() {
-                    if chars[i] == '\\' && i + 1 < chars.len() {
-                        out.push_str("  ");
-                        if chars[i + 1] == '\n' {
-                            out.pop();
-                            out.pop();
-                            out.push(' ');
-                            out.push('\n');
-                            line += 1;
-                        }
-                        i += 2;
-                    } else if chars[i] == '"' {
-                        out.push(' ');
-                        i += 1;
-                        break;
-                    } else {
-                        push_blanked(&mut out, chars[i], &mut line);
-                        i += 1;
-                    }
-                }
-                continue;
-            }
-            'r' if is_raw_string_start(&chars, i) => {
-                // r"..." or r#"..."# (any number of #).
-                i = blank_raw_string(&chars, i, &mut out, &mut line);
-                continue;
-            }
-            'b' if is_byte_raw_string_start(&chars, i) => {
-                // br"..." / br#"..."#: raw semantics — backslashes are NOT
-                // escapes, so the plain-string logic must not see them
-                // (it would blank past the terminator to EOF).
-                out.push(' '); // the `b`
-                i = blank_raw_string(&chars, i + 1, &mut out, &mut line);
-                continue;
-            }
-            '\'' => {
-                // Char literal vs lifetime. A literal is 'x' or '\..'; a
-                // lifetime is ' followed by an identifier with no closing '.
-                if chars.get(i + 1) == Some(&'\\') {
-                    // Escaped char literal: blank to the closing quote.
-                    out.push(' ');
-                    i += 1;
-                    while i < chars.len() && chars[i] != '\'' {
-                        push_blanked(&mut out, chars[i], &mut line);
-                        i += 1;
-                    }
-                    if i < chars.len() {
-                        out.push(' ');
-                        i += 1;
-                    }
-                    continue;
-                } else if chars.get(i + 2) == Some(&'\'') && chars.get(i + 1) != Some(&'\'') {
-                    out.push_str("   ");
-                    i += 3;
-                    continue;
-                } else {
-                    out.push('\''); // lifetime marker, keep
-                    i += 1;
-                    continue;
-                }
-            }
-            _ => {
-                if c == '\n' {
-                    line += 1;
-                }
-                out.push(c);
-                i += 1;
-            }
-        }
-        if i < chars.len() && chars[i] == '\n' {
-            // Line comments stop *at* the newline; emit it here.
-            out.push('\n');
-            line += 1;
-            i += 1;
+/// Projects one file's full token stream (comments included) onto its
+/// [`CleanedSource`]; `cfg_test` holds the 1-based line extents of its
+/// `#[cfg(test)]` items.
+pub(crate) fn project(
+    source: &str,
+    tokens: &[Token],
+    cfg_test: &[RangeInclusive<usize>],
+) -> CleanedSource {
+    let num_lines = source.lines().count().max(1);
+    let mut allows = vec![Vec::new(); num_lines];
+    let mut bad_directives = Vec::new();
+    for t in tokens.iter().filter(|t| t.kind == TokenKind::LineComment) {
+        parse_directives(&t.text, t.line, &mut allows, &mut bad_directives);
+    }
+    let mut is_test_line = vec![false; num_lines];
+    for extent in cfg_test {
+        for mark in is_test_line
+            .iter_mut()
+            .take(*extent.end())
+            .skip(extent.start() - 1)
+        {
+            *mark = true;
         }
     }
-
-    let is_test_line = mark_test_lines(&out);
-    let line_count = out.lines().count().max(1);
-    allows.truncate(line_count.max(num_lines));
     CleanedSource {
-        code: out,
+        code: blank(source, tokens, 0..source.len()),
         is_test_line,
         allows,
         bad_directives,
     }
 }
 
-/// `r` starts a raw string only when followed by `#`* `"` and not part of
-/// an identifier (e.g. `for`, `var_r`).
-fn is_raw_string_start(chars: &[char], i: usize) -> bool {
-    if i > 0 {
-        let prev = chars[i - 1];
-        if prev.is_alphanumeric() || prev == '_' {
-            return false;
-        }
+/// `source[range]` with the comment and literal `tokens` in it replaced by
+/// one space per character, newlines kept. `tokens` must lie in `range`.
+pub(crate) fn blank(source: &str, tokens: &[Token], range: Range<usize>) -> String {
+    let mut out = String::with_capacity(range.len());
+    let mut at = range.start;
+    let blanked = |t: &&Token| t.is_comment() || matches!(t.kind, TokenKind::Str | TokenKind::Char);
+    for t in tokens.iter().filter(blanked) {
+        out.push_str(&source[at..t.span.start]);
+        out.extend(
+            source[t.span.clone()]
+                .chars()
+                .map(|c| if c == '\n' { '\n' } else { ' ' }),
+        );
+        at = t.span.end;
     }
-    let mut j = i + 1;
-    while chars.get(j) == Some(&'#') {
-        j += 1;
-    }
-    chars.get(j) == Some(&'"')
-}
-
-/// `b` starts a raw byte string when the next char is an `r` that opens a
-/// raw string and `b` itself is not part of an identifier.
-fn is_byte_raw_string_start(chars: &[char], i: usize) -> bool {
-    if i > 0 {
-        let prev = chars[i - 1];
-        if prev.is_alphanumeric() || prev == '_' {
-            return false;
-        }
-    }
-    if chars.get(i + 1) != Some(&'r') {
-        return false;
-    }
-    let mut j = i + 2;
-    while chars.get(j) == Some(&'#') {
-        j += 1;
-    }
-    chars.get(j) == Some(&'"')
-}
-
-/// Blanks a raw string whose `r` sits at `i`; returns the index one past
-/// the closing delimiter.
-fn blank_raw_string(chars: &[char], i: usize, out: &mut String, line: &mut usize) -> usize {
-    let mut j = i + 1;
-    let mut hashes = 0usize;
-    while chars.get(j) == Some(&'#') {
-        hashes += 1;
-        j += 1;
-    }
-    // The `r`, hashes, and opening quote.
-    for _ in i..=j {
-        out.push(' ');
-    }
-    let mut k = j + 1;
-    while k < chars.len() {
-        if chars[k] == '"' {
-            let mut h = 0usize;
-            while h < hashes && chars.get(k + 1 + h) == Some(&'#') {
-                h += 1;
-            }
-            if h == hashes {
-                for _ in 0..=hashes {
-                    out.push(' ');
-                }
-                return k + 1 + hashes;
-            }
-        }
-        push_blanked(out, chars[k], line);
-        k += 1;
-    }
-    k
-}
-
-fn push_blanked(out: &mut String, c: char, line: &mut usize) {
-    if c == '\n' {
-        out.push('\n');
-        *line += 1;
-    } else {
-        out.push(' ');
-    }
+    out.push_str(&source[at..range.end]);
+    out
 }
 
 /// Parses a `verify: allow(<rule>): <justification>` suppression
@@ -308,71 +157,6 @@ fn parse_directives(comment: &str, line: usize, allows: &mut [Vec<Allow>], bad: 
     }
 }
 
-/// Marks every line belonging to a `#[cfg(test)]` item (usually the
-/// `mod tests { ... }` block) by brace-matching on the blanked source.
-fn mark_test_lines(code: &str) -> Vec<bool> {
-    let bytes = code.as_bytes();
-    let num_lines = code.lines().count().max(1);
-    let mut marks = vec![false; num_lines];
-    // Byte offset -> 0-based line.
-    let mut line_of = Vec::with_capacity(bytes.len() + 1);
-    let mut l = 0usize;
-    for &b in bytes {
-        line_of.push(l);
-        if b == b'\n' {
-            l += 1;
-        }
-    }
-    line_of.push(l);
-
-    let mut search_from = 0usize;
-    while let Some(rel) = code[search_from..].find("cfg(test") {
-        let at = search_from + rel;
-        search_from = at + 1;
-        // Must be inside an attribute: look back for `#[` or `#![` with no
-        // closing `]` in between (cheap scan over the current line region).
-        let mut window_start = at.saturating_sub(160);
-        while !code.is_char_boundary(window_start) {
-            window_start -= 1;
-        }
-        let window = &code[window_start..at];
-        if !window.contains("#[") && !window.contains("#![") {
-            continue;
-        }
-        // Extent: from the attribute to the end of the annotated item —
-        // the matching `}` of its first block, or the first `;` for a
-        // block-less item.
-        let mut depth = 0usize;
-        let mut started = false;
-        let mut end = bytes.len();
-        for (off, &b) in bytes.iter().enumerate().skip(at) {
-            match b {
-                b'{' => {
-                    depth += 1;
-                    started = true;
-                }
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    if started && depth == 0 {
-                        end = off;
-                        break;
-                    }
-                }
-                b';' if !started => {
-                    end = off;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let (start_line, end_line) = (line_of[at], line_of[end.min(bytes.len())]);
-        for m in marks.iter_mut().take(end_line + 1).skip(start_line) {
-            *m = true;
-        }
-    }
-    marks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,6 +189,22 @@ mod tests {
         assert!(c.is_test(4));
         assert!(c.is_test(5));
         assert!(!c.is_test(6));
+    }
+
+    #[test]
+    fn escaped_quotes_blank_whole() {
+        let src = "if c == '\\'' || c == 'x' { q = b'\\''; }\n";
+        let c = clean(src);
+        assert_eq!(c.code, "if c ==      || c ==     { q =      ; }\n");
+    }
+
+    #[test]
+    fn marks_bodiless_cfg_test_items() {
+        let src = "#[cfg(test)]\nuse std::collections::HashMap;\nfn live() {}\n";
+        let c = clean(src);
+        assert!(c.is_test(1));
+        assert!(c.is_test(2));
+        assert!(!c.is_test(3));
     }
 
     #[test]

@@ -1,19 +1,26 @@
-//! A real token stream for the cross-file passes.
+//! The one lexer of `grefar-verify`: every rule and pass reads a file
+//! through its tokens.
 //!
-//! The lexical [`clean`](crate::scanner::clean) pass blanks comments and
-//! literals, which is enough for the line-oriented rules but loses the
-//! one thing the `event-schema` pass needs: *string literal contents*
-//! (event names, field keys, match-arm patterns). This tokenizer keeps
-//! them. It understands the constructs the scanner's tests pin down —
-//! nested block comments, raw strings with any hash count, byte and raw
-//! byte strings, raw identifiers (`r#type`), char literals vs lifetimes,
-//! multi-line strings — and tags every token with its 1-based line.
+//! [`lex`] turns a file into [`Token`]s — identifiers, literals, lifetimes,
+//! numbers, punctuation and comments — each tagged with its 1-based line
+//! and its byte span in the source. It understands nested block comments,
+//! raw strings with any hash count, byte and raw byte strings, raw
+//! identifiers (`r#type`), char literals (escaped quotes included) vs
+//! lifetimes, and multi-line strings with line-continuation escapes.
+//! Everything else is a view of that one stream:
+//! [`clean`](crate::scanner::clean) blanks its literal and comment spans
+//! for the line rules, the item finder in [`crate::model`] walks it for
+//! `fn` items and `#[cfg(test)]` extents, and the cross-file passes match
+//! on the comment-free sequence [`tokenize`] returns, where string
+//! contents (event names, field keys) survive.
 //!
 //! It is deliberately not a full Rust lexer: numbers are lexed
 //! approximately (good enough to not split `1.5e-3` or glue `0..n`), and
 //! multi-char operators are emitted as single-char [`TokenKind::Punct`]
 //! tokens (`::` is two `:` tokens). The passes match on token sequences,
 //! so neither simplification loses information they need.
+
+use std::ops::Range;
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +31,8 @@ pub enum TokenKind {
     /// A string literal of any flavor (`"…"`, `r#"…"#`, `b"…"`); `text`
     /// holds the (basic-unescaped) contents.
     Str,
-    /// A char or byte literal (`'x'`, `b'\n'`); contents in `text`.
+    /// A char or byte literal (`'x'`, `b'\n'`); `text` holds the
+    /// contents, unescaped like a string's.
     Char,
     /// A lifetime (`'a`, `'static`); `text` holds the name without `'`.
     Lifetime,
@@ -32,6 +40,10 @@ pub enum TokenKind {
     Number,
     /// A single punctuation character (`{`, `.`, `:`, `=` …).
     Punct,
+    /// A `//` comment up to its newline; `text` is the whole comment.
+    LineComment,
+    /// A `/* … */` comment, nesting honored; `text` is the whole comment.
+    BlockComment,
 }
 
 /// One token with its source position.
@@ -39,10 +51,14 @@ pub enum TokenKind {
 pub struct Token {
     /// The token class.
     pub kind: TokenKind,
-    /// Identifier text, literal contents, or the punctuation character.
+    /// Identifier text, literal contents, the punctuation character, or
+    /// the comment.
     pub text: String,
     /// 1-based source line the token starts on.
     pub line: usize,
+    /// Byte range of the whole token in the source: literal prefixes,
+    /// quotes and hashes included.
+    pub span: Range<usize>,
 }
 
 impl Token {
@@ -55,6 +71,11 @@ impl Token {
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
     }
+
+    /// Is this a comment? The passes never see one (see [`tokenize`]).
+    pub fn is_comment(&self) -> bool {
+        matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
+    }
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -65,325 +86,239 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Tokenizes one file. Never fails: unterminated constructs run to EOF.
+/// Tokenizes one file without its comments: the sequence the cross-file
+/// passes match on.
 pub fn tokenize(source: &str) -> Vec<Token> {
-    let chars: Vec<char> = source.chars().collect();
-    let mut tokens = Vec::with_capacity(source.len() / 4);
-    let mut line = 1usize;
-    let mut i = 0usize;
+    let mut tokens = lex(source);
+    tokens.retain(|t| !t.is_comment());
+    tokens
+}
 
-    while i < chars.len() {
-        let c = chars[i];
-        let next = chars.get(i + 1).copied();
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
+/// Lexes one file into every token, comments included. Never fails:
+/// unterminated constructs run to EOF.
+pub fn lex(source: &str) -> Vec<Token> {
+    let mut lx = Lexer {
+        src: source,
+        pos: 0,
+        line: 1,
+    };
+    let mut tokens = Vec::with_capacity(source.len() / 4);
+    while let Some(c) = lx.char_at(lx.pos) {
+        let (start, line) = (lx.pos, lx.line);
+        let (kind, text) = match c {
+            c if c.is_whitespace() => {
+                lx.bump();
+                continue;
             }
-            c if c.is_whitespace() => i += 1,
-            '/' if next == Some('/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+            '/' if lx.byte(start + 1) == Some(b'/') => {
+                lx.pos = source[start..]
+                    .find('\n')
+                    .map_or(source.len(), |n| start + n);
+                (TokenKind::LineComment, source[start..lx.pos].to_string())
             }
-            '/' if next == Some('*') => {
-                let mut depth = 1usize;
-                i += 2;
-                while i < chars.len() && depth > 0 {
-                    if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                        depth += 1;
-                        i += 2;
-                    } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        if chars[i] == '\n' {
-                            line += 1;
-                        }
-                        i += 1;
-                    }
-                }
+            '/' if lx.byte(start + 1) == Some(b'*') => {
+                lx.block_comment();
+                (TokenKind::BlockComment, source[start..lx.pos].to_string())
             }
-            '"' => {
-                let (token, rest) = lex_string(&chars, i, &mut line);
-                tokens.push(token);
-                i = rest;
-            }
-            '\'' => {
-                let (token, rest) = lex_char_or_lifetime(&chars, i, &mut line);
-                tokens.push(token);
-                i = rest;
-            }
-            c if c.is_ascii_digit() => {
-                let (token, rest) = lex_number(&chars, i, line);
-                tokens.push(token);
-                i = rest;
-            }
-            c if is_ident_start(c) => {
-                // Literal prefixes: r"…", r#"…"#, b"…", br#"…"#, b'…',
-                // and raw identifiers r#ident.
-                if let Some((token, rest)) = lex_prefixed_literal(&chars, i, &mut line) {
-                    tokens.push(token);
-                    i = rest;
-                    continue;
-                }
-                let start = i;
-                while i < chars.len() && is_ident_continue(chars[i]) {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident,
-                    text: chars[start..i].iter().collect(),
-                    line,
-                });
-            }
+            '"' => (TokenKind::Str, lx.quoted('"')),
+            '\'' => lx.char_or_lifetime(),
+            c if c.is_ascii_digit() => (TokenKind::Number, lx.number()),
+            c if is_ident_start(c) => lx
+                .prefixed_literal()
+                .unwrap_or_else(|| (TokenKind::Ident, lx.ident())),
             c => {
-                tokens.push(Token {
-                    kind: TokenKind::Punct,
-                    text: c.to_string(),
-                    line,
-                });
-                i += 1;
+                lx.bump();
+                (TokenKind::Punct, c.to_string())
             }
-        }
+        };
+        tokens.push(Token {
+            kind,
+            text,
+            line,
+            span: start..lx.pos,
+        });
     }
     tokens
 }
 
-/// `r"…"`, `r#…#`, `b"…"`, `br#"…"#`, `b'…'`, `r#ident`. Returns `None`
-/// when the identifier at `i` is not a literal prefix.
-fn lex_prefixed_literal(chars: &[char], i: usize, line: &mut usize) -> Option<(Token, usize)> {
-    let c = chars[i];
-    let next = chars.get(i + 1).copied();
-    match (c, next) {
-        ('r', Some('#')) => {
-            // Raw string r#"…"# or raw identifier r#ident.
-            let mut j = i + 1;
-            while chars.get(j) == Some(&'#') {
-                j += 1;
-            }
-            if chars.get(j) == Some(&'"') {
-                Some(lex_raw_string(chars, i + 1, j - i - 1, *line, line))
-            } else if j == i + 2 && chars.get(j).is_some_and(|&c| is_ident_start(c)) {
-                // r#ident — one hash, then the identifier.
-                let start = j;
-                let mut k = j;
-                while k < chars.len() && is_ident_continue(chars[k]) {
-                    k += 1;
+/// The cursor: a byte offset (always on a char boundary) and its line.
+struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    line: usize,
+}
+
+impl Lexer<'_> {
+    fn byte(&self, i: usize) -> Option<u8> {
+        self.src.as_bytes().get(i).copied()
+    }
+
+    fn char_at(&self, i: usize) -> Option<char> {
+        self.src.get(i..)?.chars().next()
+    }
+
+    /// Steps over one char, counting newlines.
+    fn bump(&mut self) -> Option<char> {
+        let c = self.char_at(self.pos)?;
+        self.pos += c.len_utf8();
+        if c == '\n' {
+            self.line += 1;
+        }
+        Some(c)
+    }
+
+    /// The run of identifier characters at the cursor.
+    fn ident(&mut self) -> String {
+        let start = self.pos;
+        while let Some(c) = self.char_at(self.pos).filter(|&c| is_ident_continue(c)) {
+            self.pos += c.len_utf8();
+        }
+        self.src[start..self.pos].to_string()
+    }
+
+    fn block_comment(&mut self) {
+        self.pos += 2;
+        let mut depth = 1usize;
+        while depth > 0 {
+            match (self.byte(self.pos), self.byte(self.pos + 1)) {
+                (None, _) => break,
+                (Some(b'/'), Some(b'*')) => depth += 1,
+                (Some(b'*'), Some(b'/')) => depth -= 1,
+                _ => {
+                    self.bump();
+                    continue;
                 }
-                Some((
-                    Token {
-                        kind: TokenKind::Ident,
-                        text: chars[start..k].iter().collect(),
-                        line: *line,
-                    },
-                    k,
-                ))
-            } else {
-                None
             }
+            self.pos += 2;
         }
-        ('r', Some('"')) => Some(lex_raw_string(chars, i + 1, 0, *line, line)),
-        ('b', Some('"')) => {
-            let (mut token, rest) = lex_string(chars, i + 1, line);
-            token.line = token.line.min(*line);
-            Some((token, rest))
-        }
-        ('b', Some('\'')) => {
-            let (token, rest) = lex_char_or_lifetime(chars, i + 1, line);
-            Some((token, rest))
-        }
-        ('b', Some('r')) => {
-            let mut j = i + 2;
-            while chars.get(j) == Some(&'#') {
-                j += 1;
-            }
-            if chars.get(j) == Some(&'"') {
-                Some(lex_raw_string(chars, i + 2, j - i - 2, *line, line))
-            } else {
-                None
-            }
-        }
-        _ => None,
     }
-}
 
-/// Lexes a raw string whose `#…#"` run starts at `hash_start` with
-/// `hashes` hashes. Returns the token and the index one past the close.
-fn lex_raw_string(
-    chars: &[char],
-    hash_start: usize,
-    hashes: usize,
-    start_line: usize,
-    line: &mut usize,
-) -> (Token, usize) {
-    let mut i = hash_start + hashes + 1; // past the opening quote
-    let content_start = i;
-    while i < chars.len() {
-        if chars[i] == '"' {
-            let mut k = 0usize;
-            while k < hashes && chars.get(i + 1 + k) == Some(&'#') {
-                k += 1;
-            }
-            if k == hashes {
-                let text: String = chars[content_start..i].iter().collect();
-                return (
-                    Token {
-                        kind: TokenKind::Str,
-                        text,
-                        line: start_line,
-                    },
-                    i + 1 + hashes,
-                );
-            }
-        }
-        if chars[i] == '\n' {
-            *line += 1;
-        }
-        i += 1;
-    }
-    let text: String = chars[content_start..].iter().collect();
-    (
-        Token {
-            kind: TokenKind::Str,
-            text,
-            line: start_line,
-        },
-        chars.len(),
-    )
-}
-
-/// Lexes a plain (escaped) string starting at the `"` at `i`.
-fn lex_string(chars: &[char], i: usize, line: &mut usize) -> (Token, usize) {
-    let start_line = *line;
-    let mut text = String::new();
-    let mut j = i + 1;
-    while j < chars.len() {
-        match chars[j] {
-            '\\' => {
-                match chars.get(j + 1) {
+    /// A literal with escapes (`"…"`, `'\…'`) from its opening `quote` at
+    /// the cursor through the first unescaped closing one; returns the
+    /// contents with the basic escapes decoded.
+    fn quoted(&mut self, quote: char) -> String {
+        self.pos += 1;
+        let mut text = String::new();
+        while let Some(c) = self.bump() {
+            match c {
+                '\\' => match self.bump() {
                     Some('n') => text.push('\n'),
                     Some('t') => text.push('\t'),
                     Some('r') => text.push('\r'),
-                    Some('"') => text.push('"'),
-                    Some('\\') => text.push('\\'),
-                    Some('\n') => *line += 1, // line-continuation escape
+                    Some(e @ ('"' | '\'' | '\\')) => text.push(e),
+                    Some('\n') | None => {} // line-continuation escape
                     Some(other) => {
                         text.push('\\');
-                        text.push(*other);
+                        text.push(other);
                     }
-                    None => {}
-                }
-                j += 2;
-            }
-            '"' => {
-                j += 1;
-                break;
-            }
-            c => {
-                if c == '\n' {
-                    *line += 1;
-                }
-                text.push(c);
-                j += 1;
+                },
+                c if c == quote => break,
+                c => text.push(c),
             }
         }
+        text
     }
-    (
-        Token {
-            kind: TokenKind::Str,
-            text,
-            line: start_line,
-        },
-        j,
-    )
-}
 
-/// Lexes a char literal or lifetime starting at the `'` at `i`.
-fn lex_char_or_lifetime(chars: &[char], i: usize, line: &mut usize) -> (Token, usize) {
-    let start_line = *line;
-    // Escaped char: '\…'.
-    if chars.get(i + 1) == Some(&'\\') {
-        let mut j = i + 2;
-        while j < chars.len() && chars[j] != '\'' {
-            j += 1;
+    /// A char literal or a lifetime, from the `'` at the cursor.
+    fn char_or_lifetime(&mut self) -> (TokenKind, String) {
+        let start = self.pos;
+        if self.byte(start + 1) == Some(b'\\') {
+            return (TokenKind::Char, self.quoted('\''));
         }
-        let text: String = chars[i + 1..j.min(chars.len())].iter().collect();
-        return (
-            Token {
-                kind: TokenKind::Char,
-                text,
-                line: start_line,
-            },
-            (j + 1).min(chars.len()),
-        );
+        if let Some(c) = self.char_at(start + 1).filter(|&c| c != '\'' && c != '\n') {
+            if self.byte(start + 1 + c.len_utf8()) == Some(b'\'') {
+                self.pos += 2 + c.len_utf8();
+                return (TokenKind::Char, c.to_string());
+            }
+        }
+        self.pos += 1;
+        (TokenKind::Lifetime, self.ident())
     }
-    // Plain char: 'x'.
-    if chars.get(i + 2) == Some(&'\'') && chars.get(i + 1) != Some(&'\'') {
-        let text = chars.get(i + 1).map(|c| c.to_string()).unwrap_or_default();
-        return (
-            Token {
-                kind: TokenKind::Char,
-                text,
-                line: start_line,
-            },
-            i + 3,
-        );
-    }
-    // Lifetime: 'ident.
-    let start = i + 1;
-    let mut j = start;
-    while j < chars.len() && is_ident_continue(chars[j]) {
-        j += 1;
-    }
-    (
-        Token {
-            kind: TokenKind::Lifetime,
-            text: chars[start..j].iter().collect(),
-            line: start_line,
-        },
-        j.max(i + 1),
-    )
-}
 
-/// Lexes a numeric literal: digits plus alphanumeric/underscore
-/// continuation, a fraction part (but not `..`), and a signed exponent.
-fn lex_number(chars: &[char], i: usize, line: usize) -> (Token, usize) {
-    let start = i;
-    let mut j = i;
-    while j < chars.len() && (chars[j].is_ascii_alphanumeric() || chars[j] == '_') {
-        j += 1;
-        // Signed exponent: 1e-9, 2E+6 (not hex: 0x1e-…, handled fine
-        // because hex literals don't continue past the sign anyway).
-        if j < chars.len()
-            && (chars[j] == '-' || chars[j] == '+')
-            && matches!(chars[j - 1], 'e' | 'E')
-            && !chars[start..j].iter().collect::<String>().starts_with("0x")
-        {
+    /// A numeric literal: digits plus alphanumeric/underscore
+    /// continuation, a fraction part (but not `..`), and a signed exponent
+    /// (not in hex, where `e` is a digit).
+    fn number(&mut self) -> String {
+        let src = self.src;
+        let b = src.as_bytes();
+        let start = self.pos;
+        let word = |i: usize| {
+            b.get(i)
+                .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
+        };
+        let signed_exponent =
+            |i: usize| matches!(b.get(i), Some(b'-' | b'+')) && matches!(b[i - 1], b'e' | b'E');
+        let mut j = start;
+        while word(j) {
             j += 1;
-        }
-    }
-    // Fraction: a single '.' followed by a digit (so `0..n` stays a range).
-    if j < chars.len() && chars[j] == '.' && chars.get(j + 1).is_some_and(|c| c.is_ascii_digit()) {
-        j += 1;
-        while j < chars.len() && (chars[j].is_ascii_alphanumeric() || chars[j] == '_') {
-            j += 1;
-            if j < chars.len()
-                && (chars[j] == '-' || chars[j] == '+')
-                && matches!(chars[j - 1], 'e' | 'E')
-            {
+            if signed_exponent(j) && !b[start..].starts_with(b"0x") {
                 j += 1;
             }
         }
+        if b.get(j) == Some(&b'.') && b.get(j + 1).is_some_and(u8::is_ascii_digit) {
+            j += 1;
+            while word(j) {
+                j += 1;
+                if signed_exponent(j) {
+                    j += 1;
+                }
+            }
+        }
+        self.pos = j;
+        src[start..j].to_string()
     }
-    (
-        Token {
-            kind: TokenKind::Number,
-            text: chars[start..j].iter().collect(),
-            line,
-        },
-        j,
-    )
+
+    /// `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'…'` and the raw identifier
+    /// `r#ident`; `None` when the identifier at the cursor is no literal
+    /// prefix.
+    fn prefixed_literal(&mut self) -> Option<(TokenKind, String)> {
+        let at = self.pos;
+        let hashes = |i: usize| {
+            self.src.as_bytes()[i..]
+                .iter()
+                .take_while(|&&b| b == b'#')
+                .count()
+        };
+        match (self.byte(at), self.byte(at + 1)) {
+            (Some(b'r'), Some(b'#' | b'"')) => {
+                let n = hashes(at + 1);
+                if self.byte(at + 1 + n) == Some(b'"') {
+                    Some(self.raw_string(at + 1, n))
+                } else if n == 1 && self.char_at(at + 2).is_some_and(is_ident_start) {
+                    self.pos = at + 2;
+                    Some((TokenKind::Ident, self.ident()))
+                } else {
+                    None
+                }
+            }
+            (Some(b'b'), Some(b'"')) => {
+                self.pos += 1;
+                Some((TokenKind::Str, self.quoted('"')))
+            }
+            (Some(b'b'), Some(b'\'')) => {
+                self.pos += 1;
+                Some(self.char_or_lifetime())
+            }
+            (Some(b'b'), Some(b'r')) => {
+                let n = hashes(at + 2);
+                (self.byte(at + 2 + n) == Some(b'"')).then(|| self.raw_string(at + 2, n))
+            }
+            _ => None,
+        }
+    }
+
+    /// A raw string whose `hashes` hashes start at `hash_start`; backslashes
+    /// are not escapes.
+    fn raw_string(&mut self, hash_start: usize, hashes: usize) -> (TokenKind, String) {
+        let content = hash_start + hashes + 1;
+        let close = format!("\"{}", "#".repeat(hashes));
+        let end = self.src[content..]
+            .find(&close)
+            .map_or(self.src.len(), |n| content + n);
+        self.line += self.src[content..end].matches('\n').count();
+        self.pos = (end + close.len()).min(self.src.len());
+        (TokenKind::Str, self.src[content..end].to_string())
+    }
 }
 
 #[cfg(test)]
@@ -466,6 +401,49 @@ mod tests {
         let s = toks.iter().find(|t| t.kind == TokenKind::Str).unwrap();
         assert_eq!(s.line, 4);
         assert_eq!(s.text, "multi\nline");
+    }
+
+    #[test]
+    fn escaped_quotes_lex_as_one_literal() {
+        let toks = kinds("c == '\\'' || c == 'x' || b == b'\\'';");
+        let chars: Vec<&(TokenKind, String)> =
+            toks.iter().filter(|(k, _)| *k == TokenKind::Char).collect();
+        assert_eq!(
+            chars,
+            [
+                &(TokenKind::Char, "'".to_string()),
+                &(TokenKind::Char, "x".to_string()),
+                &(TokenKind::Char, "'".to_string()),
+            ]
+        );
+        assert!(
+            toks.iter().all(|(k, _)| *k != TokenKind::Lifetime),
+            "{toks:?}"
+        );
+    }
+
+    #[test]
+    fn spans_cover_whole_tokens_and_comments_stay_in_lex() {
+        let src = "let s = br#\"x\"#; // note\n/* a /* b */ */ c\n";
+        let all = lex(src);
+        let spans: Vec<&str> = all.iter().map(|t| &src[t.span.clone()]).collect();
+        assert_eq!(
+            spans,
+            [
+                "let",
+                "s",
+                "=",
+                "br#\"x\"#",
+                ";",
+                "// note",
+                "/* a /* b */ */",
+                "c"
+            ]
+        );
+        assert_eq!(all[5].kind, TokenKind::LineComment);
+        assert_eq!((all[6].kind, all[7].line), (TokenKind::BlockComment, 2));
+        assert!(tokenize(src).iter().all(|t| !t.is_comment()));
+        assert_eq!(tokenize(src).len(), all.len() - 2);
     }
 
     #[test]

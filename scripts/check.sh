@@ -243,9 +243,10 @@ echo "daemon crash-safety ok"
 # fixed seed batch must soak green through the batch, crash and daemon
 # legs in bounded wall time, and the mutation self-check must prove the
 # oracles can fail — a corrupted queue update the conservation ledger
-# cannot catch would make every green batch meaningless. Set
-# GREFAR_SOAK_SEEDS=N to widen the batch (nightly runs).
-soak_seeds="${GREFAR_SOAK_SEEDS:-8}"
+# cannot catch would make every green batch meaningless. The default
+# batch of 320 seeds soaks in about 9 s on a 2-vCPU VM; set
+# GREFAR_SOAK_SEEDS=N to resize it (nightly runs).
+soak_seeds="${GREFAR_SOAK_SEEDS:-320}"
 if ! timeout 900 ./target/release/grefar-soak run --seeds "$soak_seeds" \
     --dir "$report_tmp/soak-failures" > "$report_tmp/soak.log" 2>&1; then
     cat "$report_tmp/soak.log" >&2
