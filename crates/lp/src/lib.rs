@@ -14,9 +14,10 @@
 //!   two-phase primal simplex with a Dantzig pivot rule and automatic
 //!   fallback to Bland's rule for anti-cycling (tunable via
 //!   [`SimplexOptions`]),
-//! * [`linalg`] — the small dense linear-algebra helpers (Gaussian
-//!   elimination) used by the solver's tests and by brute-force
-//!   cross-checking in property tests.
+//! * [`linalg`] — the dot product the solver and its property tests
+//!   share. The brute-force vertex enumeration that cross-checks the
+//!   solver keeps its own Gaussian elimination in
+//!   `tests/proptest_simplex.rs`.
 //!
 //! # Example
 //!

@@ -1,75 +1,4 @@
 //! Small dense linear-algebra helpers.
-//!
-//! Only what the simplex solver and its cross-checking tests need: solving
-//! square systems by Gaussian elimination with partial pivoting.
-
-/// Solves the square system `A x = b` by Gaussian elimination with partial
-/// pivoting, where `a` is row-major `n × n`.
-///
-/// Returns `None` if the matrix is (numerically) singular.
-///
-/// # Panics
-/// Panics if `a.len() != n * n` or `b.len() != n`.
-///
-/// # Example
-/// ```
-/// let a = vec![2.0, 1.0, 1.0, 3.0];
-/// let b = vec![3.0, 5.0];
-/// let x = grefar_lp::linalg::solve_dense(2, &a, &b).unwrap();
-/// assert!((x[0] - 0.8).abs() < 1e-12);
-/// assert!((x[1] - 1.4).abs() < 1e-12);
-/// ```
-pub fn solve_dense(n: usize, a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(a.len(), n * n, "matrix must be n x n");
-    assert_eq!(b.len(), n, "rhs must have length n");
-    // verify: allow(hot-path-alloc): elimination must mutate working copies; two exact-size allocations per solve, not per pivot
-    let (mut m, mut rhs) = (a.to_vec(), b.to_vec());
-
-    for col in 0..n {
-        // Partial pivoting: largest absolute entry in the column.
-        let mut pivot_row = col;
-        let mut pivot_val = m[col * n + col].abs();
-        for row in (col + 1)..n {
-            let v = m[row * n + col].abs();
-            if v > pivot_val {
-                pivot_val = v;
-                pivot_row = row;
-            }
-        }
-        if pivot_val < 1e-12 {
-            return None;
-        }
-        if pivot_row != col {
-            for j in 0..n {
-                m.swap(col * n + j, pivot_row * n + j);
-            }
-            rhs.swap(col, pivot_row);
-        }
-        let pivot = m[col * n + col];
-        for row in (col + 1)..n {
-            let factor = m[row * n + col] / pivot;
-            // verify: allow(float-eq): exact-zero skip — elimination with a zero factor is a no-op
-            if factor == 0.0 {
-                continue;
-            }
-            for j in col..n {
-                m[row * n + j] -= factor * m[col * n + j];
-            }
-            rhs[row] -= factor * rhs[col];
-        }
-    }
-
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = rhs[row];
-        for j in (row + 1)..n {
-            acc -= m[row * n + j] * x[j];
-        }
-        x[row] = acc / m[row * n + row];
-    }
-    Some(x)
-}
 
 /// Dot product of two equal-length slices.
 ///
@@ -83,59 +12,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn solves_identity() {
-        let a = vec![1.0, 0.0, 0.0, 1.0];
-        let x = solve_dense(2, &a, &[3.0, 4.0]).unwrap();
-        assert_eq!(x, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn solves_with_pivoting() {
-        // First pivot is zero; requires row exchange.
-        let a = vec![0.0, 1.0, 1.0, 0.0];
-        let x = solve_dense(2, &a, &[5.0, 7.0]).unwrap();
-        assert_eq!(x, vec![7.0, 5.0]);
-    }
-
-    #[test]
-    fn detects_singular() {
-        let a = vec![1.0, 2.0, 2.0, 4.0];
-        assert!(solve_dense(2, &a, &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn three_by_three() {
-        let a = vec![2.0, -1.0, 0.0, -1.0, 2.0, -1.0, 0.0, -1.0, 2.0];
-        let b = vec![1.0, 0.0, 1.0];
-        let x = solve_dense(3, &a, &b).unwrap();
-        // Known solution of the 1-D Poisson system: x = [1, 1, 1].
-        for v in x {
-            assert!((v - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn residual_is_small_on_random_system() {
-        // Deterministic pseudo-random fill.
-        let n = 8;
-        let mut seed = 42u64;
-        let mut next = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
-        };
-        let a: Vec<f64> = (0..n * n).map(|_| next()).collect();
-        let b: Vec<f64> = (0..n).map(|_| next()).collect();
-        if let Some(x) = solve_dense(n, &a, &b) {
-            for i in 0..n {
-                let run = dot(&a[i * n..(i + 1) * n], &x);
-                assert!((run - b[i]).abs() < 1e-8, "row {i} residual too large");
-            }
-        }
-    }
 
     #[test]
     fn dot_works() {

@@ -70,12 +70,6 @@ impl LpProblem {
         }
     }
 
-    /// Number of decision variables.
-    #[inline]
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
     /// Number of constraint rows added so far (excluding upper bounds).
     #[inline]
     pub fn num_constraints(&self) -> usize {
@@ -154,15 +148,6 @@ impl LpProblem {
             &self.upper_bounds,
             self.options,
         )
-    }
-
-    /// Evaluates the objective at a point (useful for verification).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != num_vars`.
-    pub fn objective_at(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.num_vars, "point has wrong dimension");
-        crate::linalg::dot(&self.objective, x)
     }
 
     /// Checks whether `x` satisfies every constraint and bound within
@@ -315,15 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn objective_at_and_feasibility_helpers() {
+    fn feasibility_helpers() {
         let mut p = LpProblem::minimize(2);
         p.set_objective(0, 2.0);
         p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Le, 2.0);
-        assert_eq!(p.objective_at(&[1.5, 0.0]), 3.0);
         assert!(p.is_feasible(&[1.0, 1.0], 1e-9));
         assert!(!p.is_feasible(&[3.0, 0.0], 1e-9));
         assert!(!p.is_feasible(&[-0.1, 0.0], 1e-9));
-        assert_eq!(p.num_vars(), 2);
         assert_eq!(p.num_constraints(), 1);
     }
 }

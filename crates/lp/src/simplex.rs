@@ -16,12 +16,25 @@
 //! 3. **Phase 2** minimizes the true objective over non-artificial columns.
 //!
 //! Pivoting uses Dantzig's rule with a fallback to Bland's rule, which
-//! guarantees termination on degenerate instances. Each basis change
-//! prices every column in one row-major pass over the tableau; a bound
-//! flip changes neither the basis nor the tableau, so it reuses those
-//! reduced costs. Correctness is enforced by the brute-force
-//! vertex-enumeration property tests in `tests/proptest_simplex.rs`, and
-//! bit-identity of the pivot sequence by `tests/kernel_golden.rs`.
+//! guarantees termination on degenerate instances.
+//!
+//! Pricing: each phase starts by pricing every column in one row-major
+//! pass over the tableau. After a basis change only the columns where the
+//! pivot row was nonzero before scaling are priced again, each summed over
+//! the same rows in the same ascending order as the full pass. Off that
+//! pattern the pivot row is ±0, so elimination leaves the column's tableau
+//! entries unchanged and the pivot row's new basic cost multiplies ±0:
+//! the skipped reduced costs equal the full pass's up to the sign of a
+//! zero, which the entering rule's `±tol` and `abs` comparisons cannot
+//! see. A pivot row nonzero in more than a quarter of the priced columns
+//! keeps the full pass, which then costs about as much. A bound flip
+//! changes neither the basis nor the tableau, so it reuses the reduced
+//! costs.
+//!
+//! Correctness is enforced by the brute-force vertex-enumeration property
+//! tests in `tests/proptest_simplex.rs`, and bit-identity of the pivot
+//! sequence by `tests/kernel_golden.rs`. Under `strict-invariants` every
+//! re-price is compared with a full pass.
 
 use crate::problem::{Relation, Row};
 use crate::solution::{Solution, SolveError, SolveStats};
@@ -67,9 +80,12 @@ struct Tableau {
     /// Reusable copy of the pivot row, so elimination does not allocate
     /// on every pivot. Always `width` long.
     scratch: Vec<f64>,
-    /// Reduced costs of the current basis, written by [`Tableau::price`].
-    /// Always `width` long.
+    /// Reduced costs of the current basis, written by [`Tableau::price`]
+    /// and [`Tableau::reprice`]. Always `width` long.
     reduced: Vec<f64>,
+    /// The columns [`Tableau::reprice`] prices, ascending, in its first
+    /// entries (see [`Tableau::changed_columns`]). Always `width` long.
+    changed: Vec<usize>,
 }
 
 impl Tableau {
@@ -139,6 +155,70 @@ impl Tableau {
                 }
             }
         }
+    }
+
+    /// Records the priced columns (`0..columns`) where row `row` is
+    /// nonzero at the front of `changed` and returns how many there are,
+    /// or `None` when there are more than a quarter of `columns`: a full
+    /// [`Tableau::price`] pass then costs little more than
+    /// [`Tableau::reprice`]. Called on the pivot row before
+    /// [`Tableau::pivot`] scales it.
+    fn changed_columns(&mut self, row: usize, columns: usize) -> Option<usize> {
+        let row = &self.data[row * self.width..row * self.width + columns];
+        // Counted first, so a dense row skips the compaction's stores.
+        // verify: allow(float-eq): exact-zero test — the basis change leaves a column whose pivot-row entry is ±0 unpriced
+        if 4 * row.iter().filter(|&&a| a != 0.0).count() > columns {
+            return None;
+        }
+        // Branch-free compaction: every index is stored, and the cursor
+        // moves past the nonzero ones.
+        let mut n = 0;
+        for (j, &a) in row.iter().enumerate() {
+            self.changed[n] = j;
+            // verify: allow(float-eq): exact-zero test — the basis change leaves a column whose pivot-row entry is ±0 unpriced
+            n += usize::from(a != 0.0);
+        }
+        Some(n)
+    }
+
+    /// Re-prices the `n` columns [`Tableau::changed_columns`] recorded
+    /// before the last pivot. Each is the same floating-point sum, over the
+    /// same rows in the same order, as in [`Tableau::price`]; every other
+    /// reduced cost already equals the full pass's up to the sign of a
+    /// zero (see the module docs).
+    fn reprice(&mut self, cost: &[f64], n: usize) {
+        let changed = &self.changed[..n];
+        for &j in changed {
+            self.reduced[j] = cost[j];
+        }
+        for (i, &b) in self.basis.iter().enumerate() {
+            let cb = cost[b];
+            // verify: allow(float-eq): exact-zero skip — zero basic cost contributes nothing
+            if cb != 0.0 {
+                let row = &self.data[i * self.width..(i + 1) * self.width];
+                for &j in changed {
+                    self.reduced[j] -= cb * row[j];
+                }
+            }
+        }
+    }
+
+    /// `strict-invariants`: the reduced costs of columns `0..columns` must
+    /// equal a full [`Tableau::price`] pass up to the sign of a zero.
+    #[cfg(feature = "strict-invariants")]
+    fn check_priced(&mut self, cost: &[f64], columns: usize) -> Result<(), SolveError> {
+        let kept = self.reduced.clone();
+        self.price(cost, columns);
+        let full = std::mem::replace(&mut self.reduced, kept);
+        for (j, (&kept, &full)) in self.reduced.iter().zip(&full).take(columns).enumerate() {
+            // verify: allow(float-eq): the re-price must reproduce the full pass exactly, up to the sign of a zero
+            if kept != full {
+                return Err(SolveError::InvariantViolation(format!(
+                    "reduced cost of column {j} is {kept:e} after the re-price but {full:e} in a full pass"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// `strict-invariants` sanity sweep over the basis and bound-flip
@@ -214,8 +294,8 @@ fn run_phase(
     counters: &mut PivotCounters,
 ) -> Result<(), SolveError> {
     let tol = opts.tolerance;
-    // Priced again after every pivot; a bound flip changes neither the
-    // basis nor the tableau, so the reduced costs carry over.
+    // Re-priced after every pivot; a bound flip changes neither the basis
+    // nor the tableau, so the reduced costs carry over.
     t.price(cost, columns);
     loop {
         if counters.total() >= opts.max_pivots {
@@ -321,10 +401,16 @@ fn run_phase(
                 };
                 let leaving = t.basis[row];
                 t.at_upper[leaving] = leaves_at_upper;
+                let changed = t.changed_columns(row, columns);
                 t.pivot(row, col);
                 t.xb[row] = entering_value;
                 t.at_upper[col] = false; // basic now; flag meaningless but tidy
-                t.price(cost, columns);
+                match changed {
+                    Some(n) => t.reprice(cost, n),
+                    None => t.price(cost, columns),
+                }
+                #[cfg(feature = "strict-invariants")]
+                t.check_priced(cost, columns)?;
                 counters.pivots += 1;
                 if step <= tol {
                     counters.degenerate += 1;
@@ -428,6 +514,7 @@ pub(crate) fn simplex(
         upper,
         scratch: vec![0.0; width],
         reduced: vec![0.0; width],
+        changed: vec![0; width],
     };
     let mut counters = PivotCounters::default();
 
@@ -609,8 +696,9 @@ mod tests {
             ((seed >> 33) as f64) / (u32::MAX as f64)
         };
         let mut p = LpProblem::minimize(n);
-        for j in 0..n {
-            p.set_objective(j, 0.5 + next());
+        let costs: Vec<f64> = (0..n).map(|_| 0.5 + next()).collect();
+        for (j, &c) in costs.iter().enumerate() {
+            p.set_objective(j, c);
         }
         for _ in 0..m {
             let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, 0.1 + next())).collect();
@@ -619,7 +707,7 @@ mod tests {
         let sol = p.solve().unwrap();
         assert!(p.is_feasible(sol.x(), 1e-7));
         let naive = vec![100.0 / n as f64; n];
-        assert!(sol.objective() <= p.objective_at(&naive) + 1e-7);
+        assert!(sol.objective() <= crate::linalg::dot(&costs, &naive) + 1e-7);
     }
 
     #[test]

@@ -24,14 +24,6 @@ pub struct SolveStats {
     pub wall_us: u64,
 }
 
-impl SolveStats {
-    /// Total pivots and bound flips across both phases — the quantity
-    /// capped by [`SimplexOptions::max_pivots`](crate::SimplexOptions).
-    pub fn total_iterations(&self) -> usize {
-        self.pivots_phase1 + self.pivots_phase2 + self.bound_flips
-    }
-}
-
 /// An optimal solution to a linear program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
@@ -61,13 +53,6 @@ impl Solution {
     #[inline]
     pub fn objective(&self) -> f64 {
         self.objective
-    }
-
-    /// Number of simplex pivots and bound flips performed across both
-    /// phases. See [`stats`](Solution::stats) for the breakdown.
-    #[inline]
-    pub fn iterations(&self) -> usize {
-        self.stats.total_iterations()
     }
 
     /// The per-solve instrumentation counters.
@@ -134,7 +119,6 @@ mod tests {
         let s = Solution::new(vec![1.0, 2.0], 3.5, stats);
         assert_eq!(s.x(), &[1.0, 2.0]);
         assert_eq!(s.objective(), 3.5);
-        assert_eq!(s.iterations(), 7);
         assert_eq!(s.stats(), stats);
     }
 

@@ -72,7 +72,7 @@ impl RandomLp {
                 a.extend_from_slice(&planes[i].0);
                 b.push(planes[i].1);
             }
-            if let Some(x) = linalg::solve_dense(n, &a, &b) {
+            if let Some(x) = solve_dense(n, &a, &b) {
                 if self.is_feasible(&x, 1e-7) {
                     let obj = linalg::dot(&self.objective, &x);
                     best = Some(match best {
@@ -84,6 +84,60 @@ impl RandomLp {
         }
         best
     }
+}
+
+/// Solves the square system `A x = b` by Gaussian elimination with partial
+/// pivoting, where `a` is row-major `n × n`; `None` if the matrix is
+/// (numerically) singular.
+fn solve_dense(n: usize, a: &[f64], b: &[f64]) -> Option<Vec<f64>> {
+    assert_eq!(a.len(), n * n, "matrix must be n x n");
+    assert_eq!(b.len(), n, "rhs must have length n");
+    let (mut m, mut rhs) = (a.to_vec(), b.to_vec());
+
+    for col in 0..n {
+        // Partial pivoting: largest absolute entry in the column.
+        let mut pivot_row = col;
+        let mut pivot_val = m[col * n + col].abs();
+        for row in (col + 1)..n {
+            let v = m[row * n + col].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = row;
+            }
+        }
+        if pivot_val < 1e-12 {
+            return None;
+        }
+        if pivot_row != col {
+            for j in 0..n {
+                m.swap(col * n + j, pivot_row * n + j);
+            }
+            rhs.swap(col, pivot_row);
+        }
+        let pivot = m[col * n + col];
+        for row in (col + 1)..n {
+            let factor = m[row * n + col] / pivot;
+            // verify: allow(float-eq): exact-zero skip — elimination with a zero factor is a no-op
+            if factor == 0.0 {
+                continue;
+            }
+            for j in col..n {
+                m[row * n + j] -= factor * m[col * n + j];
+            }
+            rhs[row] -= factor * rhs[col];
+        }
+    }
+
+    // Back substitution.
+    let mut x = vec![0.0; n];
+    for row in (0..n).rev() {
+        let mut acc = rhs[row];
+        for j in (row + 1)..n {
+            acc -= m[row * n + j] * x[j];
+        }
+        x[row] = acc / m[row * n + row];
+    }
+    Some(x)
 }
 
 fn combinations(items: &[usize], k: usize) -> Vec<Vec<usize>> {
@@ -224,5 +278,47 @@ proptest! {
             (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
             (a, b) => prop_assert!(false, "non-deterministic outcome: {a:?} vs {b:?}"),
         }
+    }
+}
+
+#[test]
+fn solve_dense_solves_identity_and_pivots() {
+    assert_eq!(
+        solve_dense(2, &[1.0, 0.0, 0.0, 1.0], &[3.0, 4.0]),
+        Some(vec![3.0, 4.0])
+    );
+    // The first pivot is zero, so the rows must be exchanged.
+    assert_eq!(
+        solve_dense(2, &[0.0, 1.0, 1.0, 0.0], &[5.0, 7.0]),
+        Some(vec![7.0, 5.0])
+    );
+    assert!(solve_dense(2, &[1.0, 2.0, 2.0, 4.0], &[1.0, 2.0]).is_none());
+    let x = solve_dense(2, &[2.0, 1.0, 1.0, 3.0], &[3.0, 5.0]).unwrap();
+    assert!(
+        (x[0] - 0.8).abs() < 1e-12 && (x[1] - 1.4).abs() < 1e-12,
+        "{x:?}"
+    );
+    // The 1-D Poisson system, whose solution is [1, 1, 1].
+    let poisson = [2.0, -1.0, 0.0, -1.0, 2.0, -1.0, 0.0, -1.0, 2.0];
+    let x = solve_dense(3, &poisson, &[1.0, 0.0, 1.0]).unwrap();
+    assert!(x.iter().all(|v| (v - 1.0).abs() < 1e-12), "{x:?}");
+}
+
+#[test]
+fn solve_dense_residual_is_small_on_random_system() {
+    let n = 8;
+    let mut seed = 42u64;
+    let mut next = || {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
+    };
+    let a: Vec<f64> = (0..n * n).map(|_| next()).collect();
+    let b: Vec<f64> = (0..n).map(|_| next()).collect();
+    let x = solve_dense(n, &a, &b).expect("a random system is regular");
+    for i in 0..n {
+        let residual = linalg::dot(&a[i * n..(i + 1) * n], &x) - b[i];
+        assert!(residual.abs() < 1e-8, "row {i} residual {residual}");
     }
 }

@@ -16,9 +16,10 @@
 //!
 //! The item finder is the only code that brace-matches item bodies: an
 //! item runs from its head to the `}` matching its first `{`, or to the
-//! `;` of a bodiless item, whichever comes first, and to EOF when the file
-//! never closes it. [`Workspace::load`] reads every `.rs` file under the
-//! scoped directories once and builds a [`FileModel`] for each.
+//! `;` of a bodiless item (outside the head's parentheses and brackets),
+//! whichever comes first, and to EOF when the file never closes it.
+//! [`Workspace::load`] reads every `.rs` file under the scoped directories
+//! once and builds a [`FileModel`] for each.
 
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
@@ -122,8 +123,10 @@ pub(crate) fn find_items(source: &str, tokens: &[Token]) -> Items {
 /// Walks the item whose head starts at token `from`: the index of its
 /// body's `{` (`None` when a `;` ends the item first) and of its last
 /// token, that `;` or the matching `}` (`None` when the file ends first).
+/// A `;` inside the head's parentheses or brackets, as in `[f64; 6]`,
+/// does not end the item.
 fn extent(tokens: &[Token], from: usize) -> (Option<usize>, Option<usize>) {
-    let (mut open, mut depth) = (None, 0usize);
+    let (mut open, mut depth, mut nest) = (None, 0usize, 0usize);
     for (i, t) in tokens.iter().enumerate().skip(from) {
         if t.is_punct('{') {
             open = open.or(Some(i));
@@ -133,8 +136,14 @@ fn extent(tokens: &[Token], from: usize) -> (Option<usize>, Option<usize>) {
             if depth == 0 {
                 return (open, Some(i));
             }
-        } else if t.is_punct(';') && open.is_none() {
-            return (None, Some(i));
+        } else if open.is_none() {
+            if t.is_punct('(') || t.is_punct('[') {
+                nest += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                nest = nest.saturating_sub(1);
+            } else if t.is_punct(';') && nest == 0 {
+                return (None, Some(i));
+            }
         }
     }
     (open, None)
@@ -381,6 +390,29 @@ trait T {
         assert_eq!(
             (decl.start_line, decl.end_line, decl.body.clone()),
             (14, 14, None)
+        );
+    }
+
+    #[test]
+    fn a_semicolon_inside_brackets_does_not_end_the_head() {
+        let src = "\
+fn numbers(&self) -> [f64; 6] {
+    [0.0; 6]
+}
+trait T {
+    fn pair(&self) -> [u8; 2];
+}
+";
+        let m = FileModel::from_source("x.rs".to_string(), src.to_string());
+        let f = &m.fns[0];
+        assert_eq!(
+            (f.start_line, f.end_line, f.body.clone()),
+            (1, 3, Some(1..=3))
+        );
+        let decl = &m.fns[1];
+        assert_eq!(
+            (decl.start_line, decl.end_line, decl.body.clone()),
+            (5, 5, None)
         );
     }
 

@@ -302,6 +302,32 @@ fn check_no_panic_mode(src: &CleanedSource, strict_index: bool) -> Vec<Violation
     out
 }
 
+/// The return type of a `fn` signature: the text after the `->` that
+/// follows the parameter list's closing `)`, up to a `where` clause.
+/// Parentheses inside the generics (`F: Fn(u32) -> u32`) or the parameters
+/// (`g: fn(u32) -> u32`) are not the parameter list's; the `>` of `->` is
+/// not a closing angle bracket.
+fn return_type(signature: &str) -> Option<&str> {
+    let (mut parens, mut angles, mut prev) = (0usize, 0usize, ' ');
+    for (i, c) in signature.char_indices() {
+        match c {
+            '<' => angles += 1,
+            '>' if prev != '-' => angles = angles.saturating_sub(1),
+            '(' => parens += 1,
+            ')' => {
+                parens = parens.saturating_sub(1);
+                if parens == 0 && angles == 0 {
+                    let ret = signature[i + 1..].trim_start().strip_prefix("->")?;
+                    return Some(find_word(ret, "where").map_or(ret, |w| &ret[..w]));
+                }
+            }
+            _ => {}
+        }
+        prev = c;
+    }
+    None
+}
+
 /// `pub fn` documentation: `-> Result` requires `# Errors`; a body that
 /// asserts (or unwraps) requires `# Panics`. Reads the file's `fn` items
 /// ([`FileModel::fns`](crate::model::FileModel::fns)). Only checked in the
@@ -314,10 +340,7 @@ pub fn check_errors_doc(src: &CleanedSource, fns: &[FnItem]) -> Vec<Violation> {
         if src.is_test(line) || src.is_allowed(RULE_ERRORS_DOC, line) {
             continue;
         }
-        let returns_result = f
-            .signature
-            .split("->")
-            .nth(1)
+        let returns_result = return_type(&f.signature)
             .is_some_and(|ret| ret.contains("Result<") || ret.contains("Result "));
         let body = f.body.as_ref().map_or(&[][..], |b| {
             code_lines.get(b.start() - 1..*b.end()).unwrap_or_default()
@@ -464,6 +487,20 @@ pub fn checked(x: f64) {\n    assert!(x >= 0.0);\n}\n";
         let m = FileModel::from_source(String::new(), src.to_string());
         let v = check_errors_doc(&m.cleaned, &m.fns);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn errors_doc_reads_the_return_type_after_the_parameters() {
+        let src = "\
+/// Generic.\n\
+pub fn generic<F: Fn(u32) -> u32>(f: F, g: fn(u32) -> u32) -> Result<u32, String>\n\
+where\n    F: Copy,\n{\n    Ok(f(g(1)))\n}\n\
+/// Takes a fallible callback.\n\
+pub fn takes(h: impl Fn() -> Result<(), String>) -> u32 {\n    u32::from(h().is_ok())\n}\n";
+        let m = FileModel::from_source(String::new(), src.to_string());
+        let v = check_errors_doc(&m.cleaned, &m.fns);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`pub fn generic` returns Result"));
     }
 
     #[test]

@@ -21,8 +21,10 @@ lint_tmp="$(mktemp -d)"
     | grep -q 'no change' || { echo "lint-diff self-comparison failed" >&2; exit 1; }
 rm -rf "$lint_tmp"
 echo "static analysis ok"
-# The whole suite again with the runtime paper-invariant checks compiled in.
-cargo test -q --offline --features strict-invariants
+# Every crate's suite again with the runtime invariant checks compiled in
+# (the root feature forwards to grefar-core, grefar-sim, grefar-lp and,
+# through grefar-core, grefar-convex).
+cargo test -q --offline --workspace --features strict-invariants
 
 # Telemetry tooling end to end (see EXPERIMENTS.md, "Reading telemetry"):
 # a real fig2 V-sweep must analyze clean against the Theorem 1(a) queue
