@@ -285,7 +285,8 @@ pub fn slackness_delta(config: &SystemConfig, min_capacity: &[f64]) -> Option<f6
 /// `a_j(t)`. Returns the largest certified `δ`, or `None`.
 ///
 /// # Panics
-/// Panics on shape mismatches or an empty trace.
+/// Panics on shape mismatches or an empty trace, and when a
+/// `strict-invariants` build of the simplex reports a broken invariant.
 pub fn slackness_delta_trace(
     config: &SystemConfig,
     capacities: &[Vec<f64>],
@@ -309,7 +310,7 @@ pub fn slackness_delta_trace(
 
     // Exact per-slot witness: does any r' satisfy (20)-(22) at this delta?
     let lp_witness = |caps: &[f64], arr: &[f64], delta: f64| -> bool {
-        use grefar_lp::{LpProblem, Relation};
+        use grefar_lp::{LpProblem, Relation, SolveError};
         let j_count = config.num_job_classes();
         let var = |i: usize, j: usize| i * j_count + j;
         let mut p = LpProblem::minimize(n * j_count);
@@ -340,7 +341,13 @@ pub fn slackness_delta_trace(
             }
             p.add_constraint(&coeffs, Relation::Le, cap - delta - fixed);
         }
-        p.solve().is_ok()
+        match p.solve() {
+            Ok(_) => true,
+            // Only a `strict-invariants` build of the simplex returns this:
+            // the kernel failed its own check, which is not "infeasible".
+            Err(SolveError::InvariantViolation(why)) => panic!("slackness LP: {why}"),
+            Err(_) => false,
+        }
     };
 
     let feasible = |delta: f64| -> bool {

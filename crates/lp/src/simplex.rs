@@ -18,6 +18,15 @@
 //! Pivoting uses Dantzig's rule with a fallback to Bland's rule, which
 //! guarantees termination on degenerate instances.
 //!
+//! Entering: one factor per column, `sense`, is −1 for a nonbasic column
+//! at 0, +1 for one at its upper bound and NaN for a basic one. The score
+//! `sense[j] · reduced[j]` is then `|reduced[j]|` exactly when moving the
+//! column off its bound improves the objective, at most `tol` otherwise,
+//! and NaN for a basic column, which no comparison picks. Dantzig's rule
+//! takes the first column with the largest score above `tol`, scanning
+//! blocks of [`BLOCK`] columns and walking only the blocks with a score
+//! above the best so far; Bland's rule takes the first score above `tol`.
+//!
 //! Pricing: each phase starts by pricing every column in one row-major
 //! pass over the tableau. After a basis change only the columns where the
 //! pivot row was nonzero before scaling are priced again, each summed over
@@ -25,26 +34,40 @@
 //! pattern the pivot row is ±0, so elimination leaves the column's tableau
 //! entries unchanged and the pivot row's new basic cost multiplies ±0:
 //! the skipped reduced costs equal the full pass's up to the sign of a
-//! zero, which the entering rule's `±tol` and `abs` comparisons cannot
-//! see. A pivot row nonzero in more than a quarter of the priced columns
-//! keeps the full pass, which then costs about as much. A bound flip
-//! changes neither the basis nor the tableau, so it reuses the reduced
-//! costs.
+//! zero, which the entering rule's `>` and the ratio test's `±tol` cannot
+//! see. A bound flip changes neither the basis nor the tableau, so it
+//! reuses the reduced costs.
+//!
+//! Pivoting: the entering column is gathered once per pivot, and the ratio
+//! test, the `xb` update and the elimination factors read the copy. The
+//! elimination, like the re-price, runs over the listed columns only:
+//! elsewhere the dense update `v − f·(±0)` returns `v` except that it can
+//! turn a −0 into +0. A pivot row nonzero in more than a quarter of the
+//! priced columns keeps the dense elimination and the full pricing pass:
+//! their contiguous loops vectorise, where the listed ones gather and
+//! scatter, so on dense rows they are the faster pair. The drive-out of
+//! artificials after phase 1 eliminates densely too. Phase 2 neither
+//! prices nor eliminates the artificial columns: no later step reads them.
 //!
 //! Correctness is enforced by the brute-force vertex-enumeration property
 //! tests in `tests/proptest_simplex.rs`, and bit-identity of the pivot
 //! sequence by `tests/kernel_golden.rs`. Under `strict-invariants` every
-//! re-price is compared with a full pass.
+//! entering pick is compared with a branchy reference scan, every listed
+//! elimination with a dense one and every re-price with a full pass.
 
 use crate::problem::{Relation, Row};
 use crate::solution::{Solution, SolveError, SolveStats};
+
+/// Columns per block of the Dantzig entering scan.
+const BLOCK: usize = 16;
 
 /// Tunable solver options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimplexOptions {
     /// Hard cap on total pivots (and bound flips) across both phases.
     pub max_pivots: usize,
-    /// Numerical tolerance for reduced costs, ratios and feasibility.
+    /// Numerical tolerance (non-negative) for reduced costs, ratios and
+    /// feasibility.
     pub tolerance: f64,
     /// Number of Dantzig pivots before switching to Bland's rule.
     pub bland_after: usize,
@@ -69,22 +92,24 @@ struct Tableau {
     m: usize,
     width: usize,
     basis: Vec<usize>,
-    /// `in_basis[j]` iff column `j` appears in `basis`; `pivot` and
-    /// `drop_row` keep the two in step.
-    in_basis: Vec<bool>,
-    /// For nonbasic columns: resting at the upper bound? (Basic entries
-    /// are ignored.)
-    at_upper: Vec<bool>,
+    /// Per column: −1 when nonbasic at 0, +1 when nonbasic at its upper
+    /// bound, NaN when basic (see the module docs). `pivot` and
+    /// `drop_row` keep it in step with `basis`.
+    sense: Vec<f64>,
     /// Upper bound per column (`f64::INFINITY` if unbounded).
     upper: Vec<f64>,
-    /// Reusable copy of the pivot row, so elimination does not allocate
-    /// on every pivot. Always `width` long.
+    /// The entering column, copied by [`Tableau::gather`] before each
+    /// pivot. Always `m` long.
+    column: Vec<f64>,
+    /// The scaled pivot row: the listed entries in list order, or the
+    /// priced columns. Always `width` long.
     scratch: Vec<f64>,
     /// Reduced costs of the current basis, written by [`Tableau::price`]
     /// and [`Tableau::reprice`]. Always `width` long.
     reduced: Vec<f64>,
-    /// The columns [`Tableau::reprice`] prices, ascending, in its first
-    /// entries (see [`Tableau::changed_columns`]). Always `width` long.
+    /// The columns [`Tableau::pivot`] eliminates and [`Tableau::reprice`]
+    /// prices, ascending, in its first entries (see
+    /// [`Tableau::changed_columns`]). Always `width` long.
     changed: Vec<usize>,
 }
 
@@ -94,33 +119,52 @@ impl Tableau {
         self.data[r * self.width + c]
     }
 
-    /// Pivot on (`row`, `col`): scale the pivot row, eliminate `col`
-    /// elsewhere. `xb` is NOT touched here — callers update it first.
-    fn pivot(&mut self, row: usize, col: usize) {
-        let w = self.width;
-        let pivot_row = &mut self.data[row * w..(row + 1) * w];
-        let pivot = pivot_row[col];
-        debug_assert!(pivot.abs() > 0.0);
-        let inv = 1.0 / pivot;
-        for v in pivot_row.iter_mut() {
-            *v *= inv;
+    fn is_basic(&self, col: usize) -> bool {
+        self.sense[col].is_nan()
+    }
+
+    /// Is nonbasic column `col` resting at its upper bound?
+    fn at_upper(&self, col: usize) -> bool {
+        self.sense[col] > 0.0
+    }
+
+    /// Copies column `col` of the tableau into `column`.
+    fn gather(&mut self, col: usize) {
+        let rows = self.data.chunks_exact(self.width);
+        for (d, row) in self.column.iter_mut().zip(rows) {
+            *d = row[col];
         }
-        self.scratch.copy_from_slice(pivot_row);
-        for (r, tableau_row) in self.data.chunks_exact_mut(w).enumerate() {
-            if r == row {
-                continue;
-            }
-            let factor = tableau_row[col];
-            // verify: allow(float-eq): exact-zero skip — elimination with a zero factor is a no-op
-            if factor == 0.0 {
-                continue;
-            }
-            for (v, &pv) in tableau_row.iter_mut().zip(&self.scratch) {
-                *v -= factor * pv;
-            }
+    }
+
+    /// Pivot on (`row`, `col`) over the priced columns `0..columns`, with
+    /// `column` holding the gathered column `col`: scale the pivot row and
+    /// eliminate `col` from every other row. `Some(n)` from
+    /// [`Tableau::changed_columns`] restricts both to the `n` listed
+    /// columns. The leaving column rests at its upper bound if
+    /// `leaves_at_upper`, else at 0. `xb` is NOT touched here — callers
+    /// update it first.
+    fn pivot(
+        &mut self,
+        row: usize,
+        col: usize,
+        columns: usize,
+        listed: Option<usize>,
+        leaves_at_upper: bool,
+    ) {
+        let (data, w) = (&mut self.data, self.width);
+        match listed {
+            Some(n) => eliminate_listed(
+                data,
+                w,
+                &self.changed[..n],
+                row,
+                &self.column,
+                &mut self.scratch,
+            ),
+            None => eliminate(data, w, columns, row, &self.column, &mut self.scratch),
         }
-        self.in_basis[self.basis[row]] = false;
-        self.in_basis[col] = true;
+        self.sense[self.basis[row]] = if leaves_at_upper { 1.0 } else { -1.0 };
+        self.sense[col] = f64::NAN;
         self.basis[row] = col;
     }
 
@@ -129,12 +173,9 @@ impl Tableau {
         let w = self.width;
         self.data.drain(row * w..(row + 1) * w);
         self.xb.remove(row);
-        self.in_basis[self.basis.remove(row)] = false;
+        self.sense[self.basis.remove(row)] = -1.0;
+        self.column.pop();
         self.m -= 1;
-    }
-
-    fn is_basic(&self, col: usize) -> bool {
-        self.in_basis[col]
     }
 
     /// Writes the reduced costs `cost_j − Σ_i c_B(i)·a_ij` of columns
@@ -157,31 +198,18 @@ impl Tableau {
         }
     }
 
-    /// Records the priced columns (`0..columns`) where row `row` is
-    /// nonzero at the front of `changed` and returns how many there are,
-    /// or `None` when there are more than a quarter of `columns`: a full
-    /// [`Tableau::price`] pass then costs little more than
-    /// [`Tableau::reprice`]. Called on the pivot row before
-    /// [`Tableau::pivot`] scales it.
+    /// Lists the priced columns (`0..columns`) where row `row` is nonzero
+    /// at the front of `changed` and returns how many there are, or `None`
+    /// when there are more than a quarter of `columns`: the dense
+    /// elimination and a full [`Tableau::price`] pass are then faster.
+    /// Called on the pivot row before [`Tableau::pivot`] scales it.
     fn changed_columns(&mut self, row: usize, columns: usize) -> Option<usize> {
         let row = &self.data[row * self.width..row * self.width + columns];
-        // Counted first, so a dense row skips the compaction's stores.
-        // verify: allow(float-eq): exact-zero test — the basis change leaves a column whose pivot-row entry is ±0 unpriced
-        if 4 * row.iter().filter(|&&a| a != 0.0).count() > columns {
-            return None;
-        }
-        // Branch-free compaction: every index is stored, and the cursor
-        // moves past the nonzero ones.
-        let mut n = 0;
-        for (j, &a) in row.iter().enumerate() {
-            self.changed[n] = j;
-            // verify: allow(float-eq): exact-zero test — the basis change leaves a column whose pivot-row entry is ±0 unpriced
-            n += usize::from(a != 0.0);
-        }
-        Some(n)
+        let n = list_nonzeros(row, &mut self.changed);
+        (4 * n <= columns).then_some(n)
     }
 
-    /// Re-prices the `n` columns [`Tableau::changed_columns`] recorded
+    /// Re-prices the `n` columns [`Tableau::changed_columns`] listed
     /// before the last pivot. Each is the same floating-point sum, over the
     /// same rows in the same order, as in [`Tableau::price`]; every other
     /// reduced cost already equals the full pass's up to the sign of a
@@ -221,11 +249,49 @@ impl Tableau {
         Ok(())
     }
 
+    /// `strict-invariants`: a copy of the tableau before a listed
+    /// elimination (`listed` is `Some`), for [`Tableau::check_eliminated`].
+    #[cfg(feature = "strict-invariants")]
+    fn copy_before(&self, listed: Option<usize>) -> Option<Vec<f64>> {
+        listed.map(|_| self.data.clone())
+    }
+
+    /// `strict-invariants`: after a listed elimination on pivot row `row`,
+    /// the priced columns `0..columns` of the tableau must equal a dense
+    /// [`eliminate`] of `before`, the tableau before the pivot, up to the
+    /// sign of a zero.
+    #[cfg(feature = "strict-invariants")]
+    fn check_eliminated(
+        &self,
+        before: Option<Vec<f64>>,
+        row: usize,
+        columns: usize,
+    ) -> Result<(), SolveError> {
+        let Some(mut before) = before else {
+            return Ok(());
+        };
+        let w = self.width;
+        let mut scratch = vec![0.0; w];
+        eliminate(&mut before, w, columns, row, &self.column, &mut scratch);
+        let rows = self.data.chunks_exact(w).zip(before.chunks_exact(w));
+        for (r, (listed, dense)) in rows.enumerate() {
+            for (j, (&a, &b)) in listed.iter().zip(dense).take(columns).enumerate() {
+                // verify: allow(float-eq): the listed elimination must reproduce the dense one exactly, up to the sign of a zero
+                if a != b && !(a.is_nan() && b.is_nan()) {
+                    return Err(SolveError::InvariantViolation(format!(
+                        "tableau entry ({r}, {j}) is {a:e} after the listed elimination but {b:e} after a dense one"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// `strict-invariants` sanity sweep over the basis and bound-flip
-    /// bookkeeping: every basis column distinct and in range, `in_basis`
-    /// marking exactly the basis columns, every basic value within
-    /// `[0, upper]` (up to `tol`), and no nonbasic column resting at a
-    /// non-finite upper bound.
+    /// bookkeeping: every basis column distinct and in range, `sense` NaN
+    /// exactly at the basis columns and ±1 elsewhere, every basic value
+    /// within `[0, upper]` (up to `tol`), and no nonbasic column resting
+    /// at a non-finite upper bound.
     #[cfg(feature = "strict-invariants")]
     fn check_invariants(&self, tol: f64) -> Result<(), SolveError> {
         let mut seen = vec![false; self.width];
@@ -250,19 +316,188 @@ impl Tableau {
                 )));
             }
         }
-        for (j, (&basic, &marked)) in seen.iter().zip(&self.in_basis).enumerate() {
-            if basic != marked {
+        for (j, (&basic, &sense)) in seen.iter().zip(&self.sense).enumerate() {
+            // verify: allow(float-eq): a nonbasic column's sense is exactly −1 or +1
+            if basic != sense.is_nan() || (!basic && sense.abs() != 1.0) {
                 return Err(SolveError::InvariantViolation(format!(
-                    "in_basis[{j}] = {marked} disagrees with the basis"
+                    "sense[{j}] = {sense} disagrees with the basis"
                 )));
             }
-            if !basic && self.at_upper[j] && !self.upper[j].is_finite() {
+            if sense > 0.0 && !self.upper[j].is_finite() {
                 return Err(SolveError::InvariantViolation(format!(
                     "nonbasic column {j} rests at a non-finite upper bound"
                 )));
             }
         }
         Ok(())
+    }
+}
+
+/// Dantzig's rule: the first column with the largest score
+/// `sense[j] · reduced[j]` above `tol` (see the module docs). The scan
+/// walks a block of [`BLOCK`] columns only when one of its scores beats
+/// the best so far. That test is exact, since a NaN compares false, and
+/// it vectorises.
+fn dantzig_entering(reduced: &[f64], sense: &[f64], tol: f64) -> Option<usize> {
+    /// Takes each score of the block at `base` that beats `best`.
+    fn walk(
+        best: &mut f64,
+        entering: &mut Option<usize>,
+        base: usize,
+        reduced: &[f64],
+        sense: &[f64],
+    ) {
+        for (k, (&rc, &s)) in reduced.iter().zip(sense).enumerate() {
+            let score = s * rc;
+            if score > *best {
+                *best = score;
+                *entering = Some(base + k);
+            }
+        }
+    }
+    debug_assert_eq!(reduced.len(), sense.len());
+    let (reduced_blocks, reduced_tail) = reduced.as_chunks::<BLOCK>();
+    let (sense_blocks, sense_tail) = sense.as_chunks::<BLOCK>();
+    let mut best = tol;
+    let mut entering = None;
+    for (b, (rb, sb)) in reduced_blocks.iter().zip(sense_blocks).enumerate() {
+        let beats = rb
+            .iter()
+            .zip(sb)
+            .fold(false, |any, (&rc, &s)| any | (s * rc > best));
+        if beats {
+            walk(&mut best, &mut entering, b * BLOCK, rb, sb);
+        }
+    }
+    let base = reduced_blocks.len() * BLOCK;
+    walk(&mut best, &mut entering, base, reduced_tail, sense_tail);
+    entering
+}
+
+/// Bland's rule: the first column whose score `sense[j] · reduced[j]`
+/// exceeds `tol`.
+fn bland_entering(reduced: &[f64], sense: &[f64], tol: f64) -> Option<usize> {
+    reduced.iter().zip(sense).position(|(&rc, &s)| s * rc > tol)
+}
+
+/// The entering rule as a branchy scan over each column's basis
+/// membership and resting bound: the oracle of [`dantzig_entering`] and
+/// [`bland_entering`].
+#[cfg(any(test, feature = "strict-invariants"))]
+fn reference_entering(reduced: &[f64], sense: &[f64], tol: f64, bland: bool) -> Option<usize> {
+    let mut entering = None;
+    let mut best = tol;
+    for (j, (&rc, &s)) in reduced.iter().zip(sense).enumerate() {
+        if s.is_nan() {
+            continue; // basic
+        }
+        // From the lower bound, increasing x_j helps iff rc < 0;
+        // from the upper bound, decreasing x_j helps iff rc > 0.
+        let improves = if s > 0.0 { rc > tol } else { rc < -tol };
+        if improves {
+            if bland {
+                return Some(j);
+            } else if rc.abs() > best {
+                best = rc.abs();
+                entering = Some(j);
+            }
+        }
+    }
+    entering
+}
+
+/// `strict-invariants`: the entering scan must pick the reference scan's
+/// column.
+#[cfg(feature = "strict-invariants")]
+fn check_entering(
+    entering: Option<usize>,
+    reduced: &[f64],
+    sense: &[f64],
+    tol: f64,
+    bland: bool,
+) -> Result<(), SolveError> {
+    let reference = reference_entering(reduced, sense, tol, bland);
+    if entering == reference {
+        Ok(())
+    } else {
+        Err(SolveError::InvariantViolation(format!(
+            "the entering scan picked column {entering:?} but the reference scan {reference:?}"
+        )))
+    }
+}
+
+/// Writes the indices of `row`'s nonzero entries, ascending, to the front
+/// of `out` and returns how many there are.
+fn list_nonzeros(row: &[f64], out: &mut [usize]) -> usize {
+    // Branch-free compaction: every index is stored, and the cursor moves
+    // past the nonzero ones.
+    let mut n = 0;
+    for (j, &a) in row.iter().enumerate() {
+        out[n] = j;
+        // verify: allow(float-eq): exact-zero test — a column whose pivot-row entry is ±0 is neither eliminated nor re-priced
+        n += usize::from(a != 0.0);
+    }
+    n
+}
+
+/// Scales row `row` of the `width`-wide tableau `data` by `1 / column[row]`
+/// over the columns `0..columns`, then subtracts `column[r]` times it from
+/// every other row `r` there, skipping rows whose factor is zero.
+/// `column` holds the entering column as it was before the pivot, and
+/// `scratch` receives the scaled row.
+fn eliminate(
+    data: &mut [f64],
+    width: usize,
+    columns: usize,
+    row: usize,
+    column: &[f64],
+    scratch: &mut [f64],
+) {
+    let inv = 1.0 / column[row];
+    let pivot_row = &mut data[row * width..row * width + columns];
+    for v in pivot_row.iter_mut() {
+        *v *= inv;
+    }
+    let scratch = &mut scratch[..columns];
+    scratch.copy_from_slice(pivot_row);
+    for (r, (tableau_row, &factor)) in data.chunks_exact_mut(width).zip(column).enumerate() {
+        // verify: allow(float-eq): exact-zero skip — elimination with a zero factor is a no-op
+        if r == row || factor == 0.0 {
+            continue;
+        }
+        for (v, &pv) in tableau_row[..columns].iter_mut().zip(&*scratch) {
+            *v -= factor * pv;
+        }
+    }
+}
+
+/// [`eliminate`] over only the columns in `listed`, those where the pivot
+/// row is nonzero before scaling. Elsewhere the scaled pivot row is ±0,
+/// where the dense update `v − f·(±0)` returns `v` except that it can turn
+/// a −0 into +0. `scratch` receives the scaled entries in list order.
+fn eliminate_listed(
+    data: &mut [f64],
+    width: usize,
+    listed: &[usize],
+    row: usize,
+    column: &[f64],
+    scratch: &mut [f64],
+) {
+    let inv = 1.0 / column[row];
+    let pivot_row = &mut data[row * width..(row + 1) * width];
+    let scratch = &mut scratch[..listed.len()];
+    for (pv, &j) in scratch.iter_mut().zip(listed) {
+        pivot_row[j] *= inv;
+        *pv = pivot_row[j];
+    }
+    for (r, (tableau_row, &factor)) in data.chunks_exact_mut(width).zip(column).enumerate() {
+        // verify: allow(float-eq): exact-zero skip — elimination with a zero factor is a no-op
+        if r == row || factor == 0.0 {
+            continue;
+        }
+        for (&j, &pv) in listed.iter().zip(&*scratch) {
+            tableau_row[j] -= factor * pv;
+        }
     }
 }
 
@@ -305,44 +540,31 @@ fn run_phase(
         }
         let use_bland = counters.total() >= opts.bland_after;
 
-        // Entering column: improving reduced cost given its resting bound.
-        let mut entering: Option<(usize, f64)> = None; // (col, direction s)
-        let mut best = tol;
-        for j in 0..columns {
-            if t.is_basic(j) {
-                continue;
-            }
-            let rc = t.reduced[j];
-            // From the lower bound, increasing x_j helps iff rc < 0;
-            // from the upper bound, decreasing x_j helps iff rc > 0.
-            let (improves, direction) = if t.at_upper[j] {
-                (rc > tol, -1.0)
-            } else {
-                (rc < -tol, 1.0)
-            };
-            if improves {
-                if use_bland {
-                    entering = Some((j, direction));
-                    break;
-                } else if rc.abs() > best {
-                    best = rc.abs();
-                    entering = Some((j, direction));
-                }
-            }
-        }
-        let Some((col, s)) = entering else {
+        // Entering column: the best (Dantzig) or first (Bland) improving
+        // score.
+        let (reduced, sense) = (&t.reduced[..columns], &t.sense[..columns]);
+        let entering = if use_bland {
+            bland_entering(reduced, sense, tol)
+        } else {
+            dantzig_entering(reduced, sense, tol)
+        };
+        #[cfg(feature = "strict-invariants")]
+        check_entering(entering, reduced, sense, tol, use_bland)?;
+        let Some(col) = entering else {
             #[cfg(feature = "strict-invariants")]
             t.check_invariants(opts.tolerance.max(1e-6))?;
             return Ok(()); // phase optimal
         };
+        // The direction of x_col: up from 0, down from its upper bound.
+        let s = -t.sense[col];
+        t.gather(col);
 
         // Ratio test: largest step `t*` keeping every basic variable within
         // its bounds, capped by the entering variable's own bound span.
         // x_B(t*) = xb − s·t*·d with d the tableau column.
         let mut limit = t.upper[col]; // a bound flip consumes the full span
         let mut blocking: Option<(usize, bool)> = None; // (row, leaves_at_upper)
-        for i in 0..t.m {
-            let d = t.at(i, col);
+        for (i, &d) in t.column.iter().enumerate() {
             let sd = s * d;
             if sd > tol {
                 // Basic variable decreases toward 0.
@@ -377,11 +599,11 @@ fn run_phase(
         let step = limit.max(0.0);
 
         // Apply the move to the basic solution.
-        for i in 0..t.m {
-            t.xb[i] -= s * step * t.at(i, col);
+        for (xb, &d) in t.xb.iter_mut().zip(&t.column) {
+            *xb -= s * step * d;
             // Numerical hygiene: clamp tiny negatives.
-            if t.xb[i] < 0.0 && t.xb[i] > -1e-9 {
-                t.xb[i] = 0.0;
+            if *xb < 0.0 && *xb > -1e-9 {
+                *xb = 0.0;
             }
         }
 
@@ -389,22 +611,23 @@ fn run_phase(
             None => {
                 // Bound flip: the entering variable traverses its whole
                 // span and rests at the opposite bound. No basis change.
-                t.at_upper[col] = !t.at_upper[col];
+                t.sense[col] = -t.sense[col];
                 counters.flips += 1;
             }
             Some((row, leaves_at_upper)) => {
                 // The entering variable becomes basic with value:
-                let entering_value = if t.at_upper[col] {
+                let entering_value = if t.at_upper(col) {
                     t.upper[col] - step
                 } else {
                     step
                 };
-                let leaving = t.basis[row];
-                t.at_upper[leaving] = leaves_at_upper;
                 let changed = t.changed_columns(row, columns);
-                t.pivot(row, col);
+                #[cfg(feature = "strict-invariants")]
+                let before = t.copy_before(changed);
+                t.pivot(row, col, columns, changed, leaves_at_upper);
+                #[cfg(feature = "strict-invariants")]
+                t.check_eliminated(before, row, columns)?;
                 t.xb[row] = entering_value;
-                t.at_upper[col] = false; // basic now; flag meaningless but tidy
                 match changed {
                     Some(n) => t.reprice(cost, n),
                     None => t.price(cost, columns),
@@ -439,6 +662,8 @@ pub(crate) fn simplex(
     opts: SimplexOptions,
 ) -> Result<Solution, SolveError> {
     debug_assert_eq!(upper_bounds.len(), num_vars);
+    // The entering score equals the `|reduced|` comparison only then.
+    debug_assert!(opts.tolerance >= 0.0, "tolerance must be non-negative");
     // verify: allow(determinism): wall-clock feeds SolveStats telemetry only, never a pivot choice
     let started = std::time::Instant::now();
     let m = rows.len();
@@ -460,7 +685,7 @@ pub(crate) fn simplex(
     let mut data = vec![0.0; m * width];
     let mut xb = vec![0.0; m];
     let mut basis = vec![usize::MAX; m];
-    let mut in_basis = vec![false; width];
+    let mut sense = vec![-1.0; width];
     let mut upper = vec![f64::INFINITY; width];
     for (j, ub) in upper_bounds.iter().enumerate() {
         if let Some(u) = ub {
@@ -500,7 +725,7 @@ pub(crate) fn simplex(
     }
     let art_range = art_start..width;
     for &b in &basis {
-        in_basis[b] = true;
+        sense[b] = f64::NAN;
     }
 
     let mut t = Tableau {
@@ -509,9 +734,9 @@ pub(crate) fn simplex(
         m,
         width,
         basis,
-        in_basis,
-        at_upper: vec![false; width],
+        sense,
         upper,
+        column: vec![0.0; m],
         scratch: vec![0.0; width],
         reduced: vec![0.0; width],
         changed: vec![0; width],
@@ -540,10 +765,10 @@ pub(crate) fn simplex(
                         // The artificial leaves at level ~0, so the step is
                         // ~0 and column `j` enters where it rests: at its
                         // upper bound, or at the artificial's ~0 level.
-                        let value = if t.at_upper[j] { t.upper[j] } else { t.xb[i] };
-                        t.pivot(i, j);
+                        let value = if t.at_upper(j) { t.upper[j] } else { t.xb[i] };
+                        t.gather(j);
+                        t.pivot(i, j, width, None, false);
                         t.xb[i] = value;
-                        t.at_upper[j] = false;
                         counters.pivots += 1;
                         counters.degenerate += 1;
                         pivoted = true;
@@ -571,7 +796,7 @@ pub(crate) fn simplex(
     // Extract the solution: basic value, or resting bound.
     let mut x = vec![0.0; num_vars];
     for (j, xj) in x.iter_mut().enumerate() {
-        if t.at_upper[j] && !t.is_basic(j) {
+        if t.at_upper(j) {
             *xj = t.upper[j];
         }
     }
@@ -607,7 +832,100 @@ fn effective_relation(row: &Row) -> Relation {
 
 #[cfg(test)]
 mod tests {
-    use crate::{LpProblem, Relation, SolveError};
+    use super::{
+        bland_entering, dantzig_entering, eliminate, eliminate_listed, list_nonzeros,
+        reference_entering, BLOCK,
+    };
+    use crate::{LpProblem, Relation, SimplexOptions, SolveError};
+    use proptest::prelude::*;
+
+    /// A reduced cost drawn to be rich in ties: signed zeros, the default
+    /// tolerance itself, repeated magnitudes of either sign, infinities
+    /// and NaN, besides arbitrary values.
+    fn reduced_cost() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(1e-9),
+            Just(-1e-9),
+            Just(1.0),
+            Just(-1.0),
+            Just(2.5),
+            Just(-2.5),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            -4.0..4.0f64,
+        ]
+    }
+
+    /// A tableau entry: zero (of either sign) two times in three.
+    fn entry() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(0.0),
+            Just(-0.0),
+            Just(-0.0),
+            Just(1.0),
+            -3.0..3.0f64,
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn blocked_scan_picks_the_reference_column(
+            reduced in collection::vec(reduced_cost(), 0..100),
+            sense in collection::vec(prop_oneof![Just(-1.0), Just(1.0), Just(f64::NAN)], 100),
+            basic_blocks in collection::vec(0..4u8, 7),
+            tol in prop_oneof![Just(0.0), Just(1e-9), Just(1.0)],
+        ) {
+            // About one block in four is all basic.
+            let mut sense = sense[..reduced.len()].to_vec();
+            for (block, &draw) in sense.chunks_mut(BLOCK).zip(&basic_blocks) {
+                if draw == 0 {
+                    block.fill(f64::NAN);
+                }
+            }
+            prop_assert_eq!(
+                dantzig_entering(&reduced, &sense, tol),
+                reference_entering(&reduced, &sense, tol, false)
+            );
+            prop_assert_eq!(
+                bland_entering(&reduced, &sense, tol),
+                reference_entering(&reduced, &sense, tol, true)
+            );
+        }
+
+        #[test]
+        fn listed_elimination_matches_the_dense_one(
+            (m, width) in (1..8usize, 1..48usize),
+            entries in collection::vec(entry(), 8 * 48),
+            (row, col, columns) in (any::<usize>(), any::<usize>(), any::<usize>()),
+            pivot in prop_oneof![Just(1.0), Just(-0.5), 0.25..4.0f64],
+        ) {
+            let mut data = entries[..m * width].to_vec();
+            let columns = 1 + columns % width;
+            let (row, col) = (row % m, col % columns);
+            data[row * width + col] = pivot;
+            let column: Vec<f64> = data.chunks_exact(width).map(|r| r[col]).collect();
+            let mut listed = vec![0; width];
+            let n = list_nonzeros(&data[row * width..row * width + columns], &mut listed);
+            let mut scratch = vec![0.0; width];
+            let mut dense = data.clone();
+            eliminate(&mut dense, width, columns, row, &column, &mut scratch);
+            let mut sparse = data.clone();
+            eliminate_listed(&mut sparse, width, &listed[..n], row, &column, &mut scratch);
+            for (k, ((&s, &d), &before)) in sparse.iter().zip(&dense).zip(&data).enumerate() {
+                let (r, j) = (k / width, k % width);
+                if j < columns {
+                    // Equal up to the sign of a zero.
+                    prop_assert!(s == d, "({}, {}): listed {:e}, dense {:e}", r, j, s, d);
+                } else {
+                    prop_assert_eq!(s.to_bits(), before.to_bits(), "({}, {}) is not priced", r, j);
+                }
+            }
+        }
+    }
 
     #[test]
     fn bound_flip_path() {
@@ -622,6 +940,20 @@ mod tests {
         let sol = p.solve().unwrap();
         assert!((sol.objective() + 1.5).abs() < 1e-9, "{}", sol.objective());
         assert!(p.is_feasible(sol.x(), 1e-9));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "tolerance must be non-negative")]
+    fn negative_tolerance_is_rejected() {
+        let mut p = LpProblem::minimize(1);
+        p.set_objective(0, -1.0);
+        p.set_upper_bound(0, 1.0);
+        p.set_options(SimplexOptions {
+            tolerance: -1e-9,
+            ..SimplexOptions::default()
+        });
+        let _ = p.solve();
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! * `backlog` — the MPC horizon LP's shape: boxed service `x` and busy
 //!   servers `b`, and a chain of backlog equalities over the horizon.
 //!
+//! Their LPs take at most a few hundred pivots, far below the default
+//! `bland_after`, so two more families re-solve them under Bland's rule:
+//! `<family>/bland0` every LP from its first pivot, and
+//! `<family>/bland10` every LP but the `mixed` ones (few of which take
+//! more than 10 pivots and flips) with a switch after the tenth. These
+//! lines were appended later, recorded from the kernel whose entering
+//! scan still tested `in_basis` and `at_upper` column by column.
+//!
 //! The fixture was recorded from the kernel that priced one column at a
 //! time, before the row-major pricing pass replaced it, and a kernel
 //! change must reproduce it line for line. The only lines allowed to
@@ -31,7 +39,7 @@
 //! `$CARGO_TARGET_TMPDIR/kernel_golden.txt`, so re-recording (a declared
 //! change to the kernel's arithmetic) is a copy of that file.
 
-use grefar_lp::{LpProblem, Relation, SolveError};
+use grefar_lp::{LpProblem, Relation, SimplexOptions, SolveError};
 use std::fmt::Write as _;
 
 const FIXTURE: &str = include_str!("fixtures/kernel_golden.txt");
@@ -267,11 +275,11 @@ fn digest_line(out: &mut String, family: &str, seed: u64, p: &LpProblem) {
     writeln!(out, "{family} {seed} {result}").expect("writing to a String");
 }
 
-fn digest() -> String {
-    let mut out = String::new();
+/// Every seeded LP of the families above, in fixture order.
+fn problems() -> Vec<(&'static str, u64, LpProblem)> {
+    let mut all = Vec::new();
     for seed in 0..300 {
-        let p = mixed(&mut Rng::new("mixed", seed));
-        digest_line(&mut out, "mixed", seed, &p);
+        all.push(("mixed", seed, mixed(&mut Rng::new("mixed", seed))));
     }
     for (seed, (vars, rows)) in [(20, 10), (60, 30), (150, 60)]
         .repeat(3)
@@ -280,19 +288,46 @@ fn digest() -> String {
     {
         let seed = seed as u64;
         let p = covering(&mut Rng::new("covering", seed), vars, rows);
-        digest_line(&mut out, "covering", seed, &p);
+        all.push(("covering", seed, p));
     }
     for seed in 0..40 {
-        let p = assignment(&mut Rng::new("assignment", seed));
-        digest_line(&mut out, "assignment", seed, &p);
+        all.push((
+            "assignment",
+            seed,
+            assignment(&mut Rng::new("assignment", seed)),
+        ));
     }
     for seed in 0..40 {
-        let p = transport(&mut Rng::new("transport", seed));
-        digest_line(&mut out, "transport", seed, &p);
+        all.push((
+            "transport",
+            seed,
+            transport(&mut Rng::new("transport", seed)),
+        ));
     }
     for seed in 0..60 {
-        let p = backlog(&mut Rng::new("backlog", seed));
-        digest_line(&mut out, "backlog", seed, &p);
+        all.push(("backlog", seed, backlog(&mut Rng::new("backlog", seed))));
+    }
+    all
+}
+
+fn digest() -> String {
+    let mut out = String::new();
+    let problems = problems();
+    for (family, seed, p) in &problems {
+        digest_line(&mut out, family, *seed, p);
+    }
+    for bland_after in [0, 10] {
+        for (family, seed, p) in &problems {
+            if bland_after > 0 && *family == "mixed" {
+                continue;
+            }
+            let mut p = p.clone();
+            p.set_options(SimplexOptions {
+                bland_after,
+                ..SimplexOptions::default()
+            });
+            digest_line(&mut out, &format!("{family}/bland{bland_after}"), *seed, &p);
+        }
     }
     out
 }

@@ -32,7 +32,7 @@
 
 use crate::inputs::SimulationInputs;
 use grefar_core::{QueueState, Scheduler, SlotInstance};
-use grefar_lp::{LpProblem, Relation, SolveStats};
+use grefar_lp::{LpProblem, Relation, SolveError, SolveStats};
 use grefar_obs::{Event, Observer, Timer};
 use grefar_types::{Decision, SystemConfig, SystemState};
 
@@ -133,6 +133,8 @@ impl MpcScheduler {
     /// Builds and solves the horizon LP, maps its first slot onto the
     /// two-tier dynamics, and reports the LP's shape and solve counters
     /// (`None` when the solve failed and the greedy fallback was used).
+    /// Panics when a `strict-invariants` build of the simplex reports a
+    /// broken invariant.
     fn plan(
         &mut self,
         state: &SystemState,
@@ -233,12 +235,18 @@ impl MpcScheduler {
         }
 
         let num_rows = lp.num_constraints();
-        let Ok(solution) = lp.solve() else {
-            // Defensive fallback (the LP is always feasible: serve nothing).
-            let decision = SlotInstance::new(&self.config, state, queues, 0.0)
-                .solve_greedy()
-                .decision;
-            return (decision, None);
+        let solution = match lp.solve() {
+            Ok(solution) => solution,
+            // Only a `strict-invariants` build of the simplex returns this:
+            // the kernel failed its own check, which a fallback would hide.
+            Err(SolveError::InvariantViolation(why)) => panic!("MPC horizon LP: {why}"),
+            Err(_) => {
+                // Defensive fallback (the LP is always feasible: serve nothing).
+                let decision = SlotInstance::new(&self.config, state, queues, 0.0)
+                    .solve_greedy()
+                    .decision;
+                return (decision, None);
+            }
         };
         let x = solution.x();
 
