@@ -2,19 +2,17 @@
 //!
 //! The paper notes (§IV-B) that the per-slot drift-plus-penalty problem (14)
 //! with fairness (`β > 0`) "is a convex optimization problem, to which
-//! efficient numerical algorithms … exist". This crate provides the two
-//! first-order methods the workspace uses, plus the projections they need:
+//! efficient numerical algorithms … exist". This crate provides the
+//! first-order method the workspace uses:
 //!
 //! * [`frank_wolfe`] — the Frank–Wolfe (conditional-gradient) method.
 //!   All it needs from the feasible region is a *linear minimization oracle*
 //!   ([`Lmo`]): given a gradient, return a feasible minimizer of the linear
 //!   model. For GreFar's per-slot polytope the LMO is the exact greedy
 //!   dispatch (the `β = 0` solver), so FW composes beautifully with it.
-//! * [`projected_subgradient`] — projected subgradient descent with a
-//!   diminishing step, used as an independent cross-check.
-//! * [`projection`] — exact Euclidean projections onto boxes and onto
-//!   capacity-capped boxes (`{0 ≤ x ≤ u, Σ w·x ≤ C}`) via Lagrangian
-//!   bisection.
+//!
+//! The projected-subgradient cross-check and its projections live with the
+//! oracle test that uses them (`crates/core/tests/reference`).
 //!
 //! # Example
 //!
@@ -47,7 +45,7 @@
 //!
 //! let result = frank_wolfe(&Dist, &Simplex, vec![0.0, 0.0], FwOptions::default());
 //! // Optimum is (0.5, 0.5) with value 4.5.
-//! assert!((result.value - 4.5).abs() < 1e-3);
+//! assert!((Dist.value(&result.x) - 4.5).abs() < 1e-3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,9 +53,6 @@
 
 mod frank_wolfe;
 mod objective;
-pub mod projection;
-mod subgradient;
 
 pub use frank_wolfe::{frank_wolfe, frank_wolfe_observed, FwOptions, FwResult, LineSearch};
 pub use objective::{LineModel, Lmo, Objective, Quadratic, Segment};
-pub use subgradient::{projected_subgradient, SubgradientOptions, SubgradientResult};

@@ -1,7 +1,6 @@
 //! Property tests for the convex toolkit: Frank–Wolfe descent and
-//! feasibility over random boxes, and projection optimality.
+//! feasibility over random boxes.
 
-use grefar_convex::projection::{clamp_box, project_capped_box};
 use grefar_convex::{frank_wolfe, FwOptions, Lmo, Objective, Quadratic};
 use proptest::prelude::*;
 
@@ -47,7 +46,8 @@ proptest! {
         let f0 = q.value(&x0);
         let result = frank_wolfe(&q, &lmo, x0, FwOptions::default());
 
-        prop_assert!(result.value <= f0 + 1e-12, "FW increased the objective");
+        let value = q.value(&result.x);
+        prop_assert!(value <= f0 + 1e-12, "FW increased the objective");
         for (xi, &u) in result.x.iter().zip(&upper[..n]) {
             prop_assert!(*xi >= -1e-12 && *xi <= u + 1e-12, "left the box");
         }
@@ -58,68 +58,9 @@ proptest! {
             }
             let probe: Vec<f64> = chunk.iter().zip(&upper[..n]).map(|(t, u)| t * u).collect();
             prop_assert!(
-                result.value - q.value(&probe) <= result.gap + 1e-7,
+                value - q.value(&probe) <= result.gap + 1e-7,
                 "probe beats FW by more than the certified gap"
             );
         }
-    }
-
-    /// project_capped_box returns a feasible point at least as close to the
-    /// input as any random feasible candidate (projection optimality).
-    #[test]
-    fn projection_is_nearest_feasible(
-        x in proptest::collection::vec(-2.0f64..6.0, 3),
-        upper in proptest::collection::vec(0.5f64..4.0, 3),
-        weights in proptest::collection::vec(0.2f64..2.0, 3),
-        cap_frac in 0.1f64..1.0,
-        candidates in proptest::collection::vec(0.0f64..1.0, 30),
-    ) {
-        let max_cap: f64 = upper.iter().zip(&weights).map(|(u, w)| u * w).sum();
-        let cap = cap_frac * max_cap;
-        let mut proj = x.clone();
-        project_capped_box(&mut proj, &upper, &weights, cap);
-
-        // Feasibility.
-        let load: f64 = proj.iter().zip(&weights).map(|(p, w)| p * w).sum();
-        prop_assert!(load <= cap + 1e-7, "projection violates the cap");
-        for (p, &u) in proj.iter().zip(&upper) {
-            prop_assert!(*p >= -1e-9 && *p <= u + 1e-9);
-        }
-
-        // Optimality vs random feasible candidates.
-        let d_proj: f64 = x.iter().zip(&proj).map(|(a, b)| (a - b) * (a - b)).sum();
-        for chunk in candidates.chunks(3) {
-            if chunk.len() < 3 {
-                continue;
-            }
-            let mut cand: Vec<f64> = chunk.iter().zip(&upper).map(|(t, u)| t * u).collect();
-            // Make the candidate feasible by scaling under the cap.
-            let cload: f64 = cand.iter().zip(&weights).map(|(p, w)| p * w).sum();
-            if cload > cap {
-                let scale = cap / cload;
-                for v in cand.iter_mut() {
-                    *v *= scale;
-                }
-            }
-            let d_cand: f64 = x.iter().zip(&cand).map(|(a, b)| (a - b) * (a - b)).sum();
-            prop_assert!(
-                d_proj <= d_cand + 1e-6,
-                "candidate closer than projection: {d_cand} < {d_proj}"
-            );
-        }
-    }
-
-    /// clamp_box is idempotent and order-insensitive with projection.
-    #[test]
-    fn clamp_box_idempotent(
-        x in proptest::collection::vec(-5.0f64..5.0, 4),
-        upper in proptest::collection::vec(0.1f64..3.0, 4),
-    ) {
-        let lower = vec![0.0; 4];
-        let mut once = x.clone();
-        clamp_box(&mut once, &lower, &upper);
-        let mut twice = once.clone();
-        clamp_box(&mut twice, &lower, &upper);
-        prop_assert_eq!(once, twice);
     }
 }

@@ -343,16 +343,24 @@ impl Scheduler for GreFar {
                 .field("busy", explain.busy)
                 .field("capacity", explain.capacity);
             if explain.dc == 0 {
-                let deficits: Vec<String> = self
+                // `γ_m − x_m` per account, comma-joined, each in `Display`
+                // text (what `write_f64` writes).
+                let mut deficits = String::with_capacity(24 * breakdown.shares.len());
+                for (m, (account, share)) in self
                     .config
-                    .gammas()
+                    .accounts()
                     .iter()
                     .zip(&breakdown.shares)
-                    .map(|(gamma, share)| (gamma - share).to_string())
-                    .collect();
+                    .enumerate()
+                {
+                    if m > 0 {
+                        deficits.push(',');
+                    }
+                    grefar_obs::json::write_f64(&mut deficits, account.gamma() - share);
+                }
                 event = event
                     .field("fairness", breakdown.fairness)
-                    .field("deficits", deficits.join(","));
+                    .field("deficits", deficits);
             }
             let reason = degradations
                 .iter()

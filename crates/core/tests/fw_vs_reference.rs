@@ -2,6 +2,8 @@
 //! solver: against a brute-force grid on tiny instances, against projected
 //! subgradient descent, and against the exact greedy at `β = 0`.
 
+mod reference;
+
 use grefar_convex::FwOptions;
 use grefar_core::{
     drift_penalty_objective, FairnessFunction, QuadraticDeviation, QueueState, SlotInstance,
@@ -77,8 +79,9 @@ fn fw_matches_brute_force_grid() {
 
 #[test]
 fn fw_matches_projected_subgradient_on_random_instances() {
-    use grefar_convex::projection::project_capped_box;
-    use grefar_convex::{projected_subgradient, Objective, SubgradientOptions};
+    use grefar_convex::Objective;
+    use reference::projection::project_capped_box;
+    use reference::subgradient::{projected_subgradient, SubgradientOptions};
 
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -4,13 +4,6 @@
 ///
 /// # Panics
 /// Panics if slice lengths differ or any `lower[i] > upper[i]`.
-///
-/// # Example
-/// ```
-/// let mut x = vec![-1.0, 0.5, 9.0];
-/// grefar_convex::projection::clamp_box(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
-/// assert_eq!(x, vec![0.0, 0.5, 1.0]);
-/// ```
 pub fn clamp_box(x: &mut [f64], lower: &[f64], upper: &[f64]) {
     assert_eq!(x.len(), lower.len(), "lower bound length mismatch");
     assert_eq!(x.len(), upper.len(), "upper bound length mismatch");
@@ -33,17 +26,6 @@ pub fn clamp_box(x: &mut [f64], lower: &[f64], upper: &[f64]) {
 /// # Panics
 /// Panics if lengths differ, any weight is non-positive, any upper bound is
 /// negative, or `capacity` is negative.
-///
-/// # Example
-/// ```
-/// use grefar_convex::projection::project_capped_box;
-///
-/// let mut x = vec![3.0, 3.0];
-/// // Box [0,5]², constraint y₀ + y₁ ≤ 4: projection of (3,3) is (2,2).
-/// project_capped_box(&mut x, &[5.0, 5.0], &[1.0, 1.0], 4.0);
-/// assert!((x[0] - 2.0).abs() < 1e-9);
-/// assert!((x[1] - 2.0).abs() < 1e-9);
-/// ```
 pub fn project_capped_box(x: &mut [f64], upper: &[f64], weights: &[f64], capacity: f64) {
     assert_eq!(x.len(), upper.len(), "upper bound length mismatch");
     assert_eq!(x.len(), weights.len(), "weight length mismatch");
@@ -214,5 +196,70 @@ mod tests {
     fn rejects_zero_weight() {
         let mut x = vec![1.0];
         project_capped_box(&mut x, &[1.0], &[0.0], 1.0);
+    }
+}
+
+use proptest::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(150))]
+
+    /// project_capped_box returns a feasible point at least as close to the
+    /// input as any random feasible candidate (projection optimality).
+    #[test]
+    fn projection_is_nearest_feasible(
+        x in proptest::collection::vec(-2.0f64..6.0, 3),
+        upper in proptest::collection::vec(0.5f64..4.0, 3),
+        weights in proptest::collection::vec(0.2f64..2.0, 3),
+        cap_frac in 0.1f64..1.0,
+        candidates in proptest::collection::vec(0.0f64..1.0, 30),
+    ) {
+        let max_cap: f64 = upper.iter().zip(&weights).map(|(u, w)| u * w).sum();
+        let cap = cap_frac * max_cap;
+        let mut proj = x.clone();
+        project_capped_box(&mut proj, &upper, &weights, cap);
+
+        // Feasibility.
+        let load: f64 = proj.iter().zip(&weights).map(|(p, w)| p * w).sum();
+        prop_assert!(load <= cap + 1e-7, "projection violates the cap");
+        for (p, &u) in proj.iter().zip(&upper) {
+            prop_assert!(*p >= -1e-9 && *p <= u + 1e-9);
+        }
+
+        // Optimality vs random feasible candidates.
+        let d_proj: f64 = x.iter().zip(&proj).map(|(a, b)| (a - b) * (a - b)).sum();
+        for chunk in candidates.chunks(3) {
+            if chunk.len() < 3 {
+                continue;
+            }
+            let mut cand: Vec<f64> = chunk.iter().zip(&upper).map(|(t, u)| t * u).collect();
+            // Make the candidate feasible by scaling under the cap.
+            let cload: f64 = cand.iter().zip(&weights).map(|(p, w)| p * w).sum();
+            if cload > cap {
+                let scale = cap / cload;
+                for v in cand.iter_mut() {
+                    *v *= scale;
+                }
+            }
+            let d_cand: f64 = x.iter().zip(&cand).map(|(a, b)| (a - b) * (a - b)).sum();
+            prop_assert!(
+                d_proj <= d_cand + 1e-6,
+                "candidate closer than projection: {d_cand} < {d_proj}"
+            );
+        }
+    }
+
+    /// clamp_box is idempotent and order-insensitive with projection.
+    #[test]
+    fn clamp_box_idempotent(
+        x in proptest::collection::vec(-5.0f64..5.0, 4),
+        upper in proptest::collection::vec(0.1f64..3.0, 4),
+    ) {
+        let lower = vec![0.0; 4];
+        let mut once = x.clone();
+        clamp_box(&mut once, &lower, &upper);
+        let mut twice = once.clone();
+        clamp_box(&mut twice, &lower, &upper);
+        prop_assert_eq!(once, twice);
     }
 }

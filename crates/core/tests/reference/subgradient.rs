@@ -4,7 +4,7 @@
 //! path of the GreFar per-slot solver (DESIGN.md §4). It requires only a
 //! projection onto the feasible region rather than an LMO.
 
-use crate::objective::Objective;
+use grefar_convex::Objective;
 
 /// Options for [`projected_subgradient`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,22 +43,6 @@ pub struct SubgradientResult {
 ///
 /// # Panics
 /// Panics if `x0` is empty.
-///
-/// # Example
-/// ```
-/// use grefar_convex::{projected_subgradient, SubgradientOptions, Objective, Quadratic};
-/// use grefar_convex::projection::clamp_box;
-///
-/// // min (x−2)² over [0, 1]: optimum at x = 1.
-/// let q = Quadratic::new(1, vec![2.0], vec![-4.0]);
-/// let r = projected_subgradient(
-///     &q,
-///     |x: &mut [f64]| clamp_box(x, &[0.0], &[1.0]),
-///     vec![0.0],
-///     SubgradientOptions::default(),
-/// );
-/// assert!((r.x[0] - 1.0).abs() < 1e-3);
-/// ```
 pub fn projected_subgradient<P>(
     objective: &dyn Objective,
     mut project: P,
@@ -76,7 +60,6 @@ where
     let mut x = x0;
     project(&mut x);
     let mut grad = vec![0.0; n];
-    // verify: allow(hot-path-alloc): the incumbent buffer is one exact-size allocation per solve call (not per iteration); the result must own its point
     let mut best = x.clone();
     let mut best_value = objective.value(&x);
 
@@ -104,8 +87,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::Quadratic;
-    use crate::projection::{clamp_box, project_capped_box};
+    use crate::reference::projection::{clamp_box, project_capped_box};
+    use grefar_convex::Quadratic;
 
     #[test]
     fn unconstrained_style_quadratic() {
@@ -126,8 +109,7 @@ mod tests {
 
     #[test]
     fn agrees_with_frank_wolfe_on_capped_box() {
-        use crate::frank_wolfe::{frank_wolfe, FwOptions};
-        use crate::objective::Lmo;
+        use grefar_convex::{frank_wolfe, FwOptions, Lmo};
 
         // min ½‖x − (2, 2)‖² s.t. 0 ≤ x ≤ (3,3), x₀ + 2x₁ ≤ 3.
         let q = Quadratic::new(2, vec![1.0, 0.0, 0.0, 1.0], vec![-2.0, -2.0]);
@@ -160,10 +142,10 @@ mod tests {
                 step0: 1.0,
             },
         );
+        let fw_value = q.value(&fw.x);
         assert!(
-            (fw.value - sg.value).abs() < 1e-2,
-            "FW {} vs subgradient {}",
-            fw.value,
+            (fw_value - sg.value).abs() < 1e-2,
+            "FW {fw_value} vs subgradient {}",
             sg.value
         );
     }

@@ -624,7 +624,7 @@ mod tests {
                     other => panic!("t {other:?}"),
                 };
                 let get = |k: &str| match e.get(k).unwrap() {
-                    grefar_obs::Value::Str(s) => s.clone(),
+                    grefar_obs::Value::Str(s) => s.to_string(),
                     other => panic!("{k} {other:?}"),
                 };
                 (t, get("from"), get("to"))
@@ -667,7 +667,7 @@ mod tests {
                     other => panic!("t {other:?}"),
                 };
                 let get = |k: &str| match e.get(k).unwrap() {
-                    grefar_obs::Value::Str(s) => s.clone(),
+                    grefar_obs::Value::Str(s) => s.to_string(),
                     other => panic!("{k} {other:?}"),
                 };
                 (t, get("from"), get("to"))

@@ -214,7 +214,7 @@ impl MetricsFold {
     }
 
     fn accum(&mut self) -> &mut LabelHealth {
-        self.per_label.entry(self.label.clone()).or_default()
+        accum(&mut self.per_label, &self.label)
     }
 
     /// One arm per decoded event. The lints forbid a wildcard arm, so a new
@@ -225,10 +225,10 @@ impl MetricsFold {
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants
     )]
-    fn apply(&mut self, event: TelemetryEvent) {
+    fn apply(&mut self, event: TelemetryEvent<'_>) {
         use TelemetryEvent as E;
         match event {
-            E::SweepRun(label) => self.label = label,
+            E::SweepRun(label) => self.label = label.into_owned(),
             E::RunStart { scheduler, horizon } => {
                 // A sweep marker names the run; a bare run adopts the
                 // scheduler's self-description. `runs_started` (not
@@ -236,17 +236,16 @@ impl MetricsFold {
                 // a `theory.bounds` certificate pre-registers its label's
                 // health accumulator before the run begins.
                 if (self.label.is_empty() || self.runs_started.contains(&self.label))
-                    && !self.runs_started.contains(&scheduler)
+                    && !self.runs_started.contains(scheduler.as_ref())
                 {
-                    self.label = scheduler;
+                    self.label = scheduler.into_owned();
                 }
                 self.runs_started.insert(self.label.clone());
                 self.accum();
-                let label = self.label.clone();
                 self.registry.gauge_set(
                     "grefar_run_horizon_slots",
                     "Planned horizon of the labeled run, in slots.",
-                    &[("scheduler", &label)],
+                    &[("scheduler", &self.label)],
                     horizon as f64,
                 );
             }
@@ -254,66 +253,61 @@ impl MetricsFold {
             E::GrefarDecide(sample) => self.fold_decide(&sample),
             E::LpSolve { pivots, wall_us } => self.fold_lp(pivots, wall_us),
             E::RunEnd { completed, .. } => {
-                let label = self.label.clone();
                 self.registry.gauge_set(
                     "grefar_jobs_completed",
                     "Jobs completed over the labeled run.",
-                    &[("scheduler", &label)],
+                    &[("scheduler", &self.label)],
                     completed,
                 );
             }
             E::TheoryBounds(bounds) => self.fold_bounds(&bounds),
             E::FaultInject(fault) => {
-                let label = self.label.clone();
                 self.registry.counter_add(
                     "grefar_faults_injected_total",
                     "Fault windows opened by the injection plan.",
-                    &[("scheduler", &label), ("kind", &fault.kind)],
+                    &[("scheduler", &self.label), ("kind", &fault.kind)],
                     1.0,
                 );
             }
             E::DegradedMode(degraded) => {
                 self.accum().degraded_events += 1;
-                let label = self.label.clone();
                 self.registry.counter_add(
                     "grefar_degraded_events_total",
                     "Slots the solver served through a degradation fallback.",
-                    &[("scheduler", &label), ("reason", &degraded.reason)],
+                    &[("scheduler", &self.label), ("reason", &degraded.reason)],
                     1.0,
                 );
             }
             E::StateStale(_) => {
                 self.accum().stale_events += 1;
-                let label = self.label.clone();
                 self.registry.counter_add(
                     "grefar_stale_slots_total",
                     "Slots decided on stale (estimated) feed state.",
-                    &[("scheduler", &label)],
+                    &[("scheduler", &self.label)],
                     1.0,
                 );
             }
             E::InvariantViolation(kind) => {
                 self.accum().invariant_violations += 1;
-                let label = self.label.clone();
                 self.registry.counter_add(
                     "grefar_invariant_violations_total",
                     "Paper-invariant violations observed at runtime.",
-                    &[("scheduler", &label), ("kind", &kind)],
+                    &[("scheduler", &self.label), ("kind", &kind)],
                     1.0,
                 );
             }
             E::SoakLedger(ledger) => {
-                let label = self.label.clone();
+                let labels = [("scheduler", self.label.as_str())];
                 self.registry.gauge_set(
                     "grefar_ledger_balance_jobs",
                     "Signed job-conservation balance (queues minus ledger prediction).",
-                    &[("scheduler", &label)],
+                    &labels,
                     ledger.balance,
                 );
                 self.registry.gauge_set(
                     "grefar_ledger_route_excess_jobs",
                     "Cumulative phantom work minted by over-routing.",
-                    &[("scheduler", &label)],
+                    &labels,
                     ledger.route_excess,
                 );
             }
@@ -336,11 +330,10 @@ impl MetricsFold {
             E::FeedBreaker(breaker) => self.fold_breaker(&breaker),
             E::CheckpointWrite(t) => {
                 self.last_checkpoint = Some(t);
-                let label = self.label.clone();
                 self.registry.counter_add(
                     "grefar_checkpoint_writes_total",
                     "Checkpoints written by the run policy.",
-                    &[("scheduler", &label)],
+                    &[("scheduler", &self.label)],
                     1.0,
                 );
             }
@@ -369,7 +362,7 @@ impl MetricsFold {
                 );
             }
             E::AlertFire(rule) => {
-                self.alerts_firing.insert(rule.clone(), true);
+                self.alerts_firing.insert(rule.to_string(), true);
                 self.registry.counter_add(
                     "grefar_alerts_fired_total",
                     "Alert rules that entered the firing state.",
@@ -384,7 +377,7 @@ impl MetricsFold {
                 );
             }
             E::AlertResolve(rule) => {
-                self.alerts_firing.insert(rule.clone(), false);
+                self.alerts_firing.insert(rule.to_string(), false);
                 self.registry.counter_add(
                     "grefar_alerts_resolved_total",
                     "Alert rules that cleared after firing.",
@@ -414,8 +407,8 @@ impl MetricsFold {
     }
 
     fn fold_slot(&mut self, slot: &SlotSample) {
-        let label = self.label.clone();
-        let labels = [("scheduler", label.as_str())];
+        let label = self.label.as_str();
+        let labels = [("scheduler", label)];
         self.last_slot = slot.t;
         self.registry
             .counter_add("grefar_slots_total", "Slots executed.", &labels, 1.0);
@@ -443,7 +436,7 @@ impl MetricsFold {
             self.registry.gauge_set(
                 "grefar_queue_jobs",
                 "Current queue backlog, central vs local.",
-                &[("scheduler", &label), ("queue", queue)],
+                &[("scheduler", label), ("queue", queue)],
                 backlog,
             );
         }
@@ -453,7 +446,7 @@ impl MetricsFold {
             &labels,
             slot.queue_max,
         );
-        let accum = self.accum();
+        let accum = accum(&mut self.per_label, label);
         if slot.queue_max > accum.queue_peak {
             accum.queue_peak = slot.queue_max;
         }
@@ -465,7 +458,7 @@ impl MetricsFold {
             peak,
         );
         if let Some(bound) = bound {
-            self.set_occupancy(&label, peak, bound);
+            set_occupancy(&mut self.registry, label, peak, bound);
         }
         if self.include_timings {
             self.registry.histogram_observe(
@@ -489,13 +482,12 @@ impl MetricsFold {
         }
     }
 
-    fn fold_decide(&mut self, decide: &DecideSample) {
-        let label = self.label.clone();
-        let labels = [("scheduler", label.as_str())];
+    fn fold_decide(&mut self, decide: &DecideSample<'_>) {
+        let labels = [("scheduler", self.label.as_str())];
         self.registry.counter_add(
             "grefar_decisions_total",
             "Per-slot decisions, by solver path.",
-            &[("scheduler", &label), ("solver", &decide.solver)],
+            &[("scheduler", &self.label), ("solver", &decide.solver)],
             1.0,
         );
         if decide.fw_iterations > 0 {
@@ -518,8 +510,7 @@ impl MetricsFold {
     }
 
     fn fold_lp(&mut self, pivots: f64, wall_us: f64) {
-        let label = self.label.clone();
-        let labels = [("scheduler", label.as_str())];
+        let labels = [("scheduler", self.label.as_str())];
         self.registry.counter_add(
             "grefar_lp_pivots_total",
             "Simplex pivots spent by the MPC baseline.",
@@ -537,10 +528,10 @@ impl MetricsFold {
         }
     }
 
-    fn fold_bounds(&mut self, bounds: &BoundsEvent) {
-        let label = &bounds.label;
+    fn fold_bounds(&mut self, bounds: &BoundsEvent<'_>) {
+        let label: &str = &bounds.label;
         let bound = bounds.stale_queue_bound.unwrap_or(bounds.queue_bound);
-        self.per_label.entry(label.clone()).or_default().queue_bound = Some(bound);
+        accum(&mut self.per_label, label).queue_bound = Some(bound);
         self.registry.gauge_set(
             "grefar_queue_bound_jobs",
             "Theorem 1(a) queue bound (stale-widened when the run declares staleness).",
@@ -548,28 +539,14 @@ impl MetricsFold {
             bound,
         );
         let peak = self.per_label[label].queue_peak;
-        self.set_occupancy(label, peak, bound);
+        set_occupancy(&mut self.registry, label, peak, bound);
     }
 
-    fn set_occupancy(&mut self, label: &str, peak: f64, bound: f64) {
-        let occupancy = if bound > 0.0 {
-            100.0 * peak / bound
-        } else {
-            100.0
-        };
-        self.registry.gauge_set(
-            "grefar_queue_occupancy_percent",
-            "Peak queue length as a percentage of the Theorem 1(a) bound.",
-            &[("scheduler", label)],
-            occupancy,
-        );
-    }
-
-    fn fold_breaker(&mut self, breaker: &BreakerSample) {
-        let feed = &breaker.feed;
-        let to = &breaker.to;
+    fn fold_breaker(&mut self, breaker: &BreakerSample<'_>) {
+        let feed: &str = &breaker.feed;
+        let to: &str = &breaker.to;
         let dc = breaker.dc.map(|dc| dc.to_string()).unwrap_or_default();
-        let state = match to.as_str() {
+        let state = match to {
             "closed" => 0.0,
             "half_open" => 1.0,
             "open" => 2.0,
@@ -590,6 +567,31 @@ impl MetricsFold {
             state,
         );
     }
+}
+
+/// The health accumulator of `label`, created on first touch — the only
+/// time the label is copied into a key.
+fn accum<'m>(per_label: &'m mut BTreeMap<String, LabelHealth>, label: &str) -> &'m mut LabelHealth {
+    if !per_label.contains_key(label) {
+        per_label.insert(label.to_owned(), LabelHealth::default());
+    }
+    per_label
+        .get_mut(label)
+        .unwrap_or_else(|| unreachable!("inserted above"))
+}
+
+fn set_occupancy(registry: &mut Registry, label: &str, peak: f64, bound: f64) {
+    let occupancy = if bound > 0.0 {
+        100.0 * peak / bound
+    } else {
+        100.0
+    };
+    registry.gauge_set(
+        "grefar_queue_occupancy_percent",
+        "Peak queue length as a percentage of the Theorem 1(a) bound.",
+        &[("scheduler", label)],
+        occupancy,
+    );
 }
 
 #[cfg(test)]

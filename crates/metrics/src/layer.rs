@@ -154,16 +154,27 @@ impl<I: Observer> MetricsLayer<I> {
     }
 
     /// Refreshes the snapshot surface now, regardless of the slot cadence.
+    ///
+    /// The exposition is rendered only when something reads it — a shared
+    /// handle or a snapshot file; with neither, a refresh is the
+    /// `health.snapshot` event alone.
     pub fn snapshot_now(&mut self) {
         self.slots_since_snapshot = 0;
         let health = self.fold.health();
         if self.config.emit_health_events && self.inner.enabled() {
             self.inner.record_event(health.event());
         }
+        let file = match &self.config.sink {
+            SnapshotSink::File(path) => Some(path),
+            SnapshotSink::None | SnapshotSink::Stdout => None,
+        };
+        if self.shared.is_none() && file.is_none() {
+            return;
+        }
         let exposition = self.fold.render();
         if let Some(shared) = &self.shared {
             if let Ok(mut snap) = shared.lock() {
-                snap.exposition = exposition.clone();
+                snap.exposition.clone_from(&exposition);
                 snap.health_json = health.to_json();
                 snap.verdict = health.verdict.label().to_string();
                 snap.alerts_json = self
@@ -173,7 +184,7 @@ impl<I: Observer> MetricsLayer<I> {
                     .unwrap_or_default();
             }
         }
-        if let SnapshotSink::File(path) = &self.config.sink {
+        if let Some(path) = file {
             if let Err(error) = write_atomic(path, &exposition) {
                 self.last_error = Some(format!("metrics snapshot {}: {error}", path.display()));
             }

@@ -11,6 +11,12 @@
 //! deterministic: the same fold over the same event stream produces
 //! byte-identical exposition text (the kill/resume rebuild test depends
 //! on this).
+//!
+//! Updating a series that exists builds no owned key: the family's
+//! series are scanned for the borrowed labels. The cardinality rules
+//! above bound that scan — a family holds one series per combination of
+//! run label and small enums (a handful; a sweep adds one per run) — so
+//! only the first touch of a series allocates its sorted owned key.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -94,6 +100,51 @@ fn label_set(labels: &[(&str, &str)]) -> LabelSet {
     set
 }
 
+/// Whether the series key `key` carries exactly `labels`, in any order.
+/// Label names within a set are distinct (the exposition format admits no
+/// repeats), so equal lengths plus containment is set equality.
+fn same_labels(key: &LabelSet, labels: &[(&str, &str)]) -> bool {
+    key.len() == labels.len()
+        && labels
+            .iter()
+            .all(|(k, v)| key.iter().any(|(kk, vv)| kk == k && vv == v))
+}
+
+impl Family {
+    /// Applies `apply` (which also sees the histogram bounds) to the series
+    /// labelled `labels`, creating a zeroed series on first touch. See the
+    /// [module docs](self) for why the scan is bounded.
+    fn update(&mut self, labels: &[(&str, &str)], apply: impl FnOnce(&mut SeriesValue, &[f64])) {
+        debug_assert!(
+            labels
+                .iter()
+                .enumerate()
+                .all(|(at, (k, _))| labels[..at].iter().all(|(kk, _)| kk != k)),
+            "repeated label name in {labels:?}"
+        );
+        let Family {
+            kind,
+            buckets,
+            series,
+            ..
+        } = self;
+        match series.iter_mut().find(|(key, _)| same_labels(key, labels)) {
+            Some((_, value)) => apply(value, buckets),
+            None => {
+                let zero = match kind {
+                    MetricKind::Histogram => SeriesValue::Histogram(HistogramCells {
+                        counts: vec![0; buckets.len()],
+                        total: 0,
+                        sum: 0.0,
+                    }),
+                    MetricKind::Counter | MetricKind::Gauge => SeriesValue::Scalar(0.0),
+                };
+                apply(series.entry(label_set(labels)).or_insert(zero), buckets);
+            }
+        }
+    }
+}
+
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -137,12 +188,13 @@ impl Registry {
         labels: &[(&str, &str)],
         delta: f64,
     ) {
-        let key = label_set(labels);
-        let family = self.family(name, help, MetricKind::Counter, &[]);
-        match family.series.entry(key).or_insert(SeriesValue::Scalar(0.0)) {
-            SeriesValue::Scalar(v) => *v += delta,
-            SeriesValue::Histogram(_) => unreachable!("scalar family"),
-        }
+        self.family(name, help, MetricKind::Counter, &[]).update(
+            labels,
+            |series, _| match series {
+                SeriesValue::Scalar(v) => *v += delta,
+                SeriesValue::Histogram(_) => unreachable!("scalar family"),
+            },
+        );
     }
 
     /// Sets the gauge series to `value`; registers the family on first
@@ -154,15 +206,22 @@ impl Registry {
         labels: &[(&str, &str)],
         value: f64,
     ) {
-        let key = label_set(labels);
-        let family = self.family(name, help, MetricKind::Gauge, &[]);
-        family.series.insert(key, SeriesValue::Scalar(value));
+        self.family(name, help, MetricKind::Gauge, &[])
+            .update(labels, |series, _| match series {
+                SeriesValue::Scalar(v) => *v = value,
+                SeriesValue::Histogram(_) => unreachable!("scalar family"),
+            });
     }
 
     /// Reads a scalar series back (counters and gauges).
     pub fn scalar(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let key = label_set(labels);
-        match self.families.get(name)?.series.get(&key)? {
+        let family = self.families.get(name)?;
+        match family
+            .series
+            .iter()
+            .find(|(key, _)| same_labels(key, labels))?
+            .1
+        {
             SeriesValue::Scalar(v) => Some(*v),
             SeriesValue::Histogram(_) => None,
         }
@@ -182,26 +241,19 @@ impl Registry {
         if !value.is_finite() {
             return;
         }
-        let key = label_set(labels);
-        let family = self.family(name, help, MetricKind::Histogram, buckets);
-        let n = family.buckets.len();
-        let cells = match family.series.entry(key).or_insert_with(|| {
-            SeriesValue::Histogram(HistogramCells {
-                counts: vec![0; n],
-                total: 0,
-                sum: 0.0,
-            })
-        }) {
-            SeriesValue::Histogram(cells) => cells,
-            SeriesValue::Scalar(_) => unreachable!("histogram family"),
-        };
-        for (idx, bound) in family.buckets.iter().enumerate() {
-            if value <= *bound {
-                cells.counts[idx] += 1;
-            }
-        }
-        cells.total += 1;
-        cells.sum += value;
+        self.family(name, help, MetricKind::Histogram, buckets)
+            .update(labels, |series, buckets| {
+                let SeriesValue::Histogram(cells) = series else {
+                    unreachable!("histogram family")
+                };
+                for (idx, bound) in buckets.iter().enumerate() {
+                    if value <= *bound {
+                        cells.counts[idx] += 1;
+                    }
+                }
+                cells.total += 1;
+                cells.sum += value;
+            });
     }
 
     /// True when no family has been registered.

@@ -24,6 +24,13 @@
 //! Fields are read in registry order through a cursor: emitters write them
 //! in that order, so the live decode of an event is one pass over its
 //! field vector rather than one scan per field.
+//!
+//! String fields are [`Cow`]s. A live decode borrows them from the event,
+//! so decoding copies nothing — the metrics fold decodes every event it
+//! forwards, `decision.explain` included, and reads a few fields of each.
+//! A JSONL decode owns them, so its samples outlive the parsed line.
+
+use std::borrow::Cow;
 
 use crate::event::{Event, Value};
 use crate::json::{JsonObject, JsonValue};
@@ -55,7 +62,7 @@ pub struct SlotSample {
 
 /// One `grefar.decide` event's deterministic payload.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DecideSample {
+pub struct DecideSample<'a> {
     /// The cost-delay parameter `V`.
     pub v: f64,
     /// The energy-fairness parameter `β`.
@@ -67,7 +74,7 @@ pub struct DecideSample {
     /// The `V·g(t)` penalty share of the objective.
     pub penalty: f64,
     /// Which solver produced the decision (`greedy` / `frank_wolfe`).
-    pub solver: String,
+    pub solver: Cow<'a, str>,
     /// Frank–Wolfe iterations (0 for the greedy path).
     pub fw_iterations: u64,
     /// Final Frank–Wolfe duality gap (0 for the greedy path).
@@ -79,12 +86,12 @@ pub struct DecideSample {
 /// One `fault.inject` event — a fault window opening (emitted once, at the
 /// window's first slot).
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultSample {
+pub struct FaultSample<'a> {
     /// Slot the event was emitted at (the window's first slot).
     pub t: u64,
     /// Fault kind label (`outage`, `collapse`, `spike`, `gap`, `burst`,
     /// `squeeze`).
-    pub kind: String,
+    pub kind: Cow<'a, str>,
     /// First slot of the fault window.
     pub start: u64,
     /// One past the last slot of the fault window.
@@ -96,12 +103,12 @@ pub struct FaultSample {
 /// One `degraded.mode` event — the scheduler fell back or repaired a
 /// decision instead of failing.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DegradedSample {
+pub struct DegradedSample<'a> {
     /// Slot the degradation happened at.
     pub t: u64,
     /// Machine-readable reason (`solver_budget_exhausted`,
     /// `infeasible_repaired`, `dc_offline`).
-    pub reason: String,
+    pub reason: Cow<'a, str>,
     /// The data center involved, when the reason is DC-scoped.
     pub dc: Option<u64>,
 }
@@ -110,7 +117,7 @@ pub struct DegradedSample {
 /// penalty decision (eq. 14). The slot-wide fairness score and deficit
 /// counters ride on the DC-0 event only.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExplainSample {
+pub struct ExplainSample<'a> {
     /// The slot.
     pub t: u64,
     /// Data center index `i`.
@@ -132,45 +139,45 @@ pub struct ExplainSample {
     /// Slot-wide fairness score `f(t)` (DC-0 event only).
     pub fairness: Option<f64>,
     /// Comma-joined per-account deficits `γ_m − x_m` (DC-0 event only).
-    pub deficits: Option<String>,
+    pub deficits: Option<Cow<'a, str>>,
     /// Machine reason when a fallback overrode the solver for this DC or
     /// the whole slot.
-    pub reason: Option<String>,
+    pub reason: Option<Cow<'a, str>>,
 }
 
 /// One `feed.fetch` event — a poll that failed or needed retries (clean
 /// single-attempt fetches stay silent, so these samples *are* the feed
 /// layer's retry/failure activity).
 #[derive(Debug, Clone, PartialEq)]
-pub struct FeedFetchSample {
+pub struct FeedFetchSample<'a> {
     /// Slot of the poll.
     pub t: u64,
     /// Feed kind label (`price`, `avail`, `arrivals`).
-    pub feed: String,
+    pub feed: Cow<'a, str>,
     /// Targeted data center, for per-DC feeds.
     pub dc: Option<u64>,
     /// `ok` (arrived after retries) or `fail`.
-    pub outcome: String,
+    pub outcome: Cow<'a, str>,
     /// Fetch attempts spent (0 when the breaker skipped the poll).
     pub attempts: u64,
     /// Failure reason (`timeout`, `dropped`, `breaker_open`,
     /// `retries_exhausted`, `deadline`, `quarantined`), absent on `ok`.
-    pub reason: Option<String>,
+    pub reason: Option<Cow<'a, str>>,
 }
 
 /// One `feed.breaker` event — a circuit-breaker state transition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BreakerSample {
+pub struct BreakerSample<'a> {
     /// Slot of the transition.
     pub t: u64,
     /// Feed kind label.
-    pub feed: String,
+    pub feed: Cow<'a, str>,
     /// Targeted data center, for per-DC feeds.
     pub dc: Option<u64>,
     /// State left (`closed`, `open`, `half_open`).
-    pub from: String,
+    pub from: Cow<'a, str>,
     /// State entered.
-    pub to: String,
+    pub to: Cow<'a, str>,
 }
 
 /// One `state.stale` event — a slot scheduled on a not-fully-fresh
@@ -211,9 +218,9 @@ pub struct LedgerSample {
 
 /// Theorem 1 bounds attached to one labeled run (a `theory.bounds` event).
 #[derive(Debug, Clone, PartialEq)]
-pub struct BoundsEvent {
+pub struct BoundsEvent<'a> {
     /// The run label the bounds apply to.
-    pub label: String,
+    pub label: Cow<'a, str>,
     /// The GreFar operating point.
     pub v: f64,
     /// The energy-fairness parameter.
@@ -237,42 +244,42 @@ pub struct BoundsEvent {
 /// One decoded telemetry event: a variant per telemetry-channel entry of
 /// [`EVENTS`](crate::schema::EVENTS), carrying what some consumer reads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TelemetryEvent {
+pub enum TelemetryEvent<'a> {
     /// `admission.accept`.
     AdmissionAccept,
     /// `admission.reject`, with why the submission was refused.
-    AdmissionReject(String),
+    AdmissionReject(Cow<'a, str>),
     /// `alert.fire`, with the rule that fired.
-    AlertFire(String),
+    AlertFire(Cow<'a, str>),
     /// `alert.resolve`, with the rule that cleared.
-    AlertResolve(String),
+    AlertResolve(Cow<'a, str>),
     /// `checkpoint.write`, with the slot the checkpoint was cut at.
     CheckpointWrite(u64),
     /// `decision.explain`.
-    DecisionExplain(ExplainSample),
+    DecisionExplain(ExplainSample<'a>),
     /// `degraded.mode`.
-    DegradedMode(DegradedSample),
+    DegradedMode(DegradedSample<'a>),
     /// `fault.inject`.
-    FaultInject(FaultSample),
+    FaultInject(FaultSample<'a>),
     /// `feed.breaker`.
-    FeedBreaker(BreakerSample),
+    FeedBreaker(BreakerSample<'a>),
     /// `feed.fetch`.
-    FeedFetch(FeedFetchSample),
+    FeedFetch(FeedFetchSample<'a>),
     /// `feed.quarantine`.
     FeedQuarantine {
         /// The slot.
         t: u64,
         /// Feed kind label.
-        feed: String,
+        feed: Cow<'a, str>,
         /// Why validation rejected the payload.
-        reason: String,
+        reason: Cow<'a, str>,
     },
     /// `grefar.decide`.
-    GrefarDecide(DecideSample),
+    GrefarDecide(DecideSample<'a>),
     /// `health.snapshot`.
     HealthSnapshot,
     /// `invariant.violation`, with which invariant failed.
-    InvariantViolation(String),
+    InvariantViolation(Cow<'a, str>),
     /// `lp.solve`.
     LpSolve {
         /// Simplex pivots, phase 1 plus phase 2.
@@ -294,12 +301,12 @@ pub enum TelemetryEvent {
     /// `run.start`.
     RunStart {
         /// The scheduler's self-description.
-        scheduler: String,
+        scheduler: Cow<'a, str>,
         /// Planned horizon, in slots.
         horizon: u64,
     },
     /// `served.restart`, with the actor the supervisor restarted.
-    ServedRestart(String),
+    ServedRestart(Cow<'a, str>),
     /// `served.start`.
     ServedStart,
     /// `served.stop`.
@@ -311,17 +318,18 @@ pub enum TelemetryEvent {
     /// `state.stale`.
     StateStale(StaleSample),
     /// `sweep.run`, with the label of the run that follows.
-    SweepRun(String),
+    SweepRun(Cow<'a, str>),
     /// `theory.bounds`.
-    TheoryBounds(BoundsEvent),
+    TheoryBounds(BoundsEvent<'a>),
 }
 
-impl TelemetryEvent {
-    /// Decodes a live event. See the [module docs](self) for the rules.
+impl<'a> TelemetryEvent<'a> {
+    /// Decodes a live event, borrowing its strings. See the
+    /// [module docs](self) for the rules.
     ///
     /// # Errors
     /// A field the variant carries is missing or of the wrong type.
-    pub fn from_event(event: &Event) -> Result<Option<Self>, String> {
+    pub fn from_event(event: &'a Event) -> Result<Option<Self>, String> {
         let mut cursor = Cursor {
             fields: event.fields(),
             next: 0,
@@ -330,13 +338,13 @@ impl TelemetryEvent {
     }
 
     /// Decodes one parsed JSONL object, after checking its wire-format
-    /// version (see [`check_version`]). See the [module docs](self) for the
-    /// rules.
+    /// version (see [`check_version`]); the decoded strings are owned. See
+    /// the [module docs](self) for the rules.
     ///
     /// # Errors
     /// An unsupported `schema` version, a missing `event` name, or a field
     /// the variant carries that is missing or of the wrong type.
-    pub fn from_json(object: &JsonObject) -> Result<Option<Self>, String> {
+    pub fn from_json(object: &JsonObject) -> Result<Option<TelemetryEvent<'static>>, String> {
         check_version(object)?;
         let name = object
             .get("event")
@@ -414,7 +422,7 @@ fn missing(kind: &str, key: &str) -> String {
 enum Raw<'a> {
     Num(f64),
     Null,
-    Str(&'a str),
+    Str(Cow<'a, str>),
     Other,
 }
 
@@ -432,7 +440,7 @@ trait Source<'a> {
         self.opt_u64(key)?.ok_or_else(|| missing("numeric", key))
     }
 
-    fn str(&mut self, key: &str) -> Result<String, String> {
+    fn str(&mut self, key: &str) -> Result<Cow<'a, str>, String> {
         self.opt_str(key)?.ok_or_else(|| missing("string", key))
     }
 
@@ -453,10 +461,10 @@ trait Source<'a> {
         }
     }
 
-    fn opt_str(&mut self, key: &str) -> Result<Option<String>, String> {
+    fn opt_str(&mut self, key: &str) -> Result<Option<Cow<'a, str>>, String> {
         match self.raw(key) {
             None => Ok(None),
-            Some(Raw::Str(text)) => Ok(Some(text.to_string())),
+            Some(Raw::Str(text)) => Ok(Some(text)),
             Some(Raw::Num(_) | Raw::Null | Raw::Other) => Err(missing("string", key)),
         }
     }
@@ -480,18 +488,18 @@ impl<'a> Source<'a> for Cursor<'a> {
             Value::U64(v) => Raw::Num(*v as f64),
             Value::I64(v) => Raw::Num(*v as f64),
             Value::F64(v) => Raw::Num(*v),
-            Value::Str(s) => Raw::Str(s),
+            Value::Str(s) => Raw::Str(Cow::Borrowed(s)),
             Value::Bool(_) => Raw::Other,
         })
     }
 }
 
-impl<'a> Source<'a> for &'a JsonObject {
-    fn raw(&mut self, key: &str) -> Option<Raw<'a>> {
+impl Source<'static> for &JsonObject {
+    fn raw(&mut self, key: &str) -> Option<Raw<'static>> {
         Some(match self.get(key)? {
             JsonValue::Number(v) => Raw::Num(*v),
             JsonValue::Null => Raw::Null,
-            JsonValue::String(s) => Raw::Str(s),
+            JsonValue::String(s) => Raw::Str(Cow::Owned(s.clone())),
             JsonValue::Bool(_) => Raw::Other,
         })
     }
@@ -499,7 +507,7 @@ impl<'a> Source<'a> for &'a JsonObject {
 
 /// The one decode body behind both entry points. Each arm reads its
 /// fields in registry order (see the cursor).
-fn decode<'a>(name: &str, src: &mut impl Source<'a>) -> Result<Option<TelemetryEvent>, String> {
+fn decode<'a>(name: &str, src: &mut impl Source<'a>) -> Result<Option<TelemetryEvent<'a>>, String> {
     use TelemetryEvent as E;
     Ok(Some(match name {
         "admission.accept" => E::AdmissionAccept,
@@ -756,7 +764,7 @@ mod tests {
         assert_eq!(
             TelemetryEvent::from_event(&event),
             Ok(Some(TelemetryEvent::RunStart {
-                scheduler: "g".to_string(),
+                scheduler: "g".into(),
                 horizon: 9,
             }))
         );

@@ -1,6 +1,6 @@
 //! Structured events and their hand-rolled JSON serialization.
 
-use core::fmt::Write as _;
+use std::borrow::Cow;
 
 use crate::json;
 
@@ -19,8 +19,9 @@ pub enum Value {
     F64(f64),
     /// Boolean flag.
     Bool(bool),
-    /// Short string (scheduler / solver names).
-    Str(String),
+    /// Short string (scheduler / solver names). Static labels are
+    /// borrowed, so tagging an event with one allocates nothing.
+    Str(Cow<'static, str>),
 }
 
 impl From<u64> for Value {
@@ -59,34 +60,40 @@ impl From<bool> for Value {
     }
 }
 
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 
 /// A named, flat record of typed fields — one telemetry observation.
 ///
-/// Field keys are `&'static str` so event construction allocates only the
-/// field vector (and any string values).
+/// Field keys are `&'static str` and static string values are borrowed,
+/// so event construction allocates only the field vector (and any owned
+/// string values).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     name: &'static str,
     fields: Vec<(&'static str, Value)>,
 }
 
+/// Fields reserved by [`Event::new`]: the largest per-slot events
+/// (`grefar.decide`, the DC-0 `decision.explain`) carry 12, so a builder
+/// chain allocates its field vector once.
+const RESERVED_FIELDS: usize = 12;
+
 impl Event {
     /// Starts an event with the given name.
     pub fn new(name: &'static str) -> Self {
         Event {
             name,
-            fields: Vec::new(),
+            fields: Vec::with_capacity(RESERVED_FIELDS),
         }
     }
 
@@ -116,8 +123,7 @@ impl Event {
     /// `{"event":"<name>","k":v,...}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(32 + 16 * self.fields.len());
-        out.push_str("{\"event\":");
-        self.write_fields(&mut out);
+        self.write_json(&mut out, None);
         out
     }
 
@@ -127,12 +133,24 @@ impl Event {
     /// versions newer than the one they were built against.
     pub fn to_json_with_schema(&self, version: u32) -> String {
         let mut out = String::with_capacity(44 + 16 * self.fields.len());
-        let _ = write!(out, "{{\"schema\":{version},\"event\":");
-        self.write_fields(&mut out);
+        self.write_json(&mut out, Some(version));
         out
     }
 
-    fn write_fields(&self, out: &mut String) {
+    /// The one serializer: appends the event to `out` as a single-line
+    /// JSON object, led by `"schema":<version>` when `schema` is given.
+    /// [`to_json`](Event::to_json), [`to_json_with_schema`](Event::to_json_with_schema)
+    /// and [`JsonlSink`](crate::JsonlSink) all write through it; the sink
+    /// passes one reused line buffer, so a recorded event allocates
+    /// nothing once that buffer has grown to the longest line.
+    pub fn write_json(&self, out: &mut String, schema: Option<u32>) {
+        if let Some(version) = schema {
+            out.push_str("{\"schema\":");
+            json::write_u64(out, u64::from(version));
+            out.push_str(",\"event\":");
+        } else {
+            out.push_str("{\"event\":");
+        }
         json::write_string(out, self.name);
         for (key, value) in &self.fields {
             out.push(',');

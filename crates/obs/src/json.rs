@@ -19,37 +19,64 @@ use std::collections::BTreeMap;
 const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
+///
+/// Runs that need no escaping are copied whole, so a key or a label
+/// (which never needs escaping) costs one copy. Every byte that needs an
+/// escape is ASCII and no byte of a multi-byte UTF-8 sequence is, so the
+/// scan is bytewise and each run ends on a character boundary.
 pub fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let needs_escape = |byte: u8| byte < 0x20 || byte == b'"' || byte == b'\\';
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        let byte = rest.as_bytes()[at];
+        out.push_str(&rest[..at]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                // `\u00XX`, in the lowercase hex `{:04x}` writes.
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
+
+/// `"00"`, `"01"`, …, `"99"`: two digits per table read.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
 
 /// Appends `v` in decimal.
 pub fn write_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+    // `v` is now a last lone digit, or 0 after an even digit count.
+    if v > 0 || start == digits.len() {
+        start -= 1;
+        digits[start] = b'0' + v as u8;
+    }
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
+    }
 }
 
 /// Appends `v` in decimal.
@@ -66,10 +93,11 @@ pub fn write_i64(out: &mut String, v: i64) {
 ///
 /// A whole `v` with `|v| < 2^53` takes a fast path through
 /// [`write_u64`]'s digit loop; `-0.0` and every other value go through
-/// `Display`.
+/// `Display`. Below 2^53 the cast to `i64` truncates exactly, so `v` is
+/// whole exactly when the cast round-trips.
 pub fn write_f64(out: &mut String, v: f64) {
-    let negative_zero = v == 0.0 && v.is_sign_negative();
-    if v.fract() == 0.0 && v.abs() < EXACT_INTEGERS && !negative_zero {
+    let whole = v.abs() < EXACT_INTEGERS && (v as i64) as f64 == v;
+    if whole && !(v == 0.0 && v.is_sign_negative()) {
         write_i64(out, v as i64);
     } else {
         let _ = write!(out, "{v}");
@@ -343,6 +371,38 @@ mod tests {
         assert_eq!(map["solver"].as_str(), Some("greedy"));
         assert_eq!(map["fw_gap"], JsonValue::Null);
         assert_eq!(map["ok"], JsonValue::Bool(true));
+    }
+
+    /// The former char-by-char escaper: the oracle for the run-copying
+    /// one.
+    fn escaped_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn string_writer_matches_the_char_by_char_escaper() {
+        let mut samples: Vec<String> = (0u8..0x80)
+            .map(|b| format!("{0}a{0}é{0}{0}\u{1F600}{0}", char::from(b)))
+            .collect();
+        samples.extend(["", "plain", "é", "greedy", "a\"b\\c\nd\te\u{1}é"].map(String::from));
+        for s in samples {
+            let mut out = String::new();
+            write_string(&mut out, &s);
+            assert_eq!(out, escaped_by_char(&s), "{s:?}");
+        }
     }
 
     #[test]

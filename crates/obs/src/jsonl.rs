@@ -23,6 +23,8 @@ use crate::observer::Observer;
 /// than panicking mid-simulation.
 pub struct JsonlSink<W: Write> {
     writer: W,
+    /// The line being written, reused across events.
+    line: String,
     io_errors: usize,
 }
 
@@ -46,6 +48,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
+            line: String::new(),
             io_errors: 0,
         }
     }
@@ -69,9 +72,10 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> Observer for JsonlSink<W> {
     fn record_event(&mut self, event: Event) {
-        let mut line = event.to_json_with_schema(crate::SCHEMA_VERSION);
-        line.push('\n');
-        if self.writer.write_all(line.as_bytes()).is_err() {
+        self.line.clear();
+        event.write_json(&mut self.line, Some(crate::SCHEMA_VERSION));
+        self.line.push('\n');
+        if self.writer.write_all(self.line.as_bytes()).is_err() {
             self.io_errors += 1;
         }
     }

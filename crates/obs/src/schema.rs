@@ -510,7 +510,7 @@ fn placeholder(field: &FieldSpec) -> Value {
         FieldKind::I64 => Value::I64(-1),
         FieldKind::F64 => Value::F64(1.5),
         FieldKind::Bool => Value::Bool(true),
-        FieldKind::Str => Value::Str(format!("synth_{}", field.name)),
+        FieldKind::Str => Value::from(format!("synth_{}", field.name)),
     }
 }
 

@@ -189,7 +189,7 @@ fn resilience_of(run: &Run) -> Option<Resilience> {
     let mut by_reason: BTreeMap<&str, usize> = BTreeMap::new();
     let mut degraded_slots: BTreeSet<u64> = BTreeSet::new();
     for d in &run.degraded {
-        *by_reason.entry(d.reason.as_str()).or_insert(0) += 1;
+        *by_reason.entry(&*d.reason).or_insert(0) += 1;
         degraded_slots.insert(d.t);
     }
     let faults = run
@@ -215,7 +215,7 @@ fn resilience_of(run: &Run) -> Option<Resilience> {
                 .fold(baseline_queue, f64::max);
             let recovery_slots = recovered_at.map(|t| t - f.end);
             FaultImpact {
-                kind: f.kind.clone(),
+                kind: f.kind.to_string(),
                 start: f.start,
                 end: f.end,
                 dc: f.dc,
@@ -285,7 +285,7 @@ fn feed_health_of(run: &Run) -> Option<FeedHealth> {
     })
 }
 
-fn analyze_run(run: &Run, bounds: Option<&BoundsEvent>) -> RunAnalysis {
+fn analyze_run(run: &Run, bounds: Option<&BoundsEvent<'static>>) -> RunAnalysis {
     let slots = run.slots.len();
     let beta = run.decides.first().map(|d| d.beta);
     let v = run.decides.first().map(|d| d.v);
@@ -730,7 +730,7 @@ mod tests {
                 objective: -1.0,
                 drift: -2.0,
                 penalty: 1.0,
-                solver: "greedy".to_string(),
+                solver: "greedy".into(),
                 fw_iterations: 0,
                 fw_gap: 0.0,
                 wall_us: 5.0,
@@ -743,7 +743,7 @@ mod tests {
         TelemetryStream {
             runs: vec![synthetic_run("V=1", 1.0, 8.0, 10.0, 40)],
             bounds: vec![BoundsEvent {
-                label: "V=1".to_string(),
+                label: "V=1".into(),
                 v: 1.0,
                 beta: 0.0,
                 delta: 2.0,
@@ -785,7 +785,7 @@ mod tests {
             ],
             bounds: vec![
                 BoundsEvent {
-                    label: "V=1".to_string(),
+                    label: "V=1".into(),
                     v: 1.0,
                     beta: 0.0,
                     delta: 2.0,
@@ -796,7 +796,7 @@ mod tests {
                     stale_queue_bound: None,
                 },
                 BoundsEvent {
-                    label: "V=10".to_string(),
+                    label: "V=10".into(),
                     v: 10.0,
                     beta: 0.0,
                     delta: 2.0,
@@ -848,7 +848,7 @@ mod tests {
         }
         run.faults.push(FaultSample {
             t: 10,
-            kind: "outage".to_string(),
+            kind: "outage".into(),
             start: 10,
             end: 15,
             dc: Some(0),
@@ -856,13 +856,13 @@ mod tests {
         for t in 10..15u64 {
             run.degraded.push(DegradedSample {
                 t,
-                reason: "dc_offline".to_string(),
+                reason: "dc_offline".into(),
                 dc: Some(0),
             });
         }
         run.degraded.push(DegradedSample {
             t: 12,
-            reason: "solver_budget_exhausted".to_string(),
+            reason: "solver_budget_exhausted".into(),
             dc: None,
         });
         let analysis = Analysis::from_stream(&TelemetryStream {
@@ -904,34 +904,34 @@ mod tests {
         let mut run = synthetic_run("V=1", 1.0, 8.0, 10.0, 40);
         run.feed_fetches.push(FeedFetchSample {
             t: 3,
-            feed: "price".to_string(),
+            feed: "price".into(),
             dc: Some(0),
-            outcome: "fail".to_string(),
+            outcome: "fail".into(),
             attempts: 3,
-            reason: Some("retries_exhausted".to_string()),
+            reason: Some("retries_exhausted".into()),
         });
         run.feed_fetches.push(FeedFetchSample {
             t: 4,
-            feed: "price".to_string(),
+            feed: "price".into(),
             dc: Some(0),
-            outcome: "ok".to_string(),
+            outcome: "ok".into(),
             attempts: 2,
             reason: None,
         });
         run.feed_fetches.push(FeedFetchSample {
             t: 5,
-            feed: "price".to_string(),
+            feed: "price".into(),
             dc: Some(0),
-            outcome: "fail".to_string(),
+            outcome: "fail".into(),
             attempts: 0,
-            reason: Some("breaker_open".to_string()),
+            reason: Some("breaker_open".into()),
         });
         run.feed_breakers.push(BreakerSample {
             t: 4,
-            feed: "price".to_string(),
+            feed: "price".into(),
             dc: Some(0),
-            from: "closed".to_string(),
-            to: "open".to_string(),
+            from: "closed".into(),
+            to: "open".into(),
         });
         run.feed_quarantined
             .push((6, "arrivals".to_string(), "nan".to_string()));
@@ -945,7 +945,7 @@ mod tests {
         }
         run.degraded.push(DegradedSample {
             t: 4,
-            reason: "stale_state_repaired".to_string(),
+            reason: "stale_state_repaired".into(),
             dc: None,
         });
         let analysis = Analysis::from_stream(&TelemetryStream {
@@ -990,7 +990,7 @@ mod tests {
         let mut stream = TelemetryStream {
             runs: vec![synthetic_run("V=1", 1.0, 8.0, 10.0, 40)],
             bounds: vec![BoundsEvent {
-                label: "V=1".to_string(),
+                label: "V=1".into(),
                 v: 1.0,
                 beta: 0.0,
                 delta: 2.0,

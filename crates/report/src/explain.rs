@@ -27,10 +27,10 @@ pub struct SlotExplain {
     /// The slot.
     pub t: u64,
     /// Per-DC provenance rows, in DC order as emitted.
-    pub rows: Vec<ExplainSample>,
+    pub rows: Vec<ExplainSample<'static>>,
     /// The slot's `grefar.decide` sample (matched positionally — both
     /// families are emitted once per decided slot, in slot order).
-    pub decide: Option<DecideSample>,
+    pub decide: Option<DecideSample<'static>>,
     /// `queue_max` at the end of this slot (from the `slot` event).
     pub queue_max: f64,
     /// Growth of `queue_max` over the previous slot — the ranking key
@@ -55,7 +55,7 @@ impl SlotExplain {
     }
 
     /// The DC whose drift contribution has the largest magnitude.
-    pub fn hottest_dc(&self) -> Option<&ExplainSample> {
+    pub fn hottest_dc(&self) -> Option<&ExplainSample<'static>> {
         self.rows
             .iter()
             .max_by(|a, b| a.drift.abs().total_cmp(&b.drift.abs()))

@@ -39,10 +39,10 @@ pub struct Run {
     /// Per-slot samples in slot order.
     pub slots: Vec<SlotSample>,
     /// Per-decision scheduler samples in slot order.
-    pub decides: Vec<DecideSample>,
+    pub decides: Vec<DecideSample<'static>>,
     /// `decision.explain` provenance events, in stream order (N per
     /// decided slot, one per data center).
-    pub explains: Vec<ExplainSample>,
+    pub explains: Vec<ExplainSample<'static>>,
     /// `wall_us` of every `lp.solve` event.
     pub lp_wall_us: Vec<f64>,
     /// Simplex pivot counts (phase 1 + phase 2) of every `lp.solve` event.
@@ -56,13 +56,13 @@ pub struct Run {
     /// Number of `invariant.violation` events seen during the run.
     pub invariant_violations: usize,
     /// `fault.inject` events in stream order.
-    pub faults: Vec<FaultSample>,
+    pub faults: Vec<FaultSample<'static>>,
     /// `degraded.mode` events in stream order.
-    pub degraded: Vec<DegradedSample>,
+    pub degraded: Vec<DegradedSample<'static>>,
     /// `feed.fetch` events (retried or failed polls) in stream order.
-    pub feed_fetches: Vec<FeedFetchSample>,
+    pub feed_fetches: Vec<FeedFetchSample<'static>>,
     /// `feed.breaker` transitions in stream order.
-    pub feed_breakers: Vec<BreakerSample>,
+    pub feed_breakers: Vec<BreakerSample<'static>>,
     /// `feed.quarantine` events as `(t, feed, reason)` in stream order.
     pub feed_quarantined: Vec<(u64, String, String)>,
     /// `state.stale` events in slot order.
@@ -85,7 +85,7 @@ pub struct TelemetryStream {
     /// The runs, in stream order.
     pub runs: Vec<Run>,
     /// Theorem-1 bounds events, in stream order.
-    pub bounds: Vec<BoundsEvent>,
+    pub bounds: Vec<BoundsEvent<'static>>,
     /// Total events parsed (including markers).
     pub total_events: usize,
 }
@@ -125,12 +125,12 @@ impl TelemetryStream {
             let run = runs.last_mut().filter(|_| in_run);
             match event {
                 // Events that may appear outside a run segment.
-                E::SweepRun(label) => pending_label = Some(label),
+                E::SweepRun(label) => pending_label = Some(label.into_owned()),
                 E::TheoryBounds(event) => bounds.push(event),
                 E::RunStart { scheduler, horizon } => {
                     runs.push(Run {
                         label: pending_label.take(),
-                        scheduler,
+                        scheduler: scheduler.into_owned(),
                         horizon,
                         ..Run::default()
                     });
@@ -189,7 +189,7 @@ impl TelemetryStream {
                 E::FeedQuarantine { t, feed, reason } => run
                     .ok_or_else(outside)?
                     .feed_quarantined
-                    .push((t, feed, reason)),
+                    .push((t, feed.into_owned(), reason.into_owned())),
                 E::StateStale(sample) => run.ok_or_else(outside)?.stale.push(sample),
                 E::SoakLedger(sample) => run.ok_or_else(outside)?.ledger.push(sample),
                 // Run-policy bookkeeping; the analytics don't consume it
@@ -209,7 +209,7 @@ impl TelemetryStream {
     /// Matches each run to its `theory.bounds` event by label, consuming
     /// bounds in stream order so repeated labels (e.g. the same scheduler
     /// against two scenarios) pair positionally.
-    pub fn bounds_per_run(&self) -> Vec<Option<&BoundsEvent>> {
+    pub fn bounds_per_run(&self) -> Vec<Option<&BoundsEvent<'static>>> {
         let mut used = vec![false; self.bounds.len()];
         self.runs
             .iter()
@@ -385,7 +385,7 @@ mod tests {
             run.faults,
             vec![FaultSample {
                 t: 1,
-                kind: "outage".to_string(),
+                kind: "outage".into(),
                 start: 1,
                 end: 3,
                 dc: Some(0),

@@ -83,7 +83,7 @@ pub fn run_all_observed_until(
             break;
         }
         if obs.enabled() {
-            obs.record_event(Event::new("sweep.run").field("label", label.as_str()));
+            obs.record_event(Event::new("sweep.run").field("label", label.clone()));
         }
         let sim = Simulation::new(config.clone(), inputs.clone(), scheduler);
         out.push((label, sim.run_with_observer(obs)));

@@ -73,7 +73,7 @@ pub fn emit_theory_bounds_stale(
     for (label, v, beta) in runs {
         let bounds = TheoryBounds::new(config, delta, price_max, *beta);
         let mut event = Event::new("theory.bounds")
-            .field("label", label.as_str())
+            .field("label", label.clone())
             .field("v", *v)
             .field("beta", *beta)
             .field("delta", delta)
